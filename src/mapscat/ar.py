@@ -536,17 +536,10 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
         for part in mid_parts:
             add(part)
 
-    order = sorted(range(len(reps)), key=lambda i: _vertex_key(reps[i]))
-    reps = [reps[i] for i in order]
+    reps.sort(key=_vertex_key)
 
     projectives = [i for i, m in enumerate(reps) if is_projective_indec(m)]
     injectives = [i for i, m in enumerate(reps) if is_injective_indec(m)]
-
-    def locate(m: Module) -> Optional[int]:
-        for i, r in enumerate(reps):
-            if r.dims == m.dims and iso_between(r, m) is not None:
-                return i
-        return None
 
     sequences: Dict[int, ShortExactSeq] = {}
     tau_edges: List[Tuple[int, int]] = []
@@ -557,7 +550,7 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
         if not complete:
             seq.verified = "corpus-bounded"
         sequences[i] = seq
-        at = locate(seq.left)
+        at = find(seq.left)
         if at is not None:
             tau_edges.append((i, at))
         elif complete:

@@ -70,6 +70,7 @@ from .maps import (
     structure_kernel,
     target_only,
     theta_presentation,
+    to_gamma_module,
     zero_map_object,
 )
 from .ar import (
@@ -153,8 +154,9 @@ def functor_is_zero(f: FpFunctor) -> bool:
 
 
 def functors_isomorphic(f: FpFunctor, g: FpFunctor) -> bool:
-    # minimal presentations are unique up to isomorphism of map objects
-    return map_iso_between(f.presentation, g.presentation) is not None
+    # minimal presentations are unique up to isomorphism of map objects,
+    # which need not be indecomposable
+    return modules_isomorphic(to_gamma_module(f.presentation), to_gamma_module(g.presentation))
 
 
 def representable_functor(m: Module) -> FpFunctor:

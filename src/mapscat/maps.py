@@ -319,6 +319,12 @@ def decompose_map_object(x: MapObject, seed: int = 0) -> List[Tuple[MapObject, M
 
 
 def map_iso_between(x: MapObject, y: MapObject) -> Optional[MapMorphism]:
+    """An isomorphism x -> y found by iso_between on the Gamma side, or None.
+
+    None is a proof only when x or y is indecomposable.  To compare two
+    possibly decomposable objects use
+    modules_isomorphic(to_gamma_module(x), to_gamma_module(y)).
+    """
     g = iso_between(to_gamma_module(x), to_gamma_module(y))
     if g is None:
         return None

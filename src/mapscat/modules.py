@@ -8,7 +8,6 @@ endomorphism algebras, direct sum decompositions) reduces to exact linear
 algebra over F_p on these matrices.
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -1033,62 +1032,41 @@ def decomposition(m: Module, seed: int = 0) -> Decomposition:
     return Decomposition(m, groups, flat)
 
 
-def iso_between(m: Module, n: Module, max_search: int = 20000) -> Optional[ModuleHom]:
-    """An isomorphism m -> n, or None.
+def iso_between(m: Module, n: Module) -> Optional[ModuleHom]:
+    """The first element of the basis of Hom(m, n) that is an isomorphism, or None.
 
-    Assumes both sides indecomposable or at least that an invertible hom
-    exists whenever they are isomorphic (true after decomposing).  Random
-    trials first, exhaustive search when the hom space is small enough.
+    Complete whenever m or n is indecomposable: if f = sum c_i h_i is an
+    isomorphism with inverse g, then sum c_i g h_i = 1 in the local ring
+    End(m), so some g h_i is a unit and h_i is itself an isomorphism (the
+    same argument runs through End(n) when n is the indecomposable side).
+    For two decomposable modules None proves nothing; use
+    modules_isomorphic.
     """
     if m.dims != n.dims:
         return None
     if m.total_dim == 0:
         return zero_hom(m, n)
-    homs = hom_basis(m, n)
-    if not homs:
-        return None
-    back = hom_basis(n, m)
-    if len(homs) != len(back):
-        return None
     p = m.algebra.p
-
-    def invertible(h: ModuleHom) -> bool:
-        return all(la.invert(h.mats[v], p) is not None for v in range(len(m.dims)))
-
-    for h in homs:
-        if invertible(h):
+    for h in hom_basis(m, n):
+        if all(la.invert(x, p) is not None for x in h.mats):
             return h
-    rng = np.random.default_rng(1)
-    for _ in range(120):
-        coeffs = rng.integers(0, p, size=len(homs))
-        h = None
-        for c, b in zip(coeffs, homs):
-            piece = hom_scale(int(c), b)
-            h = piece if h is None else hom_add(h, piece)
-        if invertible(h):
-            return h
-    if p ** len(homs) <= max_search:
-        for combo in itertools.product(range(p), repeat=len(homs)):
-            if not any(combo):
-                continue
-            h = None
-            for c, b in zip(combo, homs):
-                piece = hom_scale(int(c), b)
-                h = piece if h is None else hom_add(h, piece)
-            if invertible(h):
-                return h
-        return None
     return None
 
 
-def modules_isomorphic(m: Module, n: Module, seed: int = 0) -> bool:
-    """Isomorphism test that is safe for decomposable modules."""
+def modules_isomorphic(m: Module, n: Module) -> bool:
+    """Isomorphism test for arbitrary modules; False is always a proof.
+
+    Tries the basis scan of iso_between first, then decomposes both sides
+    into certified indecomposable summands and matches them one to one,
+    where the scan is complete.  Use this, not iso_between, whenever
+    both sides may be decomposable.
+    """
     if m.dims != n.dims:
         return False
     if iso_between(m, n) is not None:
         return True
-    mparts = [x[0] for x in decompose(m, seed)]
-    nparts = [x[0] for x in decompose(n, seed)]
+    mparts = [x[0] for x in decompose(m)]
+    nparts = [x[0] for x in decompose(n)]
     if len(mparts) != len(nparts):
         return False
     remaining = list(nparts)

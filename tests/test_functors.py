@@ -6,6 +6,7 @@ import pytest
 from mapscat.algebra import algebra_from_spec
 from mapscat.modules import (
     CertificationError,
+    direct_sum,
     ext_dim,
     hom_basis,
     indecomposable_projective,
@@ -176,6 +177,17 @@ def test_vanishes_on_projectives(mods, homs):
     assert vanishes_on_projectives(simple_functor(s1))
     assert not vanishes_on_projectives(representable_functor(p1))
     assert vanishes_on_projectives(FpFunctor(zero_map_object(s1.algebra)))
+
+
+def test_isomorphic_decomposable_functors_over_f2():
+    # No element of the hom basis of End(M) is invertible here, and among
+    # the 2^26 combinations invertible ones are rare: an isomorphism test
+    # that searched combinations would have to get lucky to say yes.
+    alg = algebra_from_spec(2, 4, [])
+    pieces = [simple_module(alg, v) for v, mult in enumerate((2, 2, 3, 3)) for _ in range(mult)]
+    m = direct_sum(alg, pieces).module
+    m_rev = direct_sum(alg, pieces[::-1]).module
+    assert functors_isomorphic(FpFunctor(target_only(m)), FpFunctor(target_only(m_rev)))
 
 
 # -- the evaluation-category realization ----------------------------------------

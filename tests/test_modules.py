@@ -288,9 +288,10 @@ def _random_invertible(rng, n, p):
         st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)
     ).filter(lambda t: sum(t) > 0),
     seed=st.integers(0, 10**6),
+    p=st.sampled_from([2, 3, 5, 101]),
 )
-def test_decompose_recovers_summands_after_base_change(counts, seed):
-    alg = linear_quiver_algebra(P, 2)
+def test_decompose_recovers_summands_after_base_change(counts, seed, p):
+    alg = linear_quiver_algebra(p, 2)
     pieces = (
         [simple_module(alg, 0)] * counts[0]
         + [simple_module(alg, 1)] * counts[1]
@@ -298,14 +299,19 @@ def test_decompose_recovers_summands_after_base_change(counts, seed):
     )
     m = direct_sum(alg, pieces).module
     rng = np.random.default_rng(seed)
-    g = [_random_invertible(rng, d, P) for d in m.dims]
-    ginv = [la.invert(x, P) for x in g]
+    g = [_random_invertible(rng, d, p) for d in m.dims]
+    ginv = [la.invert(x, p) for x in g]
     mats = [
-        la.matmul(g[t], la.matmul(m.mats[a], ginv[s], P), P)
+        la.matmul(g[t], la.matmul(m.mats[a], ginv[s], p), p)
         for a, (_, s, t) in enumerate(alg.quiver.arrows)
     ]
     twisted = Module(alg, m.dims, mats)
+    assert modules_isomorphic(twisted, m)
     parts = decompose(twisted, seed=0)
     got = sorted(part.dims for part, _, _ in parts)
     want = sorted(piece.dims for piece in pieces)
     assert got == want
+    for part, _, _ in parts:
+        isos = [h for h in (iso_between(part, piece) for piece in pieces) if h is not None]
+        assert isos
+        assert all(la.invert(x, p) is not None for x in isos[0].mats)
