@@ -1,13 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
+from mapscat import ar
+from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
 from mapscat.maps import gamma_of, to_gamma_module
 from mapscat.modules import (
     compose,
     direct_sum,
+    end_radical,
     hom_add,
+    hom_basis,
     identity_hom,
     indecomposable_projective,
     iso_between,
@@ -16,6 +21,7 @@ from mapscat.modules import (
     simple_module,
     tau,
     tau_inverse,
+    vectorize_hom,
 )
 from mapscat.ar import (
     almost_split_ending_at,
@@ -59,11 +65,11 @@ def gamma_quiver(gamma_a2):
 
 def test_a2_almost_split_sequence(a2, a2_modules):
     s1, s2, p1 = a2_modules
-    seq = almost_split_ending_at(s1, test_set=[s1, s2, p1])
+    seq = almost_split_ending_at(s1)
     assert seq.left.dims == (0, 1)
     assert seq.middle.dims == (1, 1)
     assert seq.right.dims == (1, 0)
-    assert seq.verified == "corpus"
+    assert is_almost_split(seq, [s1, s2, p1])
     assert iso_between(seq.left, tau(s1)) is not None
 
 
@@ -78,7 +84,8 @@ def test_ending_at_input_errors(a2, a2_modules):
 
 def test_starting_at(a2, a2_modules):
     s1, s2, p1 = a2_modules
-    seq = almost_split_starting_at(s2, test_set=[s1, s2, p1])
+    seq = almost_split_starting_at(s2)
+    assert is_almost_split(seq, [s1, s2, p1])
     assert seq.left is s2
     assert iso_between(seq.right, tau_inverse(s2)) is not None
     # s1 is the injective envelope of itself here
@@ -123,23 +130,69 @@ def test_gamma_quiver_a2_frozen(gamma_quiver):
     assert all(s.verified == "corpus" for s in q.sequences.values())
 
 
-def test_mesh_consistency_gamma_a2(gamma_quiver):
-    # middle-term multiplicities must reproduce the arrows into each vertex
-    q = gamma_quiver
+def _rad_rad2_arrows(reps):
+    """Arrow multiplicities dim rad(X,Y)/rad^2(X,Y) from the corpus."""
+    n = len(reps)
+    p = reps[0].algebra.p if reps else 2
+    rad_basis = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                rad_basis[(i, j)] = end_radical(reps[i])
+            else:
+                rad_basis[(i, j)] = hom_basis(reps[i], reps[j])
+    arrows = {}
+    for i in range(n):
+        for j in range(n):
+            basis = rad_basis[(i, j)]
+            if not basis:
+                continue
+            sq_cols = []
+            for z in range(n):
+                for a in rad_basis[(i, z)]:
+                    for b in rad_basis[(z, j)]:
+                        sq_cols.append(vectorize_hom(compose(b, a)))
+            total = np.stack([vectorize_hom(h) for h in basis], axis=1)
+            rank_rad = la.rank(total, p)
+            if sq_cols:
+                sq = np.stack(sq_cols, axis=1)
+                rank_sq = la.rank(sq, p)
+            else:
+                rank_sq = 0
+            mult = rank_rad - rank_sq
+            if mult > 0:
+                arrows[(i, j)] = mult
+    return arrows
 
-    def locate(m):
-        for i, r in enumerate(q.vertices):
-            if r.dims == m.dims and iso_between(r, m) is not None:
-                return i
-        raise AssertionError("summand outside corpus")
 
-    for i, seq in q.sequences.items():
-        counts = {}
-        for part, _, _ in decompose(seq.middle):
-            j = locate(part)
-            counts[j] = counts.get(j, 0) + 1
-        from_arrows = {j: mult for (j, tgt), mult in q.arrows.items() if tgt == i}
-        assert counts == from_arrows
+A3_LINEAR = [("a", 0, 1), ("b", 1, 2)]
+A3_FLIP = [("a", 1, 0), ("b", 1, 2)]
+A3_REL = (A3_LINEAR, [[(1, ["a", "b"])]])
+DUAL_NUMBERS = ([("x", 0, 0)], [[(1, ["x", "x"])]])
+
+
+@pytest.mark.parametrize(
+    "n,arrows,relations,side",
+    [
+        (2, [("a", 0, 1)], [], "lambda"),
+        (3, A3_LINEAR, [], "lambda"),
+        (3, A3_FLIP, [], "lambda"),
+        (3, *A3_REL, "lambda"),
+        (1, *DUAL_NUMBERS, "lambda"),
+        (2, [("a", 0, 1)], [], "gamma"),
+        (3, *A3_REL, "gamma"),
+        (1, *DUAL_NUMBERS, "gamma"),
+    ],
+    ids=["a2", "a3", "a3-flip", "a3-rel", "dual", "gamma-a2", "gamma-a3-rel", "gamma-dual"],
+)
+def test_arrows_match_rad_rad2_reference(n, arrows, relations, side):
+    # knitting reads arrows off middle terms; rad/rad^2 is an independent count
+    alg = algebra_from_spec(P, n, arrows, relations)
+    if side == "gamma":
+        alg = gamma_of(alg).algebra
+    q = knit_ar_quiver(alg, dim_bound=80)
+    assert q.complete
+    assert q.arrows == _rad_rad2_arrows(q.vertices)
 
 
 def test_tau_three_ways_gamma_a2(gamma_quiver):
@@ -241,6 +294,37 @@ def test_dim_bound_gives_partial_quiver(a2):
     q = knit_ar_quiver(a2, dim_bound=1)
     assert not q.complete
     assert "bound" in q.warning or "cap" in q.warning
+
+
+def _count_sequence_builds(monkeypatch):
+    calls = []
+    build = ar.almost_split_ending_at
+
+    def counted(m):
+        calls.append(m)
+        return build(m)
+
+    monkeypatch.setattr(ar, "almost_split_ending_at", counted)
+    return calls
+
+
+def test_bounded_kronecker_builds_each_sequence_once(monkeypatch):
+    calls = _count_sequence_builds(monkeypatch)
+    alg = algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], [])
+    q = knit_ar_quiver(alg, dim_bound=12)
+    assert not q.complete and "exceeds bound 12" in q.warning
+    assert [tuple(m.dims) for m in q.vertices] == [(k, k + 1) for k in range(6)]
+    assert q.arrows == {(i, i + 1): 2 for i in range(5)}
+    assert q.tau_edges == [(2, 0), (3, 1), (4, 2), (5, 3)]
+    assert all(s.verified == "corpus-bounded" for s in q.sequences.values())
+    assert len(calls) == len(q.vertices) - len(q.projectives) == len(q.sequences)
+
+
+def test_complete_knit_builds_each_sequence_once(monkeypatch, gamma_a2):
+    calls = _count_sequence_builds(monkeypatch)
+    q = knit_ar_quiver(gamma_a2.algebra, dim_bound=80)
+    assert q.complete
+    assert len(calls) == len(q.vertices) - len(q.projectives) == 7
 
 
 def test_knit_nakayama_with_relation():
