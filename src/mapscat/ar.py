@@ -133,7 +133,6 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
     end itself, the radical of its endomorphism space must be.
     """
     left, middle, right, inj, surj = _to_module_seq(s)
-    p = left.algebra.p
     cert = AlmostSplitCertificate(True)
     if not is_short_exact(inj, surj):
         return AlmostSplitCertificate(False, ["not a short exact sequence"])
@@ -148,34 +147,22 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
         into_right = hom_basis(x, right)
         if not into_right:
             continue
-        through = hom_basis(x, middle)
-        cols = [vectorize_hom(compose(surj, h)) for h in through]
-        ambient = len(vectorize_hom(into_right[0]))
-        img = np.stack(cols, axis=1) if cols else la.zeros(ambient, 0)
+        through = [compose(surj, h) for h in hom_basis(x, middle)]
         u = iso_between(x, right)
         if u is None:
-            required = [vectorize_hom(h) for h in into_right]
+            required = into_right
             label = "all homs"
         else:
-            required = [vectorize_hom(compose(u, r)) for r in end_radical(x)]
+            required = [compose(u, r) for r in end_radical(x)]
             label = "radical endomorphisms"
         if not required:
             continue
-        sols = []
-        ok = True
-        for vec in required:
-            sol = la.solve(img, vec, p) if img.shape[1] else (None if vec.any() else np.zeros(0, dtype=np.int64))
-            if sol is None:
-                ok = False
-                break
-            sols.append(sol)
-        if not ok:
+        sols = hom_coordinates(required, through)
+        if sols is None:
             cert.verdict = False
             cert.reasons.append(f"test object {idx}: {label} do not all factor")
         else:
-            cert.factorizations[idx] = (
-                np.stack(sols, axis=1) if sols else np.zeros((img.shape[1], 0), dtype=np.int64)
-            )
+            cert.factorizations[idx] = sols
     return cert
 
 
@@ -218,8 +205,7 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
     if not cocycles:
         raise ArithmeticError("Ext^1(m, tau m) came out zero; construction failed")
     from_p0 = hom_basis(pres.p0.sum.module, tm)
-    cob_cols = [hom_coordinates(compose(h, k_incl), cocycles) for h in from_p0]
-    cob = np.stack(cob_cols, axis=1) if cob_cols else la.zeros(len(cocycles), 0)
+    cob = hom_coordinates([compose(h, k_incl) for h in from_p0], cocycles)
     # quotient coordinates: rows annihilating the coboundary space
     qmat = la.kernel_basis(cob.T, p).T
     if qmat.shape[0] == 0:
@@ -229,8 +215,7 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
     for r in rad:
         r0 = _lift_along_epi(pres.eps, compose(r, pres.eps))
         r1 = hom_into_sub(k_incl, compose(r0, k_incl))
-        act_cols = [hom_coordinates(compose(c, r1), cocycles) for c in cocycles]
-        act = np.stack(act_cols, axis=1)
+        act = hom_coordinates([compose(c, r1) for c in cocycles], cocycles)
         action_rows.append(la.matmul(qmat, act, p))
     if action_rows:
         socle_system = np.vstack(action_rows)

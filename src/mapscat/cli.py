@@ -51,6 +51,7 @@ from .maps import (
 )
 from .modules import (
     CertificationError,
+    Module,
     compose,
     direct_sum,
     hom_basis,
@@ -168,8 +169,8 @@ def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str
     s1.name = "S1"
     s2 = simple_module(alg, tgt)
     s2.name = "S2"
-    p1 = indecomposable_projective(alg, src)
-    p1.name = "P1"
+    proj = indecomposable_projective(alg, src)
+    p1 = Module(alg, proj.dims, proj.mats, name="P1")  # a labelled copy; the cached P_v is shared
     f = hom_basis(s2, p1)[0]
     g = hom_basis(p1, s1)[0]
     checks: List[Tuple[str, bool, str]] = []

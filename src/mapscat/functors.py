@@ -107,20 +107,11 @@ def _eval_at(x: MapObject, t: Module) -> EvalData:
     p = x.algebra.p
     b1 = hom_basis(t, x.m1)
     b2 = hom_basis(t, x.m2)
-    cols = []
-    for b in b1:
-        coords = hom_coordinates(compose(x.f, b), b2)
-        cols.append(coords)
-    action = np.stack(cols, axis=1) if cols else la.zeros(len(b2), 0)
+    action = hom_coordinates([compose(x.f, b) for b in b1], b2)
     proj = la.kernel_basis(action.T, p).T
     dim = proj.shape[0]
-    section = la.zeros(len(b2), dim)
-    for i in range(dim):
-        e = la.zeros(dim, 1)[:, 0]
-        e[i] = 1
-        sol = la.solve(proj, e, p)
-        assert sol is not None, "projection lost full row rank"
-        section[:, i] = sol
+    section = la.solve(proj, la.eye(dim), p)
+    assert section is not None, "projection lost full row rank"
     return EvalData(dim, b1, b2, action, proj, section)
 
 
@@ -131,13 +122,14 @@ class FpFunctor:
         self.presentation = minimize_presentation(presentation, seed)
         self.algebra = presentation.algebra
         self.name = name
-        self._eval: Dict[int, EvalData] = {}
+        # id(t) -> (t, data): holding t keeps its id from being reused
+        self._eval: Dict[int, Tuple[Module, EvalData]] = {}
 
     def eval_data(self, t: Module) -> EvalData:
-        key = id(t)
-        if key not in self._eval:
-            self._eval[key] = _eval_at(self.presentation, t)
-        return self._eval[key]
+        hit = self._eval.get(id(t))
+        if hit is None or hit[0] is not t:
+            hit = self._eval[id(t)] = (t, _eval_at(self.presentation, t))
+        return hit[1]
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -254,10 +246,6 @@ class FunctorRealization:
         return self._delta_quiver
 
 
-def _rad_basis(reps: List[Module], i: int, j: int) -> List[ModuleHom]:
-    return end_radical(reps[i]) if i == j else hom_basis(reps[i], reps[j])
-
-
 def functor_realization(algebra: AlgebraPresentation, dim_bound: int = 40) -> FunctorRealization:
     p = algebra.p
     q = knit_ar_quiver(algebra, dim_bound=dim_bound)
@@ -265,35 +253,36 @@ def functor_realization(algebra: AlgebraPresentation, dim_bound: int = 40) -> Fu
         raise CertificationError(f"realization needs the complete corpus; {q.warning}")
     reps = q.vertices
     n = len(reps)
-    for m in reps:
-        if len(hom_basis(m, m)) - len(end_radical(m)) != 1:
+    # rad[i][j]: the radical endomorphisms for i == j, else all of Hom(reps[i], reps[j])
+    rad = [
+        [end_radical(reps[i]) if i == j else hom_basis(reps[i], reps[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    for i, m in enumerate(reps):
+        if len(hom_basis(m, m)) - len(rad[i][i]) != 1:
             raise CertificationError("an endomorphism ring has residue field larger than the base field")
 
     arrow_specs: List[Tuple[str, int, int]] = []
     arrow_homs: List[ModuleHom] = []
-    for (i, j) in sorted(q.arrows):
-        basis = _rad_basis(reps, i, j)
-        ambient = len(vectorize_hom(basis[0])) if basis else 0
-        rad2 = []
-        for z in range(n):
-            for u in _rad_basis(reps, i, z):
-                for v in _rad_basis(reps, z, j):
-                    rad2.append(vectorize_hom(compose(v, u)))
-        acc = list(rad2)
-        rank = la.rank(np.stack(acc, axis=1), p) if acc else 0
-        picked = []
-        for b in basis:
-            trial = acc + [vectorize_hom(b)]
-            r2 = la.rank(np.stack(trial, axis=1), p)
-            if r2 > rank:
-                picked.append(b)
-                acc = trial
-                rank = r2
-        if len(picked) != q.arrows[(i, j)]:
-            raise CertificationError("arrow multiplicity disagrees with the knitted quiver")
-        for r in picked:
-            arrow_specs.append((f"a{len(arrow_specs)}", j, i))
-            arrow_homs.append(r)
+    # every ordered pair, so an irreducible map the knit missed is caught too
+    for i in range(n):
+        for j in range(n):
+            picked = []
+            if rad[i][j]:
+                acc = [vectorize_hom(compose(v, u)) for z in range(n) for u in rad[i][z] for v in rad[z][j]]
+                rank = la.rank(np.stack(acc, axis=1), p) if acc else 0
+                for b in rad[i][j]:
+                    trial = acc + [vectorize_hom(b)]
+                    r2 = la.rank(np.stack(trial, axis=1), p)
+                    if r2 > rank:
+                        picked.append(b)
+                        acc = trial
+                        rank = r2
+            if len(picked) != q.arrows.get((i, j), 0):
+                raise CertificationError("arrow multiplicity disagrees with the knitted quiver")
+            for r in picked:
+                arrow_specs.append((f"a{len(arrow_specs)}", j, i))
+                arrow_homs.append(r)
 
     # relations: kernels of the path-value map, degree by degree
     names = [s[0] for s in arrow_specs]
@@ -354,10 +343,7 @@ def realize_map_object(real: FunctorRealization, x: MapObject) -> Module:
     for k, r in enumerate(real.arrow_homs):
         src = real.delta.quiver.source(k)
         tgt = real.delta.quiver.target(k)
-        pre = la.zeros(len(evs[tgt].into_target), len(evs[src].into_target))
-        for c, b in enumerate(evs[src].into_target):
-            coords = hom_coordinates(compose(b, r), evs[tgt].into_target)
-            pre[:, c] = coords
+        pre = hom_coordinates([compose(b, r) for b in evs[src].into_target], evs[tgt].into_target)
         mat = la.matmul(evs[tgt].proj, la.matmul(pre, evs[src].section, p), p)
         mats.append(mat)
     return Module(real.delta, dims, mats, name=f"Phi({x.name})" if x.name else "")
@@ -376,10 +362,7 @@ def map_morphism_to_hom(real: FunctorRealization, u: MapMorphism) -> ModuleHom:
     for v, t in enumerate(real.corpus):
         ex = _eval_at(u.source, t)
         ey = _eval_at(u.target, t)
-        post = la.zeros(len(ey.into_target), len(ex.into_target))
-        for c, b in enumerate(ex.into_target):
-            coords = hom_coordinates(compose(u.h2, b), ey.into_target)
-            post[:, c] = coords
+        post = hom_coordinates([compose(u.h2, b) for b in ex.into_target], ey.into_target)
         mats.append(la.matmul(ey.proj, la.matmul(post, ex.section, p), p))
     return ModuleHom(src_mod, tgt_mod, mats)
 

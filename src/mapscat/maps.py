@@ -20,6 +20,7 @@ from .modules import (
     Module,
     ModuleHom,
     cokernel,
+    commuting_square_kernel,
     compose,
     decompose,
     direct_sum,
@@ -182,59 +183,29 @@ def direct_sum_maps(algebra: AlgebraPresentation, parts: Sequence[MapObject], na
 
 def hom_maps(x: MapObject, y: MapObject) -> List[MapMorphism]:
     """Canonical basis of the space of commuting squares x -> y."""
-    alg = x.algebra
-    p = alg.p
-    q = alg.quiver
+    q = x.algebra.quiver
     nv = q.n_vertices
-    sizes1 = [x.m1.dims[v] * y.m1.dims[v] for v in range(nv)]
-    sizes2 = [x.m2.dims[v] * y.m2.dims[v] for v in range(nv)]
-    off1 = np.concatenate([[0], np.cumsum(sizes1)])
-    off2 = np.concatenate([[0], np.cumsum(sizes2)]) + off1[-1]
-    total = int(off2[-1])
-    if total == 0:
+    shapes = [(y.m1.dims[v], x.m1.dims[v]) for v in range(nv)]
+    shapes += [(y.m2.dims[v], x.m2.dims[v]) for v in range(nv)]
+    if not any(r * c for r, c in shapes):
         return []
-    rows = []
-
-    def arrow_rows(src: Module, tgt: Module, offsets):
-        for i, (_, s, t) in enumerate(q.arrows):
-            block_rows = tgt.dims[t] * src.dims[s]
-            if block_rows == 0:
-                continue
-            row = la.zeros(block_rows, total)
-            row[:, offsets[s] : offsets[s] + src.dims[s] * tgt.dims[s]] = np.kron(
-                tgt.mats[i], la.eye(src.dims[s])
-            )
-            row[:, offsets[t] : offsets[t] + src.dims[t] * tgt.dims[t]] = (
-                row[:, offsets[t] : offsets[t] + src.dims[t] * tgt.dims[t]]
-                - np.kron(la.eye(tgt.dims[t]), src.mats[i].T)
-            ) % p
-            rows.append(row)
-
-    arrow_rows(x.m1, y.m1, off1[:-1])
-    arrow_rows(x.m2, y.m2, off2[:-1])
+    squares = []
+    for i, (_, s, t) in enumerate(q.arrows):
+        squares.append((y.m1.mats[i], s, t, x.m1.mats[i]))
+        squares.append((y.m2.mats[i], nv + s, nv + t, x.m2.mats[i]))
     # interchange: y.f h1 = h2 x.f at every vertex
-    for v in range(nv):
-        block_rows = y.m2.dims[v] * x.m1.dims[v]
-        if block_rows == 0:
-            continue
-        row = la.zeros(block_rows, total)
-        row[:, off1[v] : off1[v] + sizes1[v]] = np.kron(y.f.mats[v], la.eye(x.m1.dims[v]))
-        row[:, off2[v] : off2[v] + sizes2[v]] = (
-            row[:, off2[v] : off2[v] + sizes2[v]]
-            - np.kron(la.eye(y.m2.dims[v]), x.f.mats[v].T)
-        ) % p
-        rows.append(row)
-    system = np.vstack(rows) if rows else la.zeros(0, total)
-    kern = la.kernel_basis(system, p)
+    squares += [(y.f.mats[v], v, nv + v, x.f.mats[v]) for v in range(nv)]
+    kern = commuting_square_kernel(shapes, squares, x.algebra.p)
     return [unvectorize_map_morphism(x, y, kern[:, j]) for j in range(kern.shape[1])]
 
 
-def map_hom_coordinates(mor: MapMorphism, basis: List[MapMorphism]) -> Optional[np.ndarray]:
-    if not basis:
-        return np.zeros(0, dtype=np.int64) if mor.is_zero() else None
-    p = mor.source.algebra.p
-    mat = np.stack([vectorize_map_morphism(b) for b in basis], axis=1)
-    return la.solve(mat, vectorize_map_morphism(mor), p)
+def map_hom_coordinates(mors: Sequence[MapMorphism], basis: Sequence[MapMorphism]) -> Optional[np.ndarray]:
+    """Coordinates of each morphism in the basis, one column per morphism;
+    None if any lies outside the span (see hom_coordinates)."""
+    if not mors:
+        return la.zeros(len(basis), 0)
+    vecs = [vectorize_map_morphism(m) for m in mors]
+    return la.span_coordinates([vectorize_map_morphism(b) for b in basis], vecs, mors[0].source.algebra.p)
 
 
 def maps_solve_through(q: MapMorphism, g: MapMorphism) -> Optional[MapMorphism]:
@@ -697,16 +668,9 @@ def f_resolution(x: MapObject) -> FResolution:
 
 def _map_hom_matrix(d: MapMorphism, source_basis: List[MapMorphism], target_basis: List[MapMorphism]) -> np.ndarray:
     """Matrix of (- o d): Hom(d.target, y) -> Hom(d.source, y)."""
-    p = d.source.algebra.p
-    if not target_basis:
-        return la.zeros(0, len(source_basis))
-    mat = np.stack([vectorize_map_morphism(b) for b in target_basis], axis=1)
-    cols = []
-    for b in source_basis:
-        coords = la.solve(mat, vectorize_map_morphism(map_compose(b, d)), p)
-        assert coords is not None
-        cols.append(coords)
-    return np.stack(cols, axis=1) if cols else la.zeros(len(target_basis), 0)
+    coords = map_hom_coordinates([map_compose(b, d) for b in source_basis], target_basis)
+    assert coords is not None
+    return coords
 
 
 def relative_ext_dim(x: MapObject, y: MapObject, k: int) -> int:
@@ -756,8 +720,9 @@ class Ext1Data:
         return len(self.cocycles) - la.rank(self.coboundary_matrix, p)
 
     def class_is_zero(self, cocycle: MapMorphism) -> bool:
-        coords = map_hom_coordinates(cocycle, self.cocycles)
+        coords = map_hom_coordinates([cocycle], self.cocycles)
         assert coords is not None
+        coords = coords[:, 0]
         if self.coboundary_matrix.shape[1] == 0:
             return not coords.any()
         return la.solve(self.coboundary_matrix, coords, self.x.algebra.p) is not None
@@ -768,15 +733,8 @@ def ext1_data(x: MapObject, y: MapObject) -> Ext1Data:
     n0, incl = morphism_kernel(cover.epi)
     cocycles = hom_maps(n0, y)
     from_q0 = hom_maps(cover.cover, y)
-    if cocycles:
-        cols = []
-        for h in from_q0:
-            coords = map_hom_coordinates(map_compose(h, incl), cocycles)
-            assert coords is not None
-            cols.append(coords)
-        mat = np.stack(cols, axis=1) if cols else la.zeros(len(cocycles), 0)
-    else:
-        mat = la.zeros(0, len(from_q0))
+    mat = map_hom_coordinates([map_compose(h, incl) for h in from_q0], cocycles)
+    assert mat is not None
     return Ext1Data(x, y, cover, n0, incl, cocycles, mat)
 
 
@@ -932,61 +890,34 @@ def _chain_maps_basis(src: ProjComplex, tgt: ProjComplex) -> List[List[ModuleHom
     nv = q.n_vertices
     n = src.length
     assert tgt.length == n
-    blocks = []  # (degree, vertex) -> (offset, rows=tgt dim, cols=src dim)
-    offset = 0
-    index = {}
-    for k in range(n + 1):
-        for v in range(nv):
-            size = src.modules[k].dims[v] * tgt.modules[k].dims[v]
-            index[(k, v)] = (offset, tgt.modules[k].dims[v], src.modules[k].dims[v])
-            offset += size
-    total = offset
-    if total == 0:
+    # unknown (k, v) is sigma_k at vertex v, number k * nv + v
+    shapes = [
+        (tgt.modules[k].dims[v], src.modules[k].dims[v]) for k in range(n + 1) for v in range(nv)
+    ]
+    if not any(r * c for r, c in shapes):
         return []
-    rows = []
+    squares = []
     for k in range(n + 1):
         sm, tm = src.modules[k], tgt.modules[k]
-        for i, (_, s, t) in enumerate(q.arrows):
-            brows = tm.dims[t] * sm.dims[s]
-            if brows == 0:
-                continue
-            row = la.zeros(brows, total)
-            off_s, _, _ = index[(k, s)]
-            off_t, _, _ = index[(k, t)]
-            row[:, off_s : off_s + sm.dims[s] * tm.dims[s]] = np.kron(tm.mats[i], la.eye(sm.dims[s]))
-            row[:, off_t : off_t + sm.dims[t] * tm.dims[t]] = (
-                row[:, off_t : off_t + sm.dims[t] * tm.dims[t]]
-                - np.kron(la.eye(tm.dims[t]), sm.mats[i].T)
-            ) % p
-            rows.append(row)
+        squares += [(tm.mats[i], k * nv + s, k * nv + t, sm.mats[i]) for i, (_, s, t) in enumerate(q.arrows)]
     for k in range(1, n + 1):
         # tgt.diff sigma_k = sigma_{k-1} src.diff at every vertex
-        for v in range(nv):
-            brows = tgt.modules[k - 1].dims[v] * src.modules[k].dims[v]
-            if brows == 0:
-                continue
-            row = la.zeros(brows, total)
-            off_k, _, _ = index[(k, v)]
-            off_km, _, _ = index[(k - 1, v)]
-            sz_k = src.modules[k].dims[v] * tgt.modules[k].dims[v]
-            sz_km = src.modules[k - 1].dims[v] * tgt.modules[k - 1].dims[v]
-            row[:, off_k : off_k + sz_k] = np.kron(tgt.diffs[k - 1].mats[v], la.eye(src.modules[k].dims[v]))
-            row[:, off_km : off_km + sz_km] = (
-                row[:, off_km : off_km + sz_km]
-                - np.kron(la.eye(tgt.modules[k - 1].dims[v]), src.diffs[k - 1].mats[v].T)
-            ) % p
-            rows.append(row)
-    system = np.vstack(rows) if rows else la.zeros(0, total)
-    kern = la.kernel_basis(system, p)
+        squares += [
+            (tgt.diffs[k - 1].mats[v], k * nv + v, (k - 1) * nv + v, src.diffs[k - 1].mats[v])
+            for v in range(nv)
+        ]
+    kern = commuting_square_kernel(shapes, squares, p)
     out = []
     for j in range(kern.shape[1]):
         vec = kern[:, j]
         sigma = []
+        off = 0
         for k in range(n + 1):
             mats = []
             for v in range(nv):
-                off, r, c = index[(k, v)]
+                r, c = shapes[k * nv + v]
                 mats.append(vec[off : off + r * c].reshape(r, c))
+                off += r * c
             sigma.append(ModuleHom(src.modules[k], tgt.modules[k], mats, check=False))
         out.append(sigma)
     return out

@@ -180,43 +180,57 @@ def unvectorize_hom(source: Module, target: Module, vec: np.ndarray) -> ModuleHo
     return ModuleHom(source, target, mats, check=False)
 
 
+def commuting_square_kernel(shapes: Sequence[Tuple[int, int]], squares, p: int) -> np.ndarray:
+    """Kernel of the system A X_s - X_t B = 0 over a list of squares.
+
+    The unknowns are matrices X_0, X_1, ... of the given (rows, cols)
+    shapes, flattened row-major and concatenated in order.  Each square
+    (A, s, t, B) asks A @ X_s == X_t @ B; its equations fill one row block
+    of a preallocated system, written through 4-D views of that block:
+    entry (i, j) of A @ X_s has coefficient A[i, k] at X_s[k, j], and
+    entry (i, j) of X_t @ B has B[l, j] at X_t[i, l].  Returns the
+    canonical kernel basis of la.kernel_basis, as columns.
+    """
+    offsets = [0]
+    for r, c in shapes:
+        offsets.append(offsets[-1] + r * c)
+    live = [sq for sq in squares if sq[0].shape[0] * shapes[sq[1]][1]]
+    system = np.zeros((sum(a.shape[0] * shapes[s][1] for a, s, _, _ in live), offsets[-1]), dtype=np.int64)
+    row = 0
+    for a, s, t, b in live:
+        r, (k, c), l = a.shape[0], shapes[s], shapes[t][1]
+        block = system[row : row + r * c]
+        jj, ii = np.arange(c), np.arange(r)
+        block[:, offsets[s] : offsets[s + 1]].reshape(r, c, k, c)[:, jj, :, jj] = a
+        block[:, offsets[t] : offsets[t + 1]].reshape(r, c, r, l)[ii, :, ii, :] -= b.T
+        row += r * c
+    return la.kernel_basis(system, p)
+
+
 def hom_basis(m: Module, n: Module) -> List[ModuleHom]:
     """Canonical basis of Hom(m, n), from the commuting-square kernel."""
     if m.algebra is not n.algebra and m.algebra.quiver != n.algebra.quiver:
         raise ValueError("modules over different algebras")
-    p = m.algebra.p
     q = m.algebra.quiver
-    nv = q.n_vertices
-    sizes = [m.dims[v] * n.dims[v] for v in range(nv)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    if total == 0:
+    shapes = [(n.dims[v], m.dims[v]) for v in range(q.n_vertices)]
+    if not any(r * c for r, c in shapes):
         return []
-    rows = []
-    for i, (_, s, t) in enumerate(q.arrows):
-        block_rows = n.dims[t] * m.dims[s]
-        if block_rows == 0:
-            continue
-        row = la.zeros(block_rows, total)
-        # n_alpha h_s: vec(A X) = (A kron I) vec(X), row-major
-        row[:, offsets[s] : offsets[s + 1]] = np.kron(n.mats[i], la.eye(m.dims[s]))
-        # h_t m_alpha: vec(X B) = (I kron B^T) vec(X)
-        row[:, offsets[t] : offsets[t + 1]] = (
-            row[:, offsets[t] : offsets[t + 1]] - np.kron(la.eye(n.dims[t]), m.mats[i].T)
-        ) % p
-        rows.append(row)
-    system = np.vstack(rows) if rows else la.zeros(0, total)
-    kern = la.kernel_basis(system, p)
+    squares = [(n.mats[i], s, t, m.mats[i]) for i, (_, s, t) in enumerate(q.arrows)]
+    kern = commuting_square_kernel(shapes, squares, m.algebra.p)
     return [unvectorize_hom(m, n, kern[:, j]) for j in range(kern.shape[1])]
 
 
-def hom_coordinates(hom: ModuleHom, basis: List[ModuleHom]) -> Optional[np.ndarray]:
-    """Coordinates of hom in the given basis, or None if outside the span."""
-    if not basis:
-        return np.zeros(0, dtype=np.int64) if hom.is_zero() else None
-    p = hom.source.algebra.p
-    mat = np.stack([vectorize_hom(b) for b in basis], axis=1)
-    return la.solve(mat, vectorize_hom(hom), p)
+def hom_coordinates(homs: Sequence[ModuleHom], basis: Sequence[ModuleHom]) -> Optional[np.ndarray]:
+    """Coordinates of each hom in the basis, one column per hom.
+
+    One solve for all of them; None if any hom lies outside the span.  A
+    spanning list that is not independent gets the solution with zeros
+    in its free coordinates.
+    """
+    if not homs:
+        return la.zeros(len(basis), 0)
+    vecs = [vectorize_hom(h) for h in homs]
+    return la.span_coordinates([vectorize_hom(b) for b in basis], vecs, homs[0].source.algebra.p)
 
 
 # -- canonical modules --------------------------------------------------------
@@ -235,7 +249,14 @@ def simple_module(algebra: AlgebraPresentation, v: int) -> Module:
 
 
 def indecomposable_projective(algebra: AlgebraPresentation, v: int) -> Module:
-    """P_v: basis given by the surviving paths out of v."""
+    """P_v: basis given by the surviving paths out of v.
+
+    Cached per (algebra, v): every call returns the same shared module,
+    which callers must not mutate (not even its name).
+    """
+    key = ("projective", v)
+    if key in algebra._cache:
+        return algebra._cache[key]
     b = algebra.basis
     q = algebra.quiver
     local: Dict[int, List[int]] = {w: [] for w in range(q.n_vertices)}
@@ -254,6 +275,7 @@ def indecomposable_projective(algebra: AlgebraPresentation, v: int) -> Module:
     m = Module(algebra, dims, mats, name=f"P{v + 1}")
     m._proj_vertex = v
     m._proj_gen_index = pos[b.index[(v, ())]]
+    algebra._cache[key] = m
     return m
 
 
@@ -281,9 +303,17 @@ def opposite_of(algebra: AlgebraPresentation) -> AlgebraPresentation:
 
 
 def indecomposable_injective(algebra: AlgebraPresentation, v: int) -> Module:
-    m = dual_module(indecomposable_projective(opposite_of(algebra), v))
-    m.name = f"I{v + 1}"
-    return m
+    """I_v = D(P_v) over the opposite algebra.
+
+    Cached per (algebra, v) like indecomposable_projective: the returned
+    module is shared and must not be mutated.
+    """
+    key = ("injective", v)
+    if key not in algebra._cache:
+        m = dual_module(indecomposable_projective(opposite_of(algebra), v))
+        m.name = f"I{v + 1}"
+        algebra._cache[key] = m
+    return algebra._cache[key]
 
 
 @dataclass
@@ -701,20 +731,12 @@ def tau_inverse(m: Module) -> Module:
 # -- endomorphism algebra: radical and decomposition --------------------------
 
 
-def _mult_coords(basis_homs: List[ModuleHom]) -> Tuple[np.ndarray, np.ndarray]:
-    """Structure constants T[i][j] of the endomorphism basis and the basis
-    matrix used for coordinates."""
-    p = basis_homs[0].source.algebra.p
+def _mult_coords(basis_homs: List[ModuleHom]) -> np.ndarray:
+    """Structure constants: T[i, j] holds the coordinates of b_i o b_j."""
     k = len(basis_homs)
-    mat = np.stack([vectorize_hom(b) for b in basis_homs], axis=1)
-    T = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            prod = vectorize_hom(compose(basis_homs[i], basis_homs[j]))
-            coords = la.solve(mat, prod, p)
-            assert coords is not None, "endomorphism product left the span"
-            T[i, j] = coords
-    return T, mat
+    coords = hom_coordinates([compose(a, b) for a in basis_homs for b in basis_homs], basis_homs)
+    assert coords is not None, "endomorphism product left the span"
+    return coords.T.reshape(k, k, k)
 
 
 def end_radical(m: Module) -> List[ModuleHom]:
@@ -732,7 +754,7 @@ def end_radical(m: Module) -> List[ModuleHom]:
         return []
     p = m.algebra.p
     k = len(ends)
-    T, mat = _mult_coords(ends)
+    T = _mult_coords(ends)
     reg_tr = np.array([sum(int(T[i, l, l]) for l in range(k)) % p for i in range(k)], dtype=np.int64)
     gram = np.zeros((k, k), dtype=np.int64)
     for i in range(k):
@@ -779,11 +801,12 @@ def end_radical(m: Module) -> List[ModuleHom]:
                 "radical computation did not close; characteristic too small "
                 "relative to the endomorphism algebra"
             )
+    vecs = [vectorize_hom(e) for e in ends]
     out = []
     for j in range(cand.shape[1]):
-        vec = np.zeros(mat.shape[0], dtype=np.int64)
+        vec = np.zeros(len(vecs[0]), dtype=np.int64)
         for i in range(k):
-            vec = (vec + int(cand[i, j]) * vectorize_hom(ends[i])) % p
+            vec = (vec + int(cand[i, j]) * vecs[i]) % p
         out.append(unvectorize_hom(m, m, vec))
     return out
 
@@ -847,7 +870,7 @@ def _quotient_algebra_data(ends: List[ModuleHom], rad: List[ModuleHom]):
     p = ends[0].source.algebra.p
     k = len(ends)
     if rad:
-        radmat = np.stack([hom_coordinates(r, ends) for r in rad])
+        radmat = hom_coordinates(rad, ends).T
         rr, pivots = la.rref(radmat, p)
         rr = rr[: len(pivots)]
     else:
@@ -873,7 +896,7 @@ def _find_idempotent_split(m: Module, ends: List[ModuleHom], rad: List[ModuleHom
     """
     p = m.algebra.p
     k = len(ends)
-    T, _ = _mult_coords(ends)
+    T = _mult_coords(ends)
     free, reduce_coords = _quotient_algebra_data(ends, rad)
     kq = len(free)
     if kq == 1:
@@ -891,7 +914,7 @@ def _find_idempotent_split(m: Module, ends: List[ModuleHom], rad: List[ModuleHom
         return reduce_coords(out)
 
     # multiplication operators in the quotient must commute for a field
-    id_coords = hom_coordinates(identity_hom(m), ends)
+    id_coords = hom_coordinates([identity_hom(m)], ends)[:, 0]
     one = reduce_coords(id_coords)
 
     def op_matrix(z: np.ndarray) -> np.ndarray:
@@ -1088,16 +1111,9 @@ def hom_space_matrix(d: ModuleHom, source_basis: List[ModuleHom], target_basis: 
 
     source_basis spans Hom(d.target, N), target_basis spans Hom(d.source, N).
     """
-    p = d.source.algebra.p
-    if not target_basis:
-        return la.zeros(0, len(source_basis))
-    mat = np.stack([vectorize_hom(b) for b in target_basis], axis=1)
-    cols = []
-    for b in source_basis:
-        coords = la.solve(mat, vectorize_hom(compose(b, d)), p)
-        assert coords is not None
-        cols.append(coords)
-    return np.stack(cols, axis=1) if cols else la.zeros(len(target_basis), 0)
+    coords = hom_coordinates([compose(b, d) for b in source_basis], target_basis)
+    assert coords is not None
+    return coords
 
 
 def projective_resolution(m: Module, length: int) -> Tuple[List[ProjCover], List[ModuleHom]]:

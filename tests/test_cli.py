@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from mapscat import cli
+from mapscat.algfile import parse_algebra_file
 from mapscat.cli import main
+from mapscat.modules import indecomposable_projective
 
 DATA = resources.files("mapscat").joinpath("data")
 A2 = str(DATA / "a2.alg")
@@ -46,6 +49,35 @@ def test_ar_quiver_golden_outputs(tmp_path, capsys):
         assert main(["ar-quiver", A2, "--side", side, "--out", str(prefix)]) == 0
         assert Path(f"{prefix}.json").read_text() == golden_bytes(f"a2_ar_{side}.json")
         assert Path(f"{prefix}.dot").read_text() == golden_bytes(f"a2_ar_{side}.dot")
+    capsys.readouterr()
+
+
+def test_ar_quiver_a3_linear_golden_outputs(tmp_path, capsys):
+    for side in ("lambda", "gamma"):
+        prefix = tmp_path / f"q_{side}"
+        alg = str(DATA / "a3_linear.alg")
+        assert main(["ar-quiver", alg, "--side", side, "--out", str(prefix)]) == 0
+        assert Path(f"{prefix}.json").read_text() == golden_bytes(f"a3_linear_ar_{side}.json")
+        assert Path(f"{prefix}.dot").read_text() == golden_bytes(f"a3_linear_ar_{side}.dot")
+    capsys.readouterr()
+
+
+def test_verify_example_leaves_the_shared_projectives_unnamed(tmp_path, monkeypatch, capsys):
+    parsed = []
+
+    def parse(text, **kw):
+        af = parse_algebra_file(text, **kw)
+        parsed.append(af.algebra)
+        return af
+
+    monkeypatch.setattr(cli, "parse_algebra_file", parse)
+    flipped = tmp_path / "flipped.alg"
+    flipped.write_text("field p=101\nvertices 2\narrow a: 2 -> 1\n")
+    assert main(["verify-example", str(flipped), "--out", str(tmp_path / "r.json")]) == 0
+    assert parsed
+    for alg in parsed:
+        for v in range(2):
+            assert indecomposable_projective(alg, v).name == f"P{v + 1}"
     capsys.readouterr()
 
 

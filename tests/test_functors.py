@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from mapscat import functors
 from mapscat.algebra import algebra_from_spec
 from mapscat.modules import (
     CertificationError,
@@ -76,13 +77,7 @@ def a2():
 
 @pytest.fixture(scope="module")
 def mods(a2):
-    s1 = simple_module(a2, 0)
-    s1.name = "S1"
-    s2 = simple_module(a2, 1)
-    s2.name = "S2"
-    p1 = indecomposable_projective(a2, 0)
-    p1.name = "P1"
-    return s1, s2, p1
+    return simple_module(a2, 0), simple_module(a2, 1), indecomposable_projective(a2, 0)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +172,33 @@ def test_vanishes_on_projectives(mods, homs):
     assert vanishes_on_projectives(simple_functor(s1))
     assert not vanishes_on_projectives(representable_functor(p1))
     assert vanishes_on_projectives(FpFunctor(zero_map_object(s1.algebra)))
+
+
+def test_evaluation_cache_is_not_fooled_by_a_reused_id(a2):
+    # Hom(S1, S2) = 0, so nothing else keeps the first simple alive; its id
+    # may be handed to the second one, which must still get its own value
+    f = representable_functor(simple_module(a2, 1))
+    assert [evaluate(f, simple_module(a2, v)) for v in range(2)] == [0, 1]
+
+
+def test_vanishes_on_projectives_sees_the_simple_projective(a2):
+    f = representable_functor(simple_module(a2, 1))
+    assert evaluate(f, indecomposable_projective(a2, 1)) == 1
+    assert not vanishes_on_projectives(f)
+
+
+def test_realization_rejects_an_arrow_the_knit_missed(monkeypatch):
+    alg = algebra_from_spec(P, 3, [("a", 0, 1), ("b", 1, 2)])
+    knit = functors.knit_ar_quiver
+
+    def knit_dropping_an_arrow(algebra, dim_bound=40):
+        q = knit(algebra, dim_bound=dim_bound)
+        del q.arrows[min(q.arrows)]
+        return q
+
+    monkeypatch.setattr(functors, "knit_ar_quiver", knit_dropping_an_arrow)
+    with pytest.raises(CertificationError, match="arrow multiplicity"):
+        functor_realization(alg)
 
 
 def test_isomorphic_decomposable_functors_over_f2():

@@ -1,0 +1,269 @@
+"""The commuting-square assembler and the batched coordinate solve against
+independent references.
+
+The references assemble each hom system independently of the package:
+one ``np.kron`` pair per commuting square, stacked with ``np.vstack``.
+kernel_basis is canonical for the row space, so the package's bases must
+equal the reference bases exactly, not just up to span.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mapscat import linalg as la
+from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
+from mapscat.ar import knit_ar_quiver
+from mapscat.maps import MapObject, gamma_of, hom_maps, map_hom_coordinates, vectorize_map_morphism
+from mapscat.modules import (
+    Module,
+    direct_sum,
+    hom_basis,
+    hom_coordinates,
+    indecomposable_injective,
+    indecomposable_projective,
+    simple_module,
+    unvectorize_hom,
+    vectorize_hom,
+)
+
+PRIMES = [2, 3, 5, 101]
+
+
+def _kron_rows(src: Module, tgt: Module, offsets, total, p):
+    """Rows of the arrow squares tgt_a h_s = h_t src_a, by Kronecker products."""
+    rows = []
+    for i, (_, s, t) in enumerate(src.algebra.quiver.arrows):
+        block_rows = tgt.dims[t] * src.dims[s]
+        if block_rows == 0:
+            continue
+        row = la.zeros(block_rows, total)
+        # tgt_a h_s: vec(A X) = (A kron I) vec(X), row-major
+        row[:, offsets[s] : offsets[s] + src.dims[s] * tgt.dims[s]] = np.kron(
+            tgt.mats[i], la.eye(src.dims[s])
+        )
+        # h_t src_a: vec(X B) = (I kron B^T) vec(X)
+        row[:, offsets[t] : offsets[t] + src.dims[t] * tgt.dims[t]] = (
+            row[:, offsets[t] : offsets[t] + src.dims[t] * tgt.dims[t]]
+            - np.kron(la.eye(tgt.dims[t]), src.mats[i].T)
+        ) % p
+        rows.append(row)
+    return rows
+
+
+def _kron_hom_kernel(m: Module, n: Module) -> np.ndarray:
+    """Reference for hom_basis(m, n): the kernel as vectorized columns."""
+    p = m.algebra.p
+    nv = m.algebra.quiver.n_vertices
+    offsets = np.concatenate([[0], np.cumsum([m.dims[v] * n.dims[v] for v in range(nv)])])
+    total = int(offsets[-1])
+    if total == 0:
+        return la.zeros(0, 0)
+    rows = _kron_rows(m, n, offsets[:-1], total, p)
+    return la.kernel_basis(np.vstack(rows) if rows else la.zeros(0, total), p)
+
+
+def _kron_hom_maps_kernel(x: MapObject, y: MapObject) -> np.ndarray:
+    """Reference for hom_maps(x, y): both arrow systems plus the interchange squares."""
+    p = x.algebra.p
+    nv = x.algebra.quiver.n_vertices
+    sizes1 = [x.m1.dims[v] * y.m1.dims[v] for v in range(nv)]
+    sizes2 = [x.m2.dims[v] * y.m2.dims[v] for v in range(nv)]
+    off1 = np.concatenate([[0], np.cumsum(sizes1)])
+    off2 = np.concatenate([[0], np.cumsum(sizes2)]) + off1[-1]
+    total = int(off2[-1])
+    if total == 0:
+        return la.zeros(0, 0)
+    rows = _kron_rows(x.m1, y.m1, off1[:-1], total, p) + _kron_rows(x.m2, y.m2, off2[:-1], total, p)
+    for v in range(nv):
+        block_rows = y.m2.dims[v] * x.m1.dims[v]
+        if block_rows == 0:
+            continue
+        row = la.zeros(block_rows, total)
+        row[:, off1[v] : off1[v] + sizes1[v]] = np.kron(y.f.mats[v], la.eye(x.m1.dims[v]))
+        row[:, off2[v] : off2[v] + sizes2[v]] = (
+            row[:, off2[v] : off2[v] + sizes2[v]] - np.kron(la.eye(y.m2.dims[v]), x.f.mats[v].T)
+        ) % p
+        rows.append(row)
+    return la.kernel_basis(np.vstack(rows) if rows else la.zeros(0, total), p)
+
+
+def _as_columns(vecs, ambient: int) -> np.ndarray:
+    return np.stack(vecs, axis=1) if vecs else la.zeros(ambient, 0)
+
+
+def _assert_hom_basis_matches(m: Module, n: Module):
+    ref = _kron_hom_kernel(m, n)
+    got = _as_columns([vectorize_hom(h) for h in hom_basis(m, n)], ref.shape[0])
+    assert got.shape == ref.shape and (got == ref).all()
+
+
+def _random_invertible(rng, d, p):
+    while True:
+        g = rng.integers(0, p, size=(d, d))
+        if la.invert(g, p) is not None:
+            return g
+
+
+def _base_change(m: Module, rng) -> Module:
+    p = m.algebra.p
+    g = [_random_invertible(rng, d, p) for d in m.dims]
+    ginv = [la.invert(x, p) for x in g]
+    mats = [
+        la.matmul(g[t], la.matmul(m.mats[a], ginv[s], p), p)
+        for a, (_, s, t) in enumerate(m.algebra.quiver.arrows)
+    ]
+    return Module(m.algebra, m.dims, mats)
+
+
+def _dual_numbers(p):
+    return algebra_from_spec(p, 1, [("x", 0, 0)], [[(1, ["x", "x"])]])
+
+
+@lru_cache(maxsize=None)
+def _corpus(p: int):
+    """(algebra, modules) pairs: knitted indecomposables of A3 with a zero
+    relation and of Gamma(A2), and the projectives, injectives and simples
+    of K[x]/x^2 and of its Gamma, whose loops put both ends of a square on
+    the same vertex."""
+    a3rel = algebra_from_spec(p, 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]])
+    out = [(alg, knit_ar_quiver(alg).vertices) for alg in (a3rel, gamma_of(linear_quiver_algebra(p, 2)).algebra)]
+    for alg in (_dual_numbers(p), gamma_of(_dual_numbers(p)).algebra):
+        nv = alg.quiver.n_vertices
+        mods = [f(alg, v) for v in range(nv) for f in (indecomposable_projective, indecomposable_injective, simple_module)]
+        out.append((alg, mods))
+    return out
+
+
+def _corpus_pair(p, which, i, j, k, seed):
+    """m = a base change of corpus[i] + corpus[j], n = one of corpus[k]."""
+    alg, mods = _corpus(p)[which]
+    rng = np.random.default_rng(seed)
+    pair = direct_sum(alg, [mods[i % len(mods)], mods[j % len(mods)]]).module
+    return _base_change(pair, rng), _base_change(mods[k % len(mods)], rng)
+
+
+CORPUS_DRAW = dict(
+    p=st.sampled_from(PRIMES),
+    which=st.integers(0, 3),
+    i=st.integers(0, 50),
+    j=st.integers(0, 50),
+    k=st.integers(0, 50),
+    seed=st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**CORPUS_DRAW)
+def test_hom_basis_matches_kron_reference_on_corpus_base_changes(p, which, i, j, k, seed):
+    m, n = _corpus_pair(p, which, i, j, k, seed)
+    _assert_hom_basis_matches(m, n)
+    _assert_hom_basis_matches(n, m)
+    _assert_hom_basis_matches(m, m)
+
+
+@st.composite
+def random_representations(draw):
+    """Two random representations of a random acyclic quiver (parallel arrows allowed)."""
+    p = draw(st.sampled_from(PRIMES))
+    nv = draw(st.integers(1, 3))
+    pairs = [(s, t) for s in range(nv) for t in range(s + 1, nv)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    alg = algebra_from_spec(p, nv, [(f"a{i}", s, t) for i, (s, t) in enumerate(arrows)])
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    mods = []
+    for _ in range(2):
+        dims = [draw(st.integers(0, 3)) for _ in range(nv)]
+        mods.append(Module(alg, dims, [rng.integers(0, p, size=(dims[t], dims[s])) for s, t in arrows]))
+    return mods
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_representations())
+def test_hom_basis_matches_kron_reference_on_random_representations(mods):
+    m, n = mods
+    _assert_hom_basis_matches(m, n)
+    _assert_hom_basis_matches(n, m)
+
+
+def _random_hom(m1: Module, m2: Module, rng):
+    """A random combination of the basis of Hom(m1, m2)."""
+    p = m1.algebra.p
+    f = la.zeros(sum(a * b for a, b in zip(m1.dims, m2.dims)), 1)[:, 0]
+    for h in hom_basis(m1, m2):
+        f = (f + int(rng.integers(0, p)) * vectorize_hom(h)) % p
+    return unvectorize_hom(m1, m2, f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**CORPUS_DRAW)
+def test_hom_maps_matches_kron_reference(p, which, i, j, k, seed):
+    m, n = _corpus_pair(p, which, i, j, k, seed)
+    rng = np.random.default_rng(seed + 1)
+    objs = [MapObject(_random_hom(a, b, rng)) for a, b in ((m, n), (n, m), (m, m))]
+    for x in objs:
+        for y in objs:
+            ref = _kron_hom_maps_kernel(x, y)
+            got = _as_columns([vectorize_map_morphism(h) for h in hom_maps(x, y)], ref.shape[0])
+            assert got.shape == ref.shape and (got == ref).all()
+
+
+def _columnwise(homs, basis, vectorize, p):
+    """Reference for the batched solve: one solve per hom."""
+    if not homs:
+        return la.zeros(len(basis), 0)
+    cols = []
+    for h in homs:
+        vec = vectorize(h)
+        if basis:
+            sol = la.solve(np.stack([vectorize(b) for b in basis], axis=1), vec, p)
+        else:
+            sol = None if vec.any() else la.zeros(0, 1)[:, 0]
+        if sol is None:
+            return None
+        cols.append(sol)
+    return np.stack(cols, axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**CORPUS_DRAW, keep=st.integers(0, 6), count=st.integers(0, 4))
+def test_batched_coordinates_equal_columnwise_solves(p, which, i, j, k, seed, keep, count):
+    m, n = _corpus_pair(p, which, i, j, k, seed)
+    rng = np.random.default_rng(seed + 2)
+    full = hom_basis(m, n)
+    # combinations of the full basis, against a prefix of it: a hom with a
+    # nonzero coefficient past the prefix leaves the span
+    homs = [_random_hom(m, n, rng) for _ in range(count)]
+    basis = full[:keep]
+    got = hom_coordinates(homs, basis)
+    want = _columnwise(homs, basis, vectorize_hom, p)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.shape == want.shape and (got == want).all()
+    if count and keep >= len(full):
+        assert got is not None  # the whole basis spans every hom
+
+    x = MapObject(_random_hom(m, n, rng))
+    mbasis = hom_maps(x, x)  # holds the identity, so it is never empty
+    mors = [mbasis[int(rng.integers(0, len(mbasis)))] for _ in range(count)]
+    mgot = map_hom_coordinates(mors, mbasis[:keep])
+    mwant = _columnwise(mors, mbasis[:keep], vectorize_map_morphism, p)
+    assert (mgot is None) == (mwant is None)
+    if mwant is not None:
+        assert mgot.shape == mwant.shape and (mgot == mwant).all()
+
+
+def test_coordinates_none_when_one_column_leaves_the_span():
+    alg = linear_quiver_algebra(5, 2)
+    m = direct_sum(alg, [simple_module(alg, 0), simple_module(alg, 1)]).module
+    first, second = hom_basis(m, m)
+    assert hom_coordinates([first, first], [first]).tolist() == [[1, 1]]
+    # the first column is in the span, the second is not: the batch is None
+    assert hom_coordinates([first, second], [first]) is None
+    assert _columnwise([first], [first], vectorize_hom, 5) is not None
+    assert hom_coordinates([second, first], [first, second]).tolist() == [[0, 1], [1, 0]]
+    assert hom_coordinates([], [first]).shape == (1, 0)
+    assert hom_coordinates([first], []) is None

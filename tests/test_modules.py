@@ -66,6 +66,13 @@ def test_projectives_and_injectives_a2(a2):
     assert i1.dims == (1, 1)
 
 
+def test_projectives_and_injectives_are_cached(a2):
+    for v in range(2):
+        assert indecomposable_projective(a2, v) is indecomposable_projective(a2, v)
+        assert indecomposable_injective(a2, v) is indecomposable_injective(a2, v)
+    assert indecomposable_projective(a2, 0) is not indecomposable_projective(a2, 1)
+
+
 def test_hom_dimensions_a2(a2):
     s1 = simple_module(a2, 0)
     s2 = simple_module(a2, 1)
