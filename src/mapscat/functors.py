@@ -28,6 +28,7 @@ from .modules import (
     decompose,
     direct_sum,
     end_radical,
+    ext_dims,
     hom_add,
     hom_basis,
     hom_coordinates,
@@ -40,6 +41,7 @@ from .modules import (
     kernel,
     modules_isomorphic,
     projective_cover,
+    projective_resolution,
     radical_submodule,
     vectorize_hom,
     zero_hom,
@@ -50,6 +52,7 @@ from .maps import (
     ProjComplex,
     decompose_map_object,
     direct_sum_maps,
+    f_resolution,
     from_gamma_module,
     gamma_of,
     hom_maps,
@@ -63,14 +66,13 @@ from .maps import (
     map_zero,
     maps_solve_past,
     maps_solve_through,
-    minimize_presentation,
+    minimal_presentation_with_summands,
     morphism_cokernel,
-    relative_ext_dim,
+    relative_ext_dims,
     source_only,
     structure_kernel,
     target_only,
     theta_presentation,
-    to_gamma_module,
     zero_map_object,
 )
 from .ar import (
@@ -116,10 +118,14 @@ def _eval_at(x: MapObject, t: Module) -> EvalData:
 
 
 class FpFunctor:
-    """A finitely presented functor, stored by a minimal presentation."""
+    """A finitely presented functor, stored by a minimal presentation.
+
+    summands lists the indecomposable summands of the presentation, kept
+    from the split that minimized it.
+    """
 
     def __init__(self, presentation: MapObject, name: str = "", seed: int = 0):
-        self.presentation = minimize_presentation(presentation, seed)
+        self.presentation, self.summands = minimal_presentation_with_summands(presentation, seed)
         self.algebra = presentation.algebra
         self.name = name
         # id(t) -> (t, data): holding t keeps its id from being reused
@@ -146,9 +152,24 @@ def functor_is_zero(f: FpFunctor) -> bool:
 
 
 def functors_isomorphic(f: FpFunctor, g: FpFunctor) -> bool:
-    # minimal presentations are unique up to isomorphism of map objects,
-    # which need not be indecomposable
-    return modules_isomorphic(to_gamma_module(f.presentation), to_gamma_module(g.presentation))
+    """Isomorphism of the minimal presentations; False is always a proof.
+
+    Minimal presentations are unique up to isomorphism, so by Krull-Schmidt
+    the functors agree exactly when their indecomposable summands match
+    one to one, and map_iso_between is complete on indecomposables.
+    """
+    fp, gp = f.presentation, g.presentation
+    if (fp.m1.dims, fp.m2.dims) != (gp.m1.dims, gp.m2.dims) or len(f.summands) != len(g.summands):
+        return False
+    remaining = list(g.summands)
+    for part in f.summands:
+        for i, other in enumerate(remaining):
+            if map_iso_between(part, other) is not None:
+                remaining.pop(i)
+                break
+        else:
+            return False
+    return True
 
 
 def representable_functor(m: Module) -> FpFunctor:
@@ -554,9 +575,9 @@ def _mono_check(reps: List[MapObject]) -> CheckResult:
 def _ext_check(reps: List[MapObject], degrees: Sequence[int]) -> CheckResult:
     wit = []
     for a, x in enumerate(reps):
+        res = f_resolution(x)
         for b, y in enumerate(reps):
-            for k in degrees:
-                d = relative_ext_dim(x, y, k)
+            for k, d in zip(degrees, relative_ext_dims(res, y, degrees)):
                 if d:
                     wit.append({"source": a, "target": b, "degree": k, "dim": d})
     return CheckResult("pass" if not wit else "fail", wit)
@@ -650,14 +671,12 @@ def module_coresolution(w: Module, reps: List[Module], max_len: int, cap: int = 
 
 
 def _module_tilting_status(tmods: List[Module], delta: AlgebraPresentation, degrees: Sequence[int], max_len: int, seed: int) -> Tuple[str, List[dict]]:
-    from .modules import ext_dim
-
     wit = []
     statuses = []
     for a, x in enumerate(tmods):
+        res = projective_resolution(x, max(degrees) + 1)
         for b, y in enumerate(tmods):
-            for k in degrees:
-                d = ext_dim(x, y, k)
+            for k, d in zip(degrees, ext_dims(res, y, degrees)):
                 if d:
                     wit.append({"source": a, "target": b, "degree": k, "dim": d})
                     statuses.append("fail")

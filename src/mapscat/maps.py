@@ -322,23 +322,29 @@ def indec_map_kind(x: MapObject) -> str:
     return "generic"
 
 
+def minimal_presentation_with_summands(x: MapObject, seed: int = 0) -> Tuple[MapObject, List[MapObject]]:
+    """The minimal presentation of x together with its indecomposable summands.
+
+    Splits x once and keeps the generic and target-only summands; the
+    contractible and source-only ones are invisible to the cokernel
+    functor.  The summand list is empty for the zero functor.
+    """
+    parts = decompose_map_object(x, seed)
+    keep = [y for y, _, _ in parts if indec_map_kind(y) in ("generic", "target_only")]
+    if not keep:
+        return zero_map_object(x.algebra), []
+    out = keep[0] if len(keep) == 1 else direct_sum_maps(x.algebra, keep).object
+    out.name = x.name
+    return out, keep
+
+
 def minimize_presentation(x: MapObject, seed: int = 0) -> MapObject:
     """Split off and drop all contractible and source-only summands.
 
     The cokernel functor does not see them, so the result presents the
     same functor; what remains is the minimal presentation.
     """
-    parts = decompose_map_object(x, seed)
-    keep = [y for y, _, _ in parts if indec_map_kind(y) in ("generic", "target_only")]
-    if not keep:
-        return zero_map_object(x.algebra)
-    if len(keep) == 1:
-        out = keep[0]
-        out.name = x.name
-        return out
-    out = direct_sum_maps(x.algebra, keep).object
-    out.name = x.name
-    return out
+    return minimal_presentation_with_summands(x, seed)[0]
 
 
 # -- homotopies and the cokernel functor ---------------------------------------
@@ -673,24 +679,26 @@ def _map_hom_matrix(d: MapMorphism, source_basis: List[MapMorphism], target_basi
     return coords
 
 
-def relative_ext_dim(x: MapObject, y: MapObject, k: int) -> int:
-    """dim Ext_F^k(x, y) for k in {1, 2}, from the F-projective resolution."""
-    if k not in (1, 2):
+def relative_ext_dims(res: FResolution, y: MapObject, degrees: Sequence[int]) -> List[int]:
+    """dim Ext_F^k(res.x, y) for each k in degrees (each in {1, 2}).
+
+    Hom(Q_i, y) is computed once per cover Q_i of res, and the rank r_i of
+    (- o d_i): Hom(Q_i, y) -> Hom(Q_{i+1}, y) once per differential, so
+    every degree reads dim Ext^k = dim Hom(Q_k, y) - r_k - r_{k-1}.
+    Covers and differentials past the end of res count as zero.
+    """
+    if any(k not in (1, 2) for k in degrees):
         raise ValueError("relative Ext implemented for k = 1, 2 only")
-    res = f_resolution(x)
-    p = x.algebra.p
+    p = y.algebra.p
     bases = [hom_maps(c.cover, y) for c in res.covers]
-    while len(bases) < k + 2:
-        bases.append([])
-    diffs = list(res.diffs)
-    while len(diffs) < k + 1:
-        src = res.covers[len(diffs) + 1].cover if len(diffs) + 1 < len(res.covers) else zero_map_object(x.algebra)
-        tgt = res.covers[len(diffs)].cover if len(diffs) < len(res.covers) else zero_map_object(x.algebra)
-        diffs.append(map_zero(src, tgt))
-    mat_in = _map_hom_matrix(diffs[k - 1], bases[k - 1], bases[k])
-    mat_out = _map_hom_matrix(diffs[k], bases[k], bases[k + 1])
-    ker_dim = len(bases[k]) - la.rank(mat_out, p)
-    return ker_dim - la.rank(mat_in, p)
+    ranks = [la.rank(_map_hom_matrix(d, bases[i], bases[i + 1]), p) for i, d in enumerate(res.diffs)] + [0] * 3
+    dims = [len(b) for b in bases] + [0] * 3
+    return [dims[k] - ranks[k] - ranks[k - 1] for k in degrees]
+
+
+def relative_ext_dim(x: MapObject, y: MapObject, k: int) -> int:
+    """dim Ext_F^k(x, y) for k in {1, 2}; one degree of relative_ext_dims."""
+    return relative_ext_dims(f_resolution(x), y, [k])[0]
 
 
 # -- extensions from cocycles (independent Ext^1 oracle) ------------------------

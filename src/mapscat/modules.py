@@ -1129,15 +1129,28 @@ def projective_resolution(m: Module, length: int) -> Tuple[List[ProjCover], List
     return covers, diffs
 
 
+def ext_dims(resolution: Tuple[List[ProjCover], List[ModuleHom]], n: Module, degrees: Sequence[int]) -> List[int]:
+    """dim Ext^k(m, n) for each k in degrees, from resolution = projective_resolution(m, L).
+
+    L must be at least max(degrees) + 1.  Hom(P_i, n) is computed once per
+    needed cover and the rank r_i of Hom(d_{i+1}, n): Hom(P_i, n) ->
+    Hom(P_{i+1}, n) once per needed differential, so every degree reads
+    dim Ext^k = dim Hom(P_k, n) - r_k - r_{k-1}.
+    """
+    covers, diffs = resolution
+    if min(degrees) < 0:
+        raise ValueError("Ext is defined for k >= 0 only")
+    if max(degrees) >= len(diffs):
+        raise ValueError("the resolution is too short for the requested degrees")
+    p = n.algebra.p
+    lo, hi = max(min(degrees) - 1, 0), max(degrees) + 1
+    bases = {i: hom_basis(covers[i].sum.module, n) for i in range(lo, hi + 1)}
+    ranks = {i: la.rank(hom_space_matrix(diffs[i], bases[i], bases[i + 1]), p) for i in range(lo, hi)}
+    return [len(bases[k]) - ranks[k] - ranks.get(k - 1, 0) for k in degrees]
+
+
 def ext_dim(m: Module, n: Module, k: int) -> int:
-    """dim Ext^k(m, n) over the common algebra."""
+    """dim Ext^k(m, n) over the common algebra; one degree of ext_dims."""
     if k == 0:
         return len(hom_basis(m, n))
-    covers, diffs = projective_resolution(m, k + 1)
-    bases = [hom_basis(c.sum.module, n) for c in covers]
-    p = m.algebra.p
-    mat_k = hom_space_matrix(diffs[k - 1], bases[k - 1], bases[k])
-    into = la.rank(mat_k, p)
-    mat_next = hom_space_matrix(diffs[k], bases[k], bases[k + 1])
-    ker_dim = len(bases[k]) - la.rank(mat_next, p)
-    return ker_dim - into
+    return ext_dims(projective_resolution(m, k + 1), n, [k])[0]

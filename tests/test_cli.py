@@ -137,6 +137,20 @@ def test_check_tilting_generalized_golden(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["classical", "generalized"])
+def test_check_tilting_ext_witness_order_golden(tmp_path, capsys, mode):
+    # f, g and yS2 fail the Ext check; the generalized report lists
+    # witnesses of both degrees, in (source, target, degree) order
+    out = tmp_path / "t.json"
+    code = main(["check-tilting", A2, "--names", "f,g,yS2", "--mode", mode, "--out", str(out)])
+    assert code == 1
+    assert out.read_text() == golden_bytes(f"a2_tilting_f_g_yS2_{mode}.json")
+    checks = json.loads(out.read_text())["results"]["checks"]
+    ext = checks["ext-vanishes"] if mode == "generalized" else checks["ext1-vanishes"]
+    assert {w["degree"] for w in ext["witnesses"]} == ({1, 2} if mode == "generalized" else {1})
+    capsys.readouterr()
+
+
 def test_check_tilting_negative_verdict(tmp_path, capsys):
     # the four projective modules of the triangular algebra fail the
     # coresolution axiom

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mapscat import functors
+from mapscat import functors, maps, modules
 from mapscat.algebra import algebra_from_spec
 from mapscat.modules import (
     CertificationError,
@@ -210,6 +210,86 @@ def test_isomorphic_decomposable_functors_over_f2():
     m = direct_sum(alg, pieces).module
     m_rev = direct_sum(alg, pieces[::-1]).module
     assert functors_isomorphic(FpFunctor(target_only(m)), FpFunctor(target_only(m_rev)))
+
+
+def test_functors_isomorphic_reuses_the_summands_of_the_minimal_presentation(monkeypatch, mods):
+    s1, s2, p1 = mods
+
+    def represented(a, b):
+        return FpFunctor(target_only(direct_sum(s1.algebra, [a, b]).module))
+
+    f, g, h = represented(s1, p1), represented(p1, s1), represented(s2, p1)
+    assert len(f.summands) == 2
+    calls = []
+
+    def no_decompose(*args, **kw):
+        calls.append(args)
+        raise AssertionError("functors_isomorphic decomposed again")
+
+    for mod in (modules, maps, functors):
+        monkeypatch.setattr(mod, "decompose", no_decompose)
+    monkeypatch.setattr(maps, "decompose_map_object", no_decompose)
+    monkeypatch.setattr(functors, "decompose_map_object", no_decompose)
+    assert functors_isomorphic(f, g)
+    assert not functors_isomorphic(f, h)
+    assert calls == []
+
+
+def _resolutions_in_tilting_check(monkeypatch):
+    """Run check_generalized_tilting on A3 and record, for _ext_check and
+    _module_tilting_status, the objects they were given and the sources of
+    the resolutions built while they ran."""
+    alg = algebra_from_spec(P, 3, [("a", 0, 1), ("b", 1, 2)])
+    lam = knit_ar_quiver(alg).vertices
+    ts = [identity_object(m) for m in lam] + [target_only(m) for m in lam]
+    given, resolved, active = {}, {}, []
+
+    def watch(name):
+        inner = getattr(functors, name)
+
+        def wrapped(objs, *args, **kw):
+            given[name], resolved[name] = objs, []
+            active.append(name)
+            try:
+                return inner(objs, *args, **kw)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(functors, name, wrapped)
+
+    def count(mod, name):
+        inner = getattr(mod, name)
+
+        def counted(x, *args, **kw):
+            if active:
+                resolved[active[-1]].append(x)
+            return inner(x, *args, **kw)
+
+        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(functors, name, counted, raising=False)
+
+    watch("_ext_check")
+    watch("_module_tilting_status")
+    count(maps, "f_resolution")
+    count(modules, "projective_resolution")
+    report = check_generalized_tilting(ts, corpus=lam)
+    assert report.verdict
+    return given, resolved
+
+
+def test_maps_side_ext_check_resolves_each_representative_once(monkeypatch):
+    given, resolved = _resolutions_in_tilting_check(monkeypatch)
+    reps = given["_ext_check"]
+    assert len(reps) > 1
+    assert [id(x) for x in resolved["_ext_check"]] == [id(x) for x in reps]
+
+
+def test_module_side_ext_check_resolves_each_realized_module_once(monkeypatch):
+    given, resolved = _resolutions_in_tilting_check(monkeypatch)
+    tmods = given["_module_tilting_status"]
+    assert len(tmods) > 1
+    # the coresolution part of the module-side check builds no resolution
+    assert [id(m) for m in resolved["_module_tilting_status"]] == [id(m) for m in tmods]
 
 
 # -- the evaluation-category realization ----------------------------------------

@@ -152,6 +152,10 @@ def test_relative_ext_dims(a2_objects):
         M.relative_ext_dim(x, x, 0)
     with pytest.raises(ValueError):
         M.relative_ext_dim(x, x, 3)
+    res = M.f_resolution(x3)
+    assert M.relative_ext_dims(res, M.target_only(S2), [2, 1]) == [1, 0]
+    with pytest.raises(ValueError):
+        M.relative_ext_dims(res, x, [1, 3])
 
 
 def test_ext1_cocycle_oracle_matches_resolution(a2_objects):

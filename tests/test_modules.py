@@ -14,6 +14,7 @@ from mapscat.modules import (
     dual_module,
     end_radical,
     ext_dim,
+    ext_dims,
     hom_add,
     hom_basis,
     hom_equal,
@@ -28,6 +29,7 @@ from mapscat.modules import (
     modules_isomorphic,
     opposite_of,
     projective_cover,
+    projective_resolution,
     radical_submodule,
     simple_module,
     socle_submodule,
@@ -240,6 +242,10 @@ def test_ext_groups_a2(a2):
     assert ext_dim(s1, s1, 1) == 0
     assert ext_dim(s2, s1, 1) == 0  # s2 is projective
     assert ext_dim(s1, s2, 2) == 0  # hereditary
+    with pytest.raises(ValueError):
+        ext_dim(s1, s2, -1)
+    with pytest.raises(ValueError, match="too short"):
+        ext_dims(projective_resolution(s1, 1), s2, [1])
 
 
 def test_ext_square_with_relation(a3rel):
