@@ -10,11 +10,11 @@ Vertices are 0-based everywhere in the library; the file format used by
 the command line shifts to 1-based labels at the boundary.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from sympy import isprime
 
 from . import linalg as la
 
@@ -187,10 +187,10 @@ class AlgebraPresentation:
         relations: Sequence[Relation] = (),
         max_path_len: int = 30,
     ):
-        if not isprime(p):
-            raise ValueError(f"p = {p} is not prime")
         if p >= 2**20:
             raise ValueError("p too large for exact int64 arithmetic")
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"p = {p} is not prime")
         self.p = int(p)
         self.quiver = quiver
         self.relations = tuple(r.validated(quiver, p) for r in relations)

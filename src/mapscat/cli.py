@@ -7,7 +7,7 @@ the tilting checkers on named map objects from an algebra file, and
 `approx` computes and certifies subcategory approximations.
 
 Exit codes: 0 pass, 1 negative verdict, 2 input error, 3 resource bound
-exceeded.  JSON output is byte-identical for identical inputs and seed;
+exceeded.  JSON output is byte-identical for identical inputs;
 wall-clock timing goes to stderr only.
 """
 
@@ -97,10 +97,11 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _report(command: str, fname: str, text: str, seed: int, results: dict, **params) -> dict:
+def _report(command: str, fname: str, text: str, results: dict, **params) -> dict:
     inputs = {"file": fname, "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
     inputs.update(params)
-    return {"command": command, "inputs": inputs, "seed": seed, "results": results}
+    # nothing is random; the fixed field keeps the report format unchanged
+    return {"command": command, "inputs": inputs, "seed": 0, "results": results}
 
 
 # -- ar-quiver -------------------------------------------------------------------
@@ -121,7 +122,7 @@ def cmd_ar_quiver(args) -> int:
 
     prefix = args.out or f"{Path(fname).stem.split(' ')[0]}_{args.side}"
     blob = _report(
-        "ar-quiver", fname, text, args.seed, ar_quiver_json(q),
+        "ar-quiver", fname, text, ar_quiver_json(q),
         side=args.side, dim_bound=args.dim_bound,
     )
     Path(prefix + ".json").write_text(_canonical_json(blob), encoding="utf-8")
@@ -304,7 +305,7 @@ def cmd_verify_example(args) -> int:
     agree = all(v == verdicts[0] for v in verdicts)
     all_pass = agree and all(all(v) for v in verdicts)
     results = {"runs": runs, "primes_agree": agree, "pass": all_pass}
-    _emit(_report("verify-example", fname, text, args.seed, results), args.out)
+    _emit(_report("verify-example", fname, text, results), args.out)
     for run in runs:
         for c in run["checks"]:
             mark = "PASS" if c["pass"] else "FAIL"
@@ -332,13 +333,13 @@ def cmd_check_tilting(args) -> int:
     ts = _named_maps(af, args.names)
     t0 = time.perf_counter()
     if args.mode == "classical":
-        rep = check_classical_tilting(ts, seed=args.seed)
+        rep = check_classical_tilting(ts)
     else:
-        rep = check_generalized_tilting(ts, seed=args.seed)
+        rep = check_generalized_tilting(ts)
     elapsed = time.perf_counter() - t0
     results = tilting_report_json(rep)
     _emit(
-        _report("check-tilting", fname, text, args.seed, results,
+        _report("check-tilting", fname, text, results,
                 names=args.names, mode=args.mode),
         args.out,
     )
@@ -404,7 +405,7 @@ def cmd_approx(args) -> int:
         "certified": bool(cert),
     }
     _emit(
-        _report("approx", fname, text, args.seed, results,
+        _report("approx", fname, text, results,
                 object=args.object, corpus=args.corpus, side=args.side),
         args.out,
     )
@@ -433,14 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--side", choices=["lambda", "gamma", "functors"], default="gamma")
     q.add_argument("--dim-bound", type=int, default=60)
     q.add_argument("--out", help="output path prefix (default: <file>_<side>)")
-    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_ar_quiver)
 
     v = sub.add_parser("verify-example", help="replay the two-vertex worked example")
     v.add_argument("file", nargs="?", help="algebra file (default: bundled two-vertex example)")
     v.add_argument("--primes", help="comma-separated primes to run at (default 101,5)")
     v.add_argument("--out", help="write the JSON report here instead of stdout")
-    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(fn=cmd_verify_example)
 
     t = sub.add_parser("check-tilting", help="run a tilting checker on named map objects")
@@ -448,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--names", required=True, help="comma-separated map names from the file")
     t.add_argument("--mode", choices=["classical", "generalized"], default="classical")
     t.add_argument("--out", help="write the JSON report here instead of stdout")
-    t.add_argument("--seed", type=int, default=0)
     t.set_defaults(fn=cmd_check_tilting)
 
     a = sub.add_parser("approx", help="compute and certify a subcategory approximation")
@@ -461,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     a.add_argument("--side", choices=["left", "right"], default="right")
     a.add_argument("--out", help="write the JSON report here instead of stdout")
-    a.add_argument("--seed", type=int, default=0)
     a.set_defaults(fn=cmd_approx)
     return ap
 

@@ -124,8 +124,8 @@ class FpFunctor:
     from the split that minimized it.
     """
 
-    def __init__(self, presentation: MapObject, name: str = "", seed: int = 0):
-        self.presentation, self.summands = minimal_presentation_with_summands(presentation, seed)
+    def __init__(self, presentation: MapObject, name: str = ""):
+        self.presentation, self.summands = minimal_presentation_with_summands(presentation)
         self.algebra = presentation.algebra
         self.name = name
         # id(t) -> (t, data): holding t keeps its id from being reused
@@ -469,23 +469,23 @@ def tilting_report_json(r: TiltingReport) -> dict:
     }
 
 
-def _category_closure(ts: Sequence[MapObject], seed: int = 0) -> List[MapObject]:
+def _category_closure(ts: Sequence[MapObject]) -> List[MapObject]:
     """Indecomposable summand representatives, deduplicated and sorted."""
     reps: List[MapObject] = []
     for x in ts:
         if x.is_zero():
             continue
-        for part, _, _ in decompose_map_object(x, seed):
+        for part, _, _ in decompose_map_object(x):
             if all(map_iso_between(part, r) is None for r in reps):
                 reps.append(part)
     reps.sort(key=lambda x: (x.total_dim, x.m1.dims, x.m2.dims))
     return reps
 
 
-def _in_add_maps(x: MapObject, reps: List[MapObject], seed: int = 0) -> bool:
+def _in_add_maps(x: MapObject, reps: List[MapObject]) -> bool:
     if x.is_zero():
         return True
-    for part, _, _ in decompose_map_object(x, seed):
+    for part, _, _ in decompose_map_object(x):
         if all(map_iso_between(part, r) is None for r in reps):
             return False
     return True
@@ -520,7 +520,7 @@ class Coresolution:
     detail: dict
 
 
-def relative_coresolution(w: MapObject, reps: List[MapObject], max_len: int, cap: int = 3, seed: int = 0) -> Coresolution:
+def relative_coresolution(w: MapObject, reps: List[MapObject], max_len: int, cap: int = 3) -> Coresolution:
     """Search for an S-exact coresolution 0 -> w -> T0 -> ... of length <= max_len.
 
     The canonical capped approximation is forced at every step, so a failed
@@ -530,7 +530,7 @@ def relative_coresolution(w: MapObject, reps: List[MapObject], max_len: int, cap
     terms: List[MapObject] = []
     cur = w
     for step in range(max_len + 1):
-        if _in_add_maps(cur, reps, seed):
+        if _in_add_maps(cur, reps):
             return Coresolution(terms + [cur], "pass", {"length": step})
         if step == max_len:
             return Coresolution(terms, "unresolved", {"reason": "not found within bound", "step": step})
@@ -584,12 +584,12 @@ def _ext_check(reps: List[MapObject], degrees: Sequence[int]) -> CheckResult:
 
 
 def _coresolution_check(
-    reps: List[MapObject], lam: List[Module], max_len: int, seed: int
+    reps: List[MapObject], lam: List[Module], max_len: int
 ) -> CheckResult:
     statuses = []
     wit = []
     for c in lam:
-        cr = relative_coresolution(target_only(c), reps, max_len, seed=seed)
+        cr = relative_coresolution(target_only(c), reps, max_len)
         statuses.append(cr.status)
         wit.append(
             {
@@ -603,17 +603,17 @@ def _coresolution_check(
 
 
 def check_classical_tilting(
-    ts: Sequence[MapObject], corpus: Optional[Sequence[Module]] = None, seed: int = 0
+    ts: Sequence[MapObject], corpus: Optional[Sequence[Module]] = None
 ) -> TiltingReport:
     """Structure maps mono, Ext_F^1 vanishing, and coresolved projectives."""
-    reps = _category_closure(ts, seed)
+    reps = _category_closure(ts)
     if not reps:
         raise ValueError("the tilting candidate is empty")
     lam = _lambda_corpus(reps[0].algebra, corpus)
     checks = {
         "structure-maps-mono": _mono_check(reps),
         "ext1-vanishes": _ext_check(reps, [1]),
-        "projectives-coresolved": _coresolution_check(reps, lam, 1, seed),
+        "projectives-coresolved": _coresolution_check(reps, lam, 1),
     }
     return TiltingReport(reps, checks)
 
@@ -621,10 +621,10 @@ def check_classical_tilting(
 # -- module-side analogues, used as the independent oracle --------------------------
 
 
-def _in_add_modules(x: Module, reps: List[Module], seed: int = 0) -> bool:
+def _in_add_modules(x: Module, reps: List[Module]) -> bool:
     if x.is_zero():
         return True
-    for part, _, _ in decompose(x, seed):
+    for part, _, _ in decompose(x):
         if not any(modules_isomorphic(part, r) for r in reps):
             return False
     return True
@@ -649,12 +649,12 @@ def _left_add_approx_modules(w: Module, reps: List[Module], cap: int = 3) -> Tup
     return u, capped
 
 
-def module_coresolution(w: Module, reps: List[Module], max_len: int, cap: int = 3, seed: int = 0) -> Coresolution:
+def module_coresolution(w: Module, reps: List[Module], max_len: int, cap: int = 3) -> Coresolution:
     """Plain-exact coresolution of w by add(reps), mirroring the relative search."""
     terms: List[Module] = []
     cur = w
     for step in range(max_len + 1):
-        if _in_add_modules(cur, reps, seed):
+        if _in_add_modules(cur, reps):
             return Coresolution(terms + [cur], "pass", {"length": step})
         if step == max_len:
             return Coresolution(terms, "unresolved", {"reason": "not found within bound", "step": step})
@@ -670,7 +670,7 @@ def module_coresolution(w: Module, reps: List[Module], max_len: int, cap: int = 
     return Coresolution(terms, "unresolved", {"reason": "not found within bound"})
 
 
-def _module_tilting_status(tmods: List[Module], delta: AlgebraPresentation, degrees: Sequence[int], max_len: int, seed: int) -> Tuple[str, List[dict]]:
+def _module_tilting_status(tmods: List[Module], delta: AlgebraPresentation, degrees: Sequence[int], max_len: int) -> Tuple[str, List[dict]]:
     wit = []
     statuses = []
     for a, x in enumerate(tmods):
@@ -681,7 +681,7 @@ def _module_tilting_status(tmods: List[Module], delta: AlgebraPresentation, degr
                     wit.append({"source": a, "target": b, "degree": k, "dim": d})
                     statuses.append("fail")
     for v in range(delta.quiver.n_vertices):
-        cr = module_coresolution(indecomposable_projective(delta, v), tmods, max_len, seed=seed)
+        cr = module_coresolution(indecomposable_projective(delta, v), tmods, max_len)
         statuses.append(cr.status)
         if cr.status != "pass":
             wit.append({"projective": v, "status": cr.status, "detail": cr.detail})
@@ -693,7 +693,6 @@ def check_generalized_tilting(
     corpus: Optional[Sequence[Module]] = None,
     realization: Optional[FunctorRealization] = None,
     cross_check: bool = True,
-    seed: int = 0,
 ) -> TiltingReport:
     """Ext_F^{1,2} vanishing and length-2 coresolutions, with an oracle cross-check.
 
@@ -701,13 +700,13 @@ def check_generalized_tilting(
     algebra and runs the plain tilting test there; the two verdicts must
     agree whenever both are conclusive.
     """
-    reps = _category_closure(ts, seed)
+    reps = _category_closure(ts)
     if not reps:
         raise ValueError("the tilting candidate is empty")
     lam = _lambda_corpus(reps[0].algebra, corpus)
     checks = {
         "ext-vanishes": _ext_check(reps, [1, 2]),
-        "projectives-coresolved": _coresolution_check(reps, lam, 2, seed),
+        "projectives-coresolved": _coresolution_check(reps, lam, 2),
     }
     if cross_check:
         real = realization if realization is not None else functor_realization(reps[0].algebra)
@@ -717,7 +716,7 @@ def check_generalized_tilting(
             if not m.is_zero() and not any(modules_isomorphic(m, s) for s in tmods):
                 tmods.append(m)
         maps_side = _aggregate([checks["ext-vanishes"].status, checks["projectives-coresolved"].status])
-        mod_side, wit = _module_tilting_status(tmods, real.delta, [1, 2], 2, seed)
+        mod_side, wit = _module_tilting_status(tmods, real.delta, [1, 2], 2)
         if "unresolved" in (maps_side, mod_side):
             status = "unresolved"
         else:
@@ -897,7 +896,6 @@ def reconstruct_maps_approx_from_phi(
     corpus: Sequence[MapObject],
     z: MapObject,
     rho: ModuleHom,
-    seed: int = 0,
 ) -> Tuple[MapMorphism, ApproxCertificate]:
     """Rebuild a right corpus-approximation of m from a functor-level one.
 
@@ -907,13 +905,13 @@ def reconstruct_maps_approx_from_phi(
     """
     p = real.delta.p
     k_mod, k_incl = structure_kernel(m)
-    for part, _, _ in (decompose(k_mod, seed) if not k_mod.is_zero() else []):
+    for part, _, _ in (decompose(k_mod) if not k_mod.is_zero() else []):
         want = source_only(part)
         if all(map_iso_between(want, c) is None for c in corpus):
             raise CertificationError(
                 f"corpus lacks the object ({part.dims}, 0, 0) required by the reconstruction"
             )
-    for part, _, _ in (decompose(m.m1, seed) if not m.m1.is_zero() else []):
+    for part, _, _ in (decompose(m.m1) if not m.m1.is_zero() else []):
         want = identity_object(part)
         if all(map_iso_between(want, c) is None for c in corpus):
             raise CertificationError(

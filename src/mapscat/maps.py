@@ -271,12 +271,12 @@ def from_gamma_module(tri: TriangularAlgebra, g: Module) -> MapObject:
     return MapObject(f, name=g.name)
 
 
-def decompose_map_object(x: MapObject, seed: int = 0) -> List[Tuple[MapObject, MapMorphism, MapMorphism]]:
+def decompose_map_object(x: MapObject) -> List[Tuple[MapObject, MapMorphism, MapMorphism]]:
     """Indecomposable summands of x, found on the triangular-algebra side."""
     tri = gamma_of(x.algebra)
     g = to_gamma_module(x)
     out = []
-    for part, incl, proj in decompose(g, seed):
+    for part, incl, proj in decompose(g):
         y = from_gamma_module(tri, part)
         n = x.algebra.quiver.n_vertices
         i1 = ModuleHom(y.m1, x.m1, incl.mats[:n], check=False)
@@ -322,14 +322,14 @@ def indec_map_kind(x: MapObject) -> str:
     return "generic"
 
 
-def minimal_presentation_with_summands(x: MapObject, seed: int = 0) -> Tuple[MapObject, List[MapObject]]:
+def minimal_presentation_with_summands(x: MapObject) -> Tuple[MapObject, List[MapObject]]:
     """The minimal presentation of x together with its indecomposable summands.
 
     Splits x once and keeps the generic and target-only summands; the
     contractible and source-only ones are invisible to the cokernel
     functor.  The summand list is empty for the zero functor.
     """
-    parts = decompose_map_object(x, seed)
+    parts = decompose_map_object(x)
     keep = [y for y, _, _ in parts if indec_map_kind(y) in ("generic", "target_only")]
     if not keep:
         return zero_map_object(x.algebra), []
@@ -338,13 +338,13 @@ def minimal_presentation_with_summands(x: MapObject, seed: int = 0) -> Tuple[Map
     return out, keep
 
 
-def minimize_presentation(x: MapObject, seed: int = 0) -> MapObject:
+def minimize_presentation(x: MapObject) -> MapObject:
     """Split off and drop all contractible and source-only summands.
 
     The cokernel functor does not see them, so the result presents the
     same functor; what remains is the minimal presentation.
     """
-    return minimal_presentation_with_summands(x, seed)[0]
+    return minimal_presentation_with_summands(x)[0]
 
 
 # -- homotopies and the cokernel functor ---------------------------------------

@@ -12,12 +12,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from sympy import GF, Poly, Symbol
 
 from . import linalg as la
 from .algebra import AlgebraPresentation, Path, path_source, path_target
-
-_X = Symbol("x")
 
 
 class Module:
@@ -731,6 +728,10 @@ def tau_inverse(m: Module) -> Module:
 # -- endomorphism algebra: radical and decomposition --------------------------
 
 
+class CertificationError(RuntimeError):
+    pass
+
+
 def _mult_coords(basis_homs: List[ModuleHom]) -> np.ndarray:
     """Structure constants: T[i, j] holds the coordinates of b_i o b_j."""
     k = len(basis_homs)
@@ -739,91 +740,94 @@ def _mult_coords(basis_homs: List[ModuleHom]) -> np.ndarray:
     return coords.T.reshape(k, k, k)
 
 
-def end_radical(m: Module) -> List[ModuleHom]:
-    """Basis of rad End(m).
+def _products(xs: np.ndarray, ys: np.ndarray, T: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates of x y for every column x of xs and y of ys, as columns."""
+    left = np.einsum("ia,ijk->ajk", xs, T) % p
+    return (np.einsum("jb,ajk->kab", ys, left) % p).reshape(T.shape[0], -1)
 
-    The trace form of the regular representation is computed first; its
-    kernel always contains the radical and equals it whenever the kernel
-    is a nilpotent ideal, which is checked.  If the characteristic is too
-    small for that to close, the trace form on the underlying space is
-    intersected in; if nilpotency still fails, an error is raised rather
-    than returning a wrong answer.
-    """
-    ends = hom_basis(m, m)
-    if not ends:
-        return []
-    p = m.algebra.p
-    k = len(ends)
-    T = _mult_coords(ends)
-    reg_tr = np.array([sum(int(T[i, l, l]) for l in range(k)) % p for i in range(k)], dtype=np.int64)
-    gram = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = sum(int(T[i, j, x]) * int(reg_tr[x]) for x in range(k)) % p
 
-    def nilpotent_ideal(coord_basis: np.ndarray) -> bool:
-        # coord_basis: columns are elements in End-coordinates
-        cur = coord_basis
-        for _ in range(k + 1):
-            if cur.shape[1] == 0:
-                return True
-            prods = []
-            for a in range(cur.shape[1]):
-                for bcol in range(coord_basis.shape[1]):
-                    x = cur[:, a]
-                    y = coord_basis[:, bcol]
-                    out = np.zeros(k, dtype=np.int64)
-                    for i in range(k):
-                        if not x[i]:
-                            continue
-                        for j in range(k):
-                            if not y[j]:
-                                continue
-                            out = (out + int(x[i]) * int(y[j]) * T[i, j]) % p
-                    prods.append(out)
-            nxt = la.column_space_basis(np.stack(prods, axis=1), p) if prods else la.zeros(k, 0)
-            if nxt.shape[1] == cur.shape[1] and la.rank(np.hstack([cur, nxt]), p) == cur.shape[1]:
-                return False  # stable nonzero power
-            cur = nxt
-        return cur.shape[1] == 0
+def _is_nilpotent_ideal(ideal: np.ndarray, T: np.ndarray, p: int) -> bool:
+    """Whether the columns of ideal span a nilpotent two-sided ideal."""
+    r = ideal.shape[1]
+    if not r:
+        return True
+    whole = la.eye(T.shape[0])
+    sides = np.hstack([ideal, _products(ideal, whole, T, p), _products(whole, ideal, T, p)])
+    if la.rank(sides, p) != r:
+        return False
+    power = ideal
+    while power.shape[1]:
+        nxt = la.column_space_basis(_products(power, ideal, T, p), p)
+        if nxt.shape[1] == power.shape[1]:
+            return False  # I^(j+1) = I^j != 0
+        power = nxt
+    return True
 
-    cand = la.kernel_basis(gram, p)
-    if not nilpotent_ideal(cand):
-        # fall back: intersect with the trace form of the action on m itself
-        vtr = np.zeros((k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                comp = compose(ends[i], ends[j])
-                vtr[i, j] = sum(int(np.trace(mm)) for mm in comp.mats) % p
-        cand = la.intersect_column_spaces(cand, la.kernel_basis(vtr, p), p)
-        if not nilpotent_ideal(cand):
-            raise ArithmeticError(
-                "radical computation did not close; characteristic too small "
-                "relative to the endomorphism algebra"
-            )
-    vecs = [vectorize_hom(e) for e in ends]
-    out = []
-    for j in range(cand.shape[1]):
-        vec = np.zeros(len(vecs[0]), dtype=np.int64)
-        for i in range(k):
-            vec = (vec + int(cand[i, j]) * vecs[i]) % p
-        out.append(unvectorize_hom(m, m, vec))
+
+def _from_coords(m: Module, ends: List[ModuleHom], cols: np.ndarray) -> List[ModuleHom]:
+    """The endomorphisms of m with the given coordinate columns over ends."""
+    flat = np.stack([vectorize_hom(e) for e in ends])
+    return [unvectorize_hom(m, m, col @ flat % m.algebra.p) for col in cols.T]
+
+
+def _matpow(a: np.ndarray, e: int, q: int) -> np.ndarray:
+    out = la.eye(a.shape[0])
+    while e:
+        if e & 1:
+            out = (out @ a) % q
+        a = (a @ a) % q
+        e >>= 1
     return out
 
 
-def _factor_minpoly(coeffs: List[int], p: int):
-    poly = Poly(list(reversed(coeffs)), _X, domain=GF(p))
-    _, factors = poly.factor_list()
-    return factors  # list of (Poly, multiplicity)
+def _radical_coords(m: Module, ends: List[ModuleHom], T: np.ndarray) -> np.ndarray:
+    """rad End(m) as columns of coordinates over ends, in canonical kernel form.
+
+    The Cohen-Ivanyos-Wales chain (J. Pure Appl. Algebra 117, 1997): with
+    n = dim m, I_-1 = End(m) and, for i = 0 .. floor(log_p n),
+        I_i = {a in I_(i-1) : Tr((a~ b~)^(p^i)) / p^i = 0 mod p for every basis element b},
+    where a~, b~ are integer lifts of the vertex matrices and the powers
+    are taken mod p^(i+1).  The last I_i is the radical; for p > n the
+    chain is the single trace form Tr(ab).  The answer is certified a
+    nilpotent two-sided ideal (it always contains the radical), else
+    CertificationError.  Exact in int64 while dim m stays below a few
+    thousand.
+    """
+    p, n, k = m.algebra.p, m.total_dim, len(ends)
+    flat = np.stack([vectorize_hom(e) for e in ends])
+    flat_t = np.stack([np.concatenate([x.T.flatten() for x in e.mats]) for e in ends])
+    cand = la.kernel_basis(flat @ flat_t.T % p, p)  # I_0: the trace form
+    power = p
+    while power <= n and cand.shape[1]:
+        q = power * p
+        form = la.zeros(k, cand.shape[1])
+        for j, a in enumerate(_from_coords(m, ends, cand)):
+            for b in range(k):
+                tr = sum(int(np.trace(_matpow(x @ y, power, q))) for x, y in zip(a.mats, ends[b].mats))
+                if tr % power:
+                    raise CertificationError("a trace power is not divisible along the radical chain")
+                form[b, j] = tr // power % p
+        cand = la.matmul(cand, la.kernel_basis(form, p), p)
+        power *= p
+    cand = la.kernel_basis(la.kernel_basis(cand.T, p).T, p)
+    if not _is_nilpotent_ideal(cand, T, p):
+        raise CertificationError("the radical chain did not end in a nilpotent ideal")
+    return cand
 
 
-def _poly_coeffs(poly, p: int) -> List[int]:
-    cs = [int(c) % p for c in poly.all_coeffs()]
-    return list(reversed(cs))
+def end_radical(m: Module) -> List[ModuleHom]:
+    """Basis of rad End(m), from the certified chain of _radical_coords."""
+    ends = hom_basis(m, m)
+    if len(ends) <= 1:
+        return []  # End(m) is 0 or F_p
+    return _from_coords(m, ends, _radical_coords(m, ends, _mult_coords(ends)))
 
 
 def _split_by_endo(m: Module, f: ModuleHom) -> Optional[Tuple[Tuple[Module, ModuleHom, ModuleHom], Tuple[Module, ModuleHom, ModuleHom]]]:
-    """Fitting-style splitting along coprime factors of the minimal polynomial."""
+    """Fitting split along f: m = ker f^a (+) ker r(f) for mu_f = x^a r(x), r(0) != 0.
+
+    None when f is invertible (a = 0) or nilpotent (r constant).
+    """
     p = m.algebra.p
     block = np.zeros((m.total_dim, m.total_dim), dtype=np.int64)
     off = 0
@@ -832,23 +836,15 @@ def _split_by_endo(m: Module, f: ModuleHom) -> Optional[Tuple[Tuple[Module, Modu
         block[off : off + d, off : off + d] = f.mats[v]
         off += d
     mu = la.minimal_polynomial(block, p)
-    factors = _factor_minpoly(mu, p)
-    if len(factors) < 2:
+    a = next(i for i, c in enumerate(mu) if c)
+    if a == 0 or a == len(mu) - 1:
         return None
-    g = factors[0][0] ** factors[0][1]
-    h = Poly(1, _X, domain=GF(p))
-    for poly, mult in factors[1:]:
-        h *= poly**mult
-    gc = _poly_coeffs(g, p)
-    hc = _poly_coeffs(h, p)
     pieces = []
-    for coeffs in (gc, hc):
+    for coeffs in ([0] * a + [1], mu[a:]):
         bases = [la.kernel_basis(la.poly_eval_matrix(coeffs, f.mats[v], p) if m.dims[v] else la.zeros(0, 0), p) for v in range(len(m.dims))]
         sub, incl = submodule(m, bases)
         pieces.append((sub, incl, bases))
     (m1, i1, b1), (m2, i2, b2) = pieces
-    if m1.total_dim == 0 or m2.total_dim == 0:
-        return None
     projs1, projs2 = [], []
     for v in range(len(m.dims)):
         full = np.hstack([b1[v], b2[v]])
@@ -861,169 +857,113 @@ def _split_by_endo(m: Module, f: ModuleHom) -> Optional[Tuple[Tuple[Module, Modu
     return (m1, i1, p1), (m2, i2, p2)
 
 
-class CertificationError(RuntimeError):
-    pass
+def _berlekamp(span: np.ndarray, mul, p: int) -> np.ndarray:
+    """{z : z^p = z} inside the commutative subalgebra spanned by the columns.
+
+    z -> z^p is F_p-linear there, so this is the kernel of Frobenius minus
+    the identity; its dimension counts the simple factors of the span's
+    semisimple part.
+    """
+    frob = []
+    for z in span.T:
+        acc, sq, e = None, z, p
+        while e:
+            if e & 1:
+                acc = sq if acc is None else mul(acc, sq)
+            sq, e = mul(sq, sq), e >> 1
+        frob.append((acc - z) % p)
+    return la.matmul(span, la.kernel_basis(np.stack(frob, axis=1), p), p)
 
 
-def _quotient_algebra_data(ends: List[ModuleHom], rad: List[ModuleHom]):
-    """Coordinates for End/rad: complement positions and a reducer."""
-    p = ends[0].source.algebra.p
-    k = len(ends)
-    if rad:
-        radmat = hom_coordinates(rad, ends).T
-        rr, pivots = la.rref(radmat, p)
-        rr = rr[: len(pivots)]
-    else:
-        rr, pivots = la.zeros(0, k), []
-    free = [i for i in range(k) if i not in pivots]
+def _splitting_endomorphism(m: Module, ends: List[ModuleHom]) -> Optional[ModuleHom]:
+    """Decide m in B = End(m)/rad: None certifies m indecomposable, else an
+    endomorphism with a Fitting split.
 
-    def reduce_coords(vec: np.ndarray) -> np.ndarray:
-        v = vec.copy() % p
-        for row, piv in enumerate(pivots):
-            c = v[piv]
-            if c:
-                v = (v - c * rr[row]) % p
-        return v[free]
-
-    return free, reduce_coords
-
-
-def _find_idempotent_split(m: Module, ends: List[ModuleHom], rad: List[ModuleHom], rng) -> Optional[ModuleHom]:
-    """Search End/rad for a nontrivial idempotent; return its lift or None
-    if End/rad certifies as a field (so m is indecomposable).
-
-    Raises CertificationError when the search is inconclusive.
+    m is indecomposable when dim B = 1, or when B is commutative and its
+    Berlekamp subalgebra is F_p (then B is a field).  Otherwise a
+    Berlekamp element z outside F_p * 1, from the centre of B first and
+    then from F_p[b] for each basis element b, has a minimal polynomial
+    with distinct roots in F_p; for a root c, lift(z) - c is neither
+    invertible nor nilpotent.  Raises CertificationError when neither
+    applies.
     """
     p = m.algebra.p
     k = len(ends)
     T = _mult_coords(ends)
-    free, reduce_coords = _quotient_algebra_data(ends, rad)
+    rr = la.row_space_basis(_radical_coords(m, ends, T).T, p)
+    pivots = [int(np.nonzero(row)[0][0]) for row in rr]
+    free = [i for i in range(k) if i not in pivots]
     kq = len(free)
     if kq == 1:
-        return None  # End/rad is F_p
+        return None  # B = F_p: End(m) is local
+    # B on the images of ends[free]; the RREF rows of the radical reduce the rest
+    sub = T[np.ix_(free, free)]
+    tq = (sub[..., free] - np.einsum("ijr,rk->ijk", sub[..., pivots], rr[:, free])) % p
+    one = hom_coordinates([identity_hom(m)], ends)[:, 0]
+    one = (one[free] - one[pivots] @ rr[:, free]) % p
 
-    def qmult(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(k, dtype=np.int64)
-        for i, fi in enumerate(free):
-            if not a[i]:
-                continue
-            for j, fj in enumerate(free):
-                if not b[j]:
-                    continue
-                out = (out + int(a[i]) * int(b[j]) * T[fi, fj]) % p
-        return reduce_coords(out)
+    def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _products(x[:, None], y[:, None], tq, p)[:, 0]
 
-    # multiplication operators in the quotient must commute for a field
-    id_coords = hom_coordinates([identity_hom(m)], ends)[:, 0]
-    one = reduce_coords(id_coords)
-
-    def op_matrix(z: np.ndarray) -> np.ndarray:
-        cols = []
-        for j in range(kq):
-            e = np.zeros(kq, dtype=np.int64)
-            e[j] = 1
-            cols.append(qmult(z, e))
-        return np.stack(cols, axis=1)
-
-    candidates = []
-    for j in range(kq):
-        e = np.zeros(kq, dtype=np.int64)
-        e[j] = 1
-        candidates.append(e)
-    for _ in range(200):
-        candidates.append(rng.integers(0, p, size=kq))
-
-    for z in candidates:
-        opz = op_matrix(z)
-        mu = la.minimal_polynomial(opz, p)
-        factors = _factor_minpoly(mu, p)
-        if len(factors) >= 2:
-            # CRT idempotent: e = (a * g1)(z) with a*g1 + b*g2 = 1
-            g1 = factors[0][0] ** factors[0][1]
-            g2 = Poly(1, _X, domain=GF(p))
-            for poly, mult in factors[1:]:
-                g2 *= poly**mult
-            s_co, _, g_co = g1.gcdex(g2)
-            assert g_co.is_one
-            e_poly = (s_co * g1) % (g1 * g2)
-            coeffs = _poly_coeffs(e_poly, p)
-            acc = np.zeros(kq, dtype=np.int64)
-            power = one.copy()
-            for c in coeffs:
-                acc = (acc + c * power) % p
-                power = qmult(power, z)
-            ev = acc
-            if not ev.any() or not (ev - one).any():
-                continue
-            # lift to End(m) and polish to an idempotent modulo the radical
-            lift = np.zeros(k, dtype=np.int64)
-            for i, fi in enumerate(free):
-                lift[fi] = ev[i]
-            x = None
-            for i in range(k):
-                piece = hom_scale(int(lift[i]), ends[i])
-                x = piece if x is None else hom_add(x, piece)
-            for _ in range(60):
-                x2 = compose(x, x)
-                if hom_equal(x2, x):
-                    return x
-                # x <- 3x^2 - 2x^3
-                x = hom_sub(hom_add(x2, hom_add(x2, x2)), hom_add(compose(x2, x), compose(x2, x)))
-            raise CertificationError("idempotent lifting did not converge")
-        if len(mu) - 1 == kq:
-            # primitive element with irreducible minimal polynomial: a field
-            return None
+    comm = (tq - tq.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(kq * kq, kq)
+    centre = la.kernel_basis(comm, p)
+    commutative = centre.shape[1] == kq
+    spans = [centre]
+    if not commutative:
+        for b in la.eye(kq):
+            powers = [one, b]
+            while la.rank(np.stack(powers, axis=1), p) == len(powers):
+                powers.append(mul(powers[-1], b))
+            spans.append(np.stack(powers[:-1], axis=1))
+    for span in spans:
+        for z in _berlekamp(span, mul, p).T:
+            if la.rank(np.stack([one, z], axis=1), p) == 2:
+                mu = la.minimal_polynomial(_products(z[:, None], la.eye(kq), tq, p), p)
+                xs, vals = np.arange(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
+                for c in reversed(mu):
+                    vals = (vals * xs + c) % p
+                c = int(np.nonzero(vals == 0)[0][0])  # mu divides x^p - x: all roots in F_p
+                coords = la.zeros(k, 1)
+                coords[free, 0] = z
+                return hom_sub(_from_coords(m, ends, coords)[0], hom_scale(c, identity_hom(m)))
+        if commutative:
+            return None  # B is a field
     raise CertificationError(
-        "could not certify indecomposability: no primitive element found; "
-        "retry with a different seed or a larger prime"
+        "could not decide a summand: End/rad is non-commutative with a trivial "
+        "Berlekamp centre, and no basis element generates a split subalgebra"
     )
 
 
-def decompose(m: Module, seed: int = 0) -> List[Tuple[Module, ModuleHom, ModuleHom]]:
+def decompose(m: Module) -> List[Tuple[Module, ModuleHom, ModuleHom]]:
     """Split m into indecomposable summands with inclusion/projection pairs.
 
-    Random Fitting splittings do the bulk of the work; any summand they
-    fail to split is certified indecomposable through End/rad (and if a
-    nontrivial idempotent is found there instead, it is used to split, so
-    the answer is never wrong for lack of luck).
+    Each element of hom_basis(cur, cur) is tried in order for a Fitting
+    split of the current summand; a summand none of them splits is decided
+    in End/rad by _splitting_endomorphism, which certifies it
+    indecomposable or supplies an endomorphism that splits it.
+    Deterministic in every characteristic.
     """
-    rng = np.random.default_rng(seed)
     out: List[Tuple[Module, ModuleHom, ModuleHom]] = []
 
     def recurse(cur: Module, incl: ModuleHom, proj: ModuleHom):
         if cur.total_dim == 0:
             return
         ends = hom_basis(cur, cur)
-        if len(ends) == 1:
+        split = None
+        if len(ends) > 1:
+            split = next(filter(None, (_split_by_endo(cur, h) for h in ends)), None)
+            if split is None:
+                f = _splitting_endomorphism(cur, ends)
+                if f is not None:
+                    split = _split_by_endo(cur, f)
+                    assert split is not None, "End/rad splitter failed to split"
+        if split is None:
             out.append((cur, incl, proj))
             return
-        trial_homs = list(ends)
-        for _ in range(40):
-            coeffs = rng.integers(0, p_char, size=len(ends))
-            h = None
-            for c, b in zip(coeffs, ends):
-                piece = hom_scale(int(c), b)
-                h = piece if h is None else hom_add(h, piece)
-            trial_homs.append(h)
-        for h in trial_homs:
-            split = _split_by_endo(cur, h)
-            if split:
-                (m1, i1, p1), (m2, i2, p2) = split
-                recurse(m1, compose(incl, i1), compose(p1, proj))
-                recurse(m2, compose(incl, i2), compose(p2, proj))
-                return
-        rad = end_radical(cur)
-        idem = _find_idempotent_split(cur, ends, rad, rng)
-        if idem is None:
-            out.append((cur, incl, proj))
-            return
-        split = _split_by_endo(cur, idem)
-        assert split is not None, "idempotent failed to split"
         (m1, i1, p1), (m2, i2, p2) = split
         recurse(m1, compose(incl, i1), compose(p1, proj))
         recurse(m2, compose(incl, i2), compose(p2, proj))
 
-    p_char = m.algebra.p
     recurse(m, identity_hom(m), identity_hom(m))
     out.sort(key=lambda t: (t[0].total_dim, t[0].dims))
     return out
@@ -1042,8 +982,8 @@ class Decomposition:
     witnesses: List[Tuple[Module, ModuleHom, ModuleHom]]
 
 
-def decomposition(m: Module, seed: int = 0) -> Decomposition:
-    flat = decompose(m, seed)
+def decomposition(m: Module) -> Decomposition:
+    flat = decompose(m)
     groups: List[Tuple[Module, int]] = []
     for part, _, _ in flat:
         for i, (rep, mult) in enumerate(groups):

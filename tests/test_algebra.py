@@ -84,6 +84,17 @@ def test_relation_validation():
         AlgebraPresentation(4, q)  # p not prime
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 1048573])
+def test_primes_below_the_int64_bound_are_accepted(p):
+    assert AlgebraPresentation(p, Quiver(1, ())).p == p
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 1048575])
+def test_non_primes_are_rejected(p):
+    with pytest.raises(ValueError, match="not prime"):
+        AlgebraPresentation(p, Quiver(1, ()))
+
+
 def test_mult_table_a2():
     alg = a2()
     b = alg.basis

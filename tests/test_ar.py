@@ -378,3 +378,23 @@ def test_gamma_sequence_matches_special_family(a2, a2_modules, gamma_a2, gamma_q
             assert iso_between(to_gamma_module(knitted.left), to_gamma_module(target.left)) is not None
             return
     raise AssertionError("identity object of s1 not found in the knitted quiver")
+
+
+def _truncated_polynomials(p, n):
+    """K[x]/x^n over F_p."""
+    return algebra_from_spec(p, 1, [("x", 0, 0)], [[(1, ["x"] * n)]])
+
+
+@pytest.mark.parametrize(
+    "p, n, side",
+    [(2, 2, "lambda"), (2, 2, "gamma"), (3, 3, "lambda")],
+)
+def test_knit_in_small_characteristic_matches_p101(p, n, side):
+    def knit(prime):
+        alg = _truncated_polynomials(prime, n)
+        return knit_ar_quiver(alg if side == "lambda" else gamma_of(alg).algebra)
+
+    q = knit(p)
+    assert q.complete and q.sequences
+    assert all(seq.verified == "corpus" for seq in q.sequences.values())
+    assert sorted(m.dims for m in q.vertices) == sorted(m.dims for m in knit(101).vertices)

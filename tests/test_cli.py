@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -218,3 +220,33 @@ def test_missing_file_is_an_input_error(capsys):
 def test_verify_example_needs_the_two_vertex_algebra(capsys):
     assert main(["verify-example", str(DATA / "a3_linear.alg")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ar-quiver", A2],
+        ["verify-example", A2],
+        ["check-tilting", A2, "--names", "f,g"],
+        ["approx", A2, "--object", "f"],
+    ],
+)
+def test_seed_is_not_an_option(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--seed", "1"])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_field_that_is_not_prime_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "p4.alg"
+    bad.write_text("field p=4\nvertices 2\narrow a: 1 -> 2\n")
+    assert main(["ar-quiver", str(bad), "--out", str(tmp_path / "q")]) == 2
+    assert "not prime" in capsys.readouterr().err
+
+
+def test_import_does_not_load_sympy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, mapscat; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})

@@ -22,8 +22,6 @@ from mapscat.modules import (
     direct_sum,
     hom_basis,
     hom_coordinates,
-    indecomposable_injective,
-    indecomposable_projective,
     simple_module,
     unvectorize_hom,
     vectorize_hom,
@@ -124,17 +122,17 @@ def _dual_numbers(p):
 
 @lru_cache(maxsize=None)
 def _corpus(p: int):
-    """(algebra, modules) pairs: knitted indecomposables of A3 with a zero
-    relation and of Gamma(A2), and the projectives, injectives and simples
-    of K[x]/x^2 and of its Gamma, whose loops put both ends of a square on
-    the same vertex."""
+    """(algebra, modules) pairs: the knitted indecomposables of A3 with a
+    zero relation, of Gamma(A2), and of K[x]/x^2 and its Gamma, whose loops
+    put both ends of a square on the same vertex."""
     a3rel = algebra_from_spec(p, 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]])
-    out = [(alg, knit_ar_quiver(alg).vertices) for alg in (a3rel, gamma_of(linear_quiver_algebra(p, 2)).algebra)]
-    for alg in (_dual_numbers(p), gamma_of(_dual_numbers(p)).algebra):
-        nv = alg.quiver.n_vertices
-        mods = [f(alg, v) for v in range(nv) for f in (indecomposable_projective, indecomposable_injective, simple_module)]
-        out.append((alg, mods))
-    return out
+    algebras = (
+        a3rel,
+        gamma_of(linear_quiver_algebra(p, 2)).algebra,
+        _dual_numbers(p),
+        gamma_of(_dual_numbers(p)).algebra,
+    )
+    return [(alg, knit_ar_quiver(alg).vertices) for alg in algebras]
 
 
 def _corpus_pair(p, which, i, j, k, seed):

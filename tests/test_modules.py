@@ -135,7 +135,7 @@ def test_decompose_with_multiplicity(a2):
     p0 = indecomposable_projective(a2, 0)
     s2 = simple_module(a2, 1)
     big = direct_sum(a2, [p0, s2, p0]).module
-    parts = decompose(big, seed=3)
+    parts = decompose(big)
     dims = sorted(part.dims for part, _, _ in parts)
     assert dims == [(0, 1), (1, 1), (1, 1)]
     acc = None
@@ -211,7 +211,7 @@ def test_grouped_decomposition(a2):
     p0 = indecomposable_projective(a2, 0)
     s2 = simple_module(a2, 1)
     big = direct_sum(a2, [p0, s2, p0]).module
-    dec = decomposition(big, seed=1)
+    dec = decomposition(big)
     mults = sorted((rep.dims, mult) for rep, mult in dec.summands)
     assert mults == [((0, 1), 1), ((1, 1), 2)]
     # projections hit their own inclusion as identity, others as zero
@@ -261,7 +261,7 @@ def test_kronecker_local_endos():
     m = Module(alg, (2, 2), [la.eye(2), np.array([[0, 1], [0, 0]])])
     assert len(hom_basis(m, m)) == 2
     assert len(end_radical(m)) == 1
-    parts = decompose(m, seed=0)
+    parts = decompose(m)
     assert len(parts) == 1
     p0 = indecomposable_projective(alg, 0)
     assert p0.dims == (1, 2)
@@ -320,7 +320,7 @@ def test_decompose_recovers_summands_after_base_change(counts, seed, p):
     ]
     twisted = Module(alg, m.dims, mats)
     assert modules_isomorphic(twisted, m)
-    parts = decompose(twisted, seed=0)
+    parts = decompose(twisted)
     got = sorted(part.dims for part, _, _ in parts)
     want = sorted(piece.dims for piece in pieces)
     assert got == want
