@@ -125,12 +125,23 @@ class AlmostSplitCertificate:
 
 
 def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSplitCertificate:
-    """Check the almost split property exactly against the test corpus.
+    """Check the almost split property exactly against the test objects.
 
-    Factorization through surj is a linear condition, so instead of
-    sampling homs the verifier compares subspaces: for X not isomorphic
-    to the right end, all of Hom(X, right) must be hit; for X the right
-    end itself, the radical of its endomorphism space must be.
+    Checks that the sequence is exact and non-split with indecomposable
+    ends, then that every required hom from each test object X into the
+    right end factors through surj.  Factorization is a linear
+    condition, so instead of sampling homs the verifier compares
+    subspaces: for X not isomorphic to the right end, all of Hom(X, right)
+    must be hit; for X the right end itself, the radical of its
+    endomorphism space must be.
+
+    Against a complete corpus of indecomposables this is the definition
+    of an almost split sequence, and the tests use it as the oracle.
+    With test_set = [right] it is the socle criterion that knitting
+    applies, a proof whenever the left end is tau of the right end
+    (Auslander-Reiten-Smalo, Ch. V): Ext^1(C, tau C) has a simple socle
+    over End(C), made of the classes that rad End(C) kills, and r kills
+    the class exactly when r factors through surj.
     """
     left, middle, right, inj, surj = _to_module_seq(s)
     cert = AlmostSplitCertificate(True)
@@ -189,8 +200,9 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
     """The almost split sequence 0 -> tau m -> E -> m -> 0.
 
     Built from a class in Ext^1(m, tau m) annihilated by the radical of
-    End(m); the result is verified exact and non-split, with left term
-    tau m.  is_almost_split certifies it against a corpus.
+    End(m); the result is verified exact and non-split.  Its left term is
+    tau(m) itself, computed here, so is_almost_split(seq, [m]) certifies
+    the sequence by the socle criterion without recomputing tau.
     """
     if len(decompose(m)) != 1:
         raise ValueError("right end must be indecomposable")
@@ -466,8 +478,11 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
     arrows into Z are read from the middle term of the sequence ending at
     Z, or from rad Z for projective Z (Auslander-Reiten-Smalo VII.1): a
     summand X occurring n times gives dim_K Irr(X, Z) = n * dim_K End(X)/rad End(X).
+    A complete knit certifies each sequence from its right end alone,
+    by is_almost_split(seq, [m]), and marks it "corpus".
     Exceeding dim_bound (or a hard vertex cap) yields a partial quiver,
-    with the arrows among the vertices found, and a warning, not an error.
+    with the arrows among the vertices found, and a warning, not an error;
+    its sequences are marked "corpus-bounded" and not certified.
     """
     reps: List[Module] = []
     complete = True
@@ -537,7 +552,7 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
                 raise AssertionError("a middle-term summand escaped the corpus")
         if seq is None:
             continue
-        if complete and not (cert := is_almost_split(seq, reps)):
+        if complete and not (cert := is_almost_split(seq, [m])):
             raise AssertionError("; ".join(cert.reasons))
         seq.verified = "corpus" if complete else "corpus-bounded"
         sequences[i] = seq

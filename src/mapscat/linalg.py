@@ -2,7 +2,7 @@
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  Every
 routine here is exact: no floating point anywhere.  Row reduction is the
-workhorse; everything else (kernels, solving, pullbacks, minimal
+workhorse; everything else (kernels, solving, inverses, minimal
 polynomials) is phrased through it.
 """
 
@@ -153,33 +153,6 @@ def row_space_basis(a: np.ndarray, p: int) -> np.ndarray:
     return r[: len(pivots)]
 
 
-def in_column_space(a: np.ndarray, v: np.ndarray, p: int) -> bool:
-    return solve(a, v, p) is not None
-
-
-def intersect_column_spaces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Basis (as columns) of im(a) meet im(b)."""
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("ambient dimensions differ")
-    k = kernel_basis(np.hstack([a, -b % p]), p)
-    vecs = matmul(a, k[: a.shape[1]], p)
-    return column_space_basis(vecs, p)
-
-
-def pullback(f: np.ndarray, g: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pullback of f: X -> Z and g: Y -> Z.
-
-    Returns (basis, proj_x, proj_y) where basis spans
-    {(x, y) : f x = g y} inside X (+) Y and proj_x, proj_y read off the
-    two coordinates, so f @ proj_x == g @ proj_y on the pullback space.
-    """
-    if f.shape[0] != g.shape[0]:
-        raise ValueError(f"targets differ: {f.shape[0]} vs {g.shape[0]}")
-    k = kernel_basis(np.hstack([f, -g % p]), p)
-    nx = f.shape[1]
-    return k, k[:nx], k[nx:]
-
-
 def invert(a: np.ndarray, p: int) -> Optional[np.ndarray]:
     """Inverse of a square matrix, or None if singular."""
     if a.shape[0] != a.shape[1]:
@@ -230,8 +203,3 @@ def poly_eval_matrix(coeffs: List[int], a: np.ndarray, p: int) -> np.ndarray:
         out = (out + c * power) % p
         power = matmul(power, m, p)
     return out
-
-
-def is_nilpotent(a: np.ndarray, p: int) -> bool:
-    coeffs = minimal_polynomial(a, p)
-    return all(c == 0 for c in coeffs[:-1])

@@ -1,21 +1,28 @@
 import json
+from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from mapscat import ar
 from mapscat import linalg as la
-from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
-from mapscat.maps import gamma_of, to_gamma_module
+from mapscat.algebra import algebra_from_spec
+from mapscat.algfile import parse_algebra_file
+from mapscat.maps import gamma_of, split_epi_section, to_gamma_module
 from mapscat.modules import (
     compose,
     direct_sum,
     end_radical,
     hom_add,
     hom_basis,
+    hom_coordinates,
+    hom_into_sub,
+    hom_through_epi,
     identity_hom,
     indecomposable_projective,
     iso_between,
+    minimal_projective_presentation,
     modules_isomorphic,
     decompose,
     simple_module,
@@ -41,11 +48,41 @@ from mapscat.ar import (
 )
 
 P = 101
+DATA = resources.files("mapscat").joinpath("data")
+BUNDLED = ("a2", "a3_linear", "a3_flip", "a3_rel")
+SPECS = {
+    "a3_source": (3, [("a", 1, 0), ("b", 1, 2)], []),
+    "dual": (1, [("x", 0, 0)], [[(1, ["x", "x"])]]),
+    "a4_linear": (4, [("a", 0, 1), ("b", 1, 2), ("c", 2, 3)], []),
+}
+
+
+@lru_cache(maxsize=None)
+def _algebra(name):
+    if name in BUNDLED:
+        return parse_algebra_file((DATA / f"{name}.alg").read_text(encoding="utf-8")).algebra
+    return algebra_from_spec(P, *SPECS[name])
+
+
+@pytest.fixture(scope="module")
+def knit():
+    """Complete knits by (algebra name, side), each built once per module."""
+    built = {}
+
+    def get(name, side):
+        if (name, side) not in built:
+            alg = _algebra(name)
+            q = knit_ar_quiver(alg if side == "lambda" else gamma_of(alg).algebra, dim_bound=80)
+            assert q.complete
+            built[name, side] = q
+        return built[name, side]
+
+    return get
 
 
 @pytest.fixture(scope="module")
 def a2():
-    return linear_quiver_algebra(P, 2)
+    return _algebra("a2")
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +96,8 @@ def gamma_a2(a2):
 
 
 @pytest.fixture(scope="module")
-def gamma_quiver(gamma_a2):
-    return knit_ar_quiver(gamma_a2.algebra, dim_bound=80)
+def gamma_quiver(knit):
+    return knit("a2", "gamma")
 
 
 def test_a2_almost_split_sequence(a2, a2_modules):
@@ -165,34 +202,66 @@ def _rad_rad2_arrows(reps):
     return arrows
 
 
-A3_LINEAR = [("a", 0, 1), ("b", 1, 2)]
-A3_FLIP = [("a", 1, 0), ("b", 1, 2)]
-A3_REL = (A3_LINEAR, [[(1, ["a", "b"])]])
-DUAL_NUMBERS = ([("x", 0, 0)], [[(1, ["x", "x"])]])
-
-
 @pytest.mark.parametrize(
-    "n,arrows,relations,side",
+    "name,side",
     [
-        (2, [("a", 0, 1)], [], "lambda"),
-        (3, A3_LINEAR, [], "lambda"),
-        (3, A3_FLIP, [], "lambda"),
-        (3, *A3_REL, "lambda"),
-        (1, *DUAL_NUMBERS, "lambda"),
-        (2, [("a", 0, 1)], [], "gamma"),
-        (3, *A3_REL, "gamma"),
-        (1, *DUAL_NUMBERS, "gamma"),
+        ("a2", "lambda"),
+        ("a3_linear", "lambda"),
+        ("a3_source", "lambda"),
+        ("a3_rel", "lambda"),
+        ("dual", "lambda"),
+        ("a2", "gamma"),
+        ("a3_rel", "gamma"),
+        ("dual", "gamma"),
     ],
     ids=["a2", "a3", "a3-flip", "a3-rel", "dual", "gamma-a2", "gamma-a3-rel", "gamma-dual"],
 )
-def test_arrows_match_rad_rad2_reference(n, arrows, relations, side):
+def test_arrows_match_rad_rad2_reference(knit, name, side):
     # knitting reads arrows off middle terms; rad/rad^2 is an independent count
-    alg = algebra_from_spec(P, n, arrows, relations)
-    if side == "gamma":
-        alg = gamma_of(alg).algebra
-    q = knit_ar_quiver(alg, dim_bound=80)
-    assert q.complete
+    q = knit(name, side)
     assert q.arrows == _rad_rad2_arrows(q.vertices)
+
+
+@pytest.mark.parametrize("side", ["lambda", "gamma"])
+@pytest.mark.parametrize("name", [*BUNDLED, "dual", "a4_linear"])
+def test_knitted_sequences_almost_split_over_corpus(knit, name, side):
+    # knitting certifies from the right end alone; the definition check
+    # against every indecomposable is the independent oracle
+    q = knit(name, side)
+    assert q.sequences
+    for i, seq in q.sequences.items():
+        assert seq.verified == "corpus"
+        cert = is_almost_split(seq, q.vertices)
+        assert cert, (i, cert.reasons)
+
+
+def test_socle_criterion_rejects_a_class_outside_the_socle(knit):
+    # Gamma of K[x]/x^2 at C = [2, 0]: Ext^1(C, tau C) is 2-dimensional and
+    # rad End(C) 1-dimensional, so some non-split class is not in the socle
+    q = knit("dual", "gamma")
+    c = next(m for m in q.vertices if tuple(m.dims) == (2, 0))
+    tc = tau(c)
+    pres = minimal_projective_presentation(c)
+    incl = pres.syzygy_incl
+    cocycles = hom_basis(pres.syzygy, tc)
+    from_p0 = hom_basis(pres.p0.sum.module, tc)
+    cob = hom_coordinates([compose(h, incl) for h in from_p0], cocycles)
+    classes = la.kernel_basis(cob.T, P).T  # coordinates on Ext^1(C, tau C)
+    rad = end_radical(c)
+    assert classes.shape[0] == 2 and len(rad) == 1
+    r0 = ar._lift_along_epi(pres.eps, compose(rad[0], pres.eps))
+    r1 = hom_into_sub(incl, compose(r0, incl))
+    act = hom_coordinates([compose(z, r1) for z in cocycles], cocycles)
+    j = next(j for j in range(len(cocycles)) if la.matmul(classes, act[:, j : j + 1], P).any())
+    _, leg, _, sd, proj = ar._pushout_modules(cocycles[j], incl)
+    surj = hom_through_epi(proj, compose(pres.eps, sd.projections[1]))
+    seq = seq_of_modules(leg, surj)
+    assert tuple(seq.middle.dims) == (2, 2)
+    assert split_epi_section(surj) is None
+    for test_set in ([c], q.vertices):
+        cert = is_almost_split(seq, test_set)
+        assert not cert
+        assert any("radical endomorphisms do not all factor" in r for r in cert.reasons)
 
 
 def test_tau_three_ways_gamma_a2(gamma_quiver):
@@ -308,8 +377,21 @@ def _count_sequence_builds(monkeypatch):
     return calls
 
 
+def _record_certificates(monkeypatch):
+    calls = []
+    certify = ar.is_almost_split
+
+    def recorded(seq, test_set):
+        calls.append((seq, list(test_set)))
+        return certify(seq, test_set)
+
+    monkeypatch.setattr(ar, "is_almost_split", recorded)
+    return calls
+
+
 def test_bounded_kronecker_builds_each_sequence_once(monkeypatch):
     calls = _count_sequence_builds(monkeypatch)
+    certified = _record_certificates(monkeypatch)
     alg = algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], [])
     q = knit_ar_quiver(alg, dim_bound=12)
     assert not q.complete and "exceeds bound 12" in q.warning
@@ -318,6 +400,7 @@ def test_bounded_kronecker_builds_each_sequence_once(monkeypatch):
     assert q.tau_edges == [(2, 0), (3, 1), (4, 2), (5, 3)]
     assert all(s.verified == "corpus-bounded" for s in q.sequences.values())
     assert len(calls) == len(q.vertices) - len(q.projectives) == len(q.sequences)
+    assert not certified
 
 
 def test_complete_knit_builds_each_sequence_once(monkeypatch, gamma_a2):
@@ -325,6 +408,15 @@ def test_complete_knit_builds_each_sequence_once(monkeypatch, gamma_a2):
     q = knit_ar_quiver(gamma_a2.algebra, dim_bound=80)
     assert q.complete
     assert len(calls) == len(q.vertices) - len(q.projectives) == 7
+
+
+def test_complete_knit_certifies_from_the_right_end_alone(monkeypatch, gamma_a2):
+    certified = _record_certificates(monkeypatch)
+    q = knit_ar_quiver(gamma_a2.algebra, dim_bound=80)
+    assert q.complete
+    assert len(certified) == len(q.sequences) == 7
+    for seq, test_set in certified:
+        assert len(test_set) == 1 and test_set[0] is seq.right
 
 
 def test_knit_nakayama_with_relation():

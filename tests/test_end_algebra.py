@@ -94,6 +94,12 @@ def _is_nilpotent_ideal_by_composition(m: Module, rad) -> bool:
     return not power
 
 
+def intersect_column_spaces(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Basis (as columns) of im(a) meet im(b)."""
+    k = la.kernel_basis(np.hstack([a, -b % p]), p)
+    return la.column_space_basis(la.matmul(a, k[: a.shape[1]], p), p)
+
+
 def trace_form_radical(m: Module):
     """Reference radical: the kernel of the regular trace form, intersected
     with the kernel of the trace form on m when the first is not a
@@ -118,7 +124,7 @@ def trace_form_radical(m: Module):
     cand = la.kernel_basis(gram, p)
     if _is_nilpotent_ideal_by_composition(m, homs(cand)):
         return homs(cand)
-    cand = la.intersect_column_spaces(cand, la.kernel_basis(vtr, p), p)
+    cand = intersect_column_spaces(cand, la.kernel_basis(vtr, p), p)
     cand = la.kernel_basis(la.kernel_basis(cand.T, p).T, p)
     if _is_nilpotent_ideal_by_composition(m, homs(cand)):
         return homs(cand)

@@ -49,16 +49,6 @@ def test_solve_underdetermined_picks_zero_free_part():
     assert x.tolist() == [5, 0]
 
 
-def test_pullback_of_two_surjections():
-    # f: F^2 -> F, (x1,x2) |-> x1;  g: F^2 -> F, (y1,y2) |-> y2
-    # pullback = {(x1,x2,y1,y2) : x1 = y2}, dimension 3
-    f = arr([[1, 0]])
-    g = arr([[0, 1]])
-    basis, px, py = la.pullback(f, g, P)
-    assert basis.shape == (4, 3)
-    assert (la.matmul(f, px, P) == la.matmul(g, py, P)).all()
-
-
 def test_invert():
     a = arr([[1, 1], [0, 1]])
     ainv = la.invert(a, P)
@@ -69,22 +59,11 @@ def test_invert():
 def test_minimal_polynomial_nilpotent_jordan():
     a = arr([[0, 1], [0, 0]])
     assert la.minimal_polynomial(a, P) == [0, 0, 1]  # x^2
-    assert la.is_nilpotent(a, P)
 
 
 def test_minimal_polynomial_idempotent():
     a = arr([[1, 0], [0, 0]])
     assert la.minimal_polynomial(a, P) == [0, 100, 1]  # x^2 - x
-    assert not la.is_nilpotent(a, P)
-
-
-def test_intersect_column_spaces():
-    a = arr([[1, 0], [0, 1], [0, 0]])
-    b = arr([[0, 0], [1, 0], [0, 1]])
-    meet = la.intersect_column_spaces(a, b, P)
-    assert meet.shape == (3, 1)
-    v = meet[:, 0]
-    assert v[0] == 0 and v[2] == 0 and v[1] != 0
 
 
 # ---- property tests ----
@@ -132,17 +111,6 @@ def test_solve_round_trip(rows, seed):
     got = la.solve(a, b, P)
     assert got is not None
     assert (la.matmul(a, got.reshape(-1, 1), P)[:, 0] == b).all()
-
-
-@given(small_matrix)
-@settings(max_examples=40, deadline=None)
-def test_pullback_is_whole_equalizer(rows):
-    # pullback of f against the identity recovers the graph of f
-    f = arr(rows)
-    g = la.eye(f.shape[0])
-    basis, px, py = la.pullback(f, g, P)
-    assert basis.shape[1] == f.shape[1]
-    assert (la.matmul(f, px, P) == py % P).all()
 
 
 def test_minimal_polynomial_agrees_with_evaluation():
