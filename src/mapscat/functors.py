@@ -13,7 +13,7 @@ coker(Hom(X, M1) -> Hom(X, M2)).  Three layers live here:
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -267,11 +267,17 @@ class FunctorRealization:
         return self._delta_quiver
 
 
-def functor_realization(algebra: AlgebraPresentation, dim_bound: int = 40) -> FunctorRealization:
-    p = algebra.p
+def _complete_knit(algebra: AlgebraPresentation, needed_by: str, dim_bound: int = 40) -> ArQuiver:
+    """The AR quiver of algebra; an incomplete knit raises CertificationError."""
     q = knit_ar_quiver(algebra, dim_bound=dim_bound)
     if not q.complete:
-        raise CertificationError(f"realization needs the complete corpus; {q.warning}")
+        raise CertificationError(f"{needed_by} needs the complete corpus; {q.warning}")
+    return q
+
+
+def functor_realization(algebra: AlgebraPresentation, dim_bound: int = 40) -> FunctorRealization:
+    p = algebra.p
+    q = _complete_knit(algebra, "realization", dim_bound)
     reps = q.vertices
     n = len(reps)
     # rad[i][j]: the radical endomorphisms for i == j, else all of Hom(reps[i], reps[j])
@@ -436,7 +442,7 @@ def phi_image_of_ar(real: FunctorRealization, s: ShortExactSeq, dim_bound: int =
 
 @dataclass
 class CheckResult:
-    status: str  # "pass" | "fail" | "unresolved"
+    status: str  # "pass" | "fail"
     witnesses: List[dict] = field(default_factory=list)
 
 
@@ -448,10 +454,6 @@ class TiltingReport:
     @property
     def verdict(self) -> bool:
         return all(c.status == "pass" for c in self.checks.values())
-
-    @property
-    def conclusive(self) -> bool:
-        return all(c.status != "unresolved" for c in self.checks.values())
 
 
 def _describe_map_object(x: MapObject) -> dict:
@@ -465,7 +467,8 @@ def tilting_report_json(r: TiltingReport) -> dict:
             key: {"status": c.status, "witnesses": c.witnesses} for key, c in sorted(r.checks.items())
         },
         "verdict": r.verdict,
-        "conclusive": r.conclusive,
+        # every check decides; the fixed field keeps the report format unchanged
+        "conclusive": True,
     }
 
 
@@ -491,76 +494,57 @@ def _in_add_maps(x: MapObject, reps: List[MapObject]) -> bool:
     return True
 
 
-def _left_add_approx_maps(
-    w: MapObject, reps: List[MapObject], cap: int = 3
-) -> Tuple[Optional[MapMorphism], bool]:
-    """The canonical map from w into a sum of reps, hom-multiplicity capped."""
-    pieces: List[Tuple[MapObject, MapMorphism]] = []
-    capped = False
-    for r in reps:
-        basis = hom_maps(w, r)
-        if len(basis) > cap:
-            basis = basis[:cap]
-            capped = True
-        pieces.extend((r, b) for b in basis)
+def _left_add_approx_maps(w: MapObject, reps: List[MapObject]) -> Optional[MapMorphism]:
+    """The canonical map from w into a sum of reps, one leg per hom basis element."""
+    pieces = [(r, b) for r in reps for b in hom_maps(w, r)]
     if not pieces:
-        return None, capped
+        return None
     sm = direct_sum_maps(w.algebra, [r for r, _ in pieces])
     u = None
     for k, (_, b) in enumerate(pieces):
         leg = map_compose(sm.inclusions[k], b)
         u = leg if u is None else map_add(u, leg)
-    return u, capped
+    return u
 
 
 @dataclass
 class Coresolution:
     terms: List[MapObject]  # middle terms, then the final cokernel (in add)
-    status: str  # "pass" | "fail" | "unresolved"
+    status: str  # "pass" | "fail"
     detail: dict
 
 
-def relative_coresolution(w: MapObject, reps: List[MapObject], max_len: int, cap: int = 3) -> Coresolution:
-    """Search for an S-exact coresolution 0 -> w -> T0 -> ... of length <= max_len.
+def relative_coresolution(w: MapObject, reps: List[MapObject], max_len: int) -> Coresolution:
+    """Decide whether an S-exact coresolution 0 -> w -> T0 -> ... of length <= max_len exists.
 
-    The canonical capped approximation is forced at every step, so a failed
-    step with no capping disproves existence; with capping the verdict is
-    left unresolved.
+    Each step takes the canonical left add(reps)-approximation, the sum of
+    all maps into the reps.  Left approximations are unique up to summands
+    in add(reps) (Auslander-Smalo 1980), so when Ext_F^i vanishes among the
+    reps for 0 < i <= max_len, which the same tilting report checks, a
+    coresolution exists exactly when this one ends in time: "fail" is then
+    a proof.
     """
     terms: List[MapObject] = []
     cur = w
-    for step in range(max_len + 1):
-        if _in_add_maps(cur, reps):
-            return Coresolution(terms + [cur], "pass", {"length": step})
+    while not _in_add_maps(cur, reps):
+        step = len(terms)
         if step == max_len:
-            return Coresolution(terms, "unresolved", {"reason": "not found within bound", "step": step})
-        u, capped = _left_add_approx_maps(cur, reps, cap)
-        soft = "unresolved" if capped else "fail"
+            return Coresolution(terms, "fail", {"reason": f"canonical coresolution longer than {max_len}", "step": step})
+        u = _left_add_approx_maps(cur, reps)
         if u is None:
-            return Coresolution(terms, soft, {"reason": "no maps into the category", "step": step})
+            return Coresolution(terms, "fail", {"reason": "no maps into the category", "step": step})
         if not all(kernel(h)[0].is_zero() for h in (u.h1, u.h2)):
-            return Coresolution(terms, soft, {"reason": "approximation not levelwise mono", "step": step})
+            return Coresolution(terms, "fail", {"reason": "approximation not levelwise mono", "step": step})
         coker, proj = morphism_cokernel(u)
-        sx = is_S_exact(u, proj)
-        if not sx.verdict:
-            return Coresolution(terms, soft, {"reason": "canonical sequence leaves S", "step": step})
+        if not is_S_exact(u, proj).verdict:
+            return Coresolution(terms, "fail", {"reason": "canonical sequence leaves S", "step": step})
         terms.append(u.target)
         cur = coker
-    return Coresolution(terms, "unresolved", {"reason": "not found within bound"})
+    return Coresolution(terms + [cur], "pass", {"length": len(terms)})
 
 
 def _aggregate(parts: List[str]) -> str:
-    if any(s == "fail" for s in parts):
-        return "fail"
-    if any(s == "unresolved" for s in parts):
-        return "unresolved"
-    return "pass"
-
-
-def _lambda_corpus(algebra: AlgebraPresentation, corpus: Optional[Sequence[Module]], dim_bound: int = 40) -> List[Module]:
-    if corpus is not None:
-        return list(corpus)
-    return knit_ar_quiver(algebra, dim_bound=dim_bound).vertices
+    return "fail" if "fail" in parts else "pass"
 
 
 def _mono_check(reps: List[MapObject]) -> CheckResult:
@@ -586,11 +570,9 @@ def _ext_check(reps: List[MapObject], degrees: Sequence[int]) -> CheckResult:
 def _coresolution_check(
     reps: List[MapObject], lam: List[Module], max_len: int
 ) -> CheckResult:
-    statuses = []
     wit = []
     for c in lam:
         cr = relative_coresolution(target_only(c), reps, max_len)
-        statuses.append(cr.status)
         wit.append(
             {
                 "module": {"name": c.name, "dims": list(c.dims)},
@@ -599,7 +581,7 @@ def _coresolution_check(
                 "detail": cr.detail,
             }
         )
-    return CheckResult(_aggregate(statuses), wit)
+    return CheckResult(_aggregate([w["status"] for w in wit]), wit)
 
 
 def check_classical_tilting(
@@ -609,7 +591,7 @@ def check_classical_tilting(
     reps = _category_closure(ts)
     if not reps:
         raise ValueError("the tilting candidate is empty")
-    lam = _lambda_corpus(reps[0].algebra, corpus)
+    lam = list(corpus) if corpus is not None else _complete_knit(reps[0].algebra, "tilting check").vertices
     checks = {
         "structure-maps-mono": _mono_check(reps),
         "ext1-vanishes": _ext_check(reps, [1]),
@@ -630,99 +612,87 @@ def _in_add_modules(x: Module, reps: List[Module]) -> bool:
     return True
 
 
-def _left_add_approx_modules(w: Module, reps: List[Module], cap: int = 3) -> Tuple[Optional[ModuleHom], bool]:
-    pieces: List[Tuple[Module, ModuleHom]] = []
-    capped = False
-    for r in reps:
-        basis = hom_basis(w, r)
-        if len(basis) > cap:
-            basis = basis[:cap]
-            capped = True
-        pieces.extend((r, b) for b in basis)
+def _left_add_approx_modules(w: Module, reps: List[Module]) -> Optional[ModuleHom]:
+    pieces = [(r, b) for r in reps for b in hom_basis(w, r)]
     if not pieces:
-        return None, capped
+        return None
     sm = direct_sum(w.algebra, [r for r, _ in pieces])
     u = None
     for k, (_, b) in enumerate(pieces):
         leg = compose(sm.inclusions[k], b)
         u = leg if u is None else hom_add(u, leg)
-    return u, capped
+    return u
 
 
-def module_coresolution(w: Module, reps: List[Module], max_len: int, cap: int = 3) -> Coresolution:
-    """Plain-exact coresolution of w by add(reps), mirroring the relative search."""
+def module_coresolution(w: Module, reps: List[Module], max_len: int) -> Coresolution:
+    """Plain-exact coresolution of w by add(reps), mirroring the relative search.
+
+    As there, "fail" is a proof when Ext^i vanishes among the reps for
+    0 < i <= max_len, which the same tilting test checks.
+    """
     terms: List[Module] = []
     cur = w
-    for step in range(max_len + 1):
-        if _in_add_modules(cur, reps):
-            return Coresolution(terms + [cur], "pass", {"length": step})
+    while not _in_add_modules(cur, reps):
+        step = len(terms)
         if step == max_len:
-            return Coresolution(terms, "unresolved", {"reason": "not found within bound", "step": step})
-        u, capped = _left_add_approx_modules(cur, reps, cap)
-        soft = "unresolved" if capped else "fail"
+            return Coresolution(terms, "fail", {"reason": f"canonical coresolution longer than {max_len}", "step": step})
+        u = _left_add_approx_modules(cur, reps)
         if u is None:
-            return Coresolution(terms, soft, {"reason": "no maps into the category", "step": step})
+            return Coresolution(terms, "fail", {"reason": "no maps into the category", "step": step})
         if not kernel(u)[0].is_zero():
-            return Coresolution(terms, soft, {"reason": "approximation not mono", "step": step})
+            return Coresolution(terms, "fail", {"reason": "approximation not mono", "step": step})
         coker, _ = cokernel(u)
         terms.append(u.target)
         cur = coker
-    return Coresolution(terms, "unresolved", {"reason": "not found within bound"})
+    return Coresolution(terms + [cur], "pass", {"length": len(terms)})
 
 
 def _module_tilting_status(tmods: List[Module], delta: AlgebraPresentation, degrees: Sequence[int], max_len: int) -> Tuple[str, List[dict]]:
+    """Ext vanishing and coresolved projectives; every witness is a failure."""
     wit = []
-    statuses = []
     for a, x in enumerate(tmods):
         res = projective_resolution(x, max(degrees) + 1)
         for b, y in enumerate(tmods):
             for k, d in zip(degrees, ext_dims(res, y, degrees)):
                 if d:
                     wit.append({"source": a, "target": b, "degree": k, "dim": d})
-                    statuses.append("fail")
     for v in range(delta.quiver.n_vertices):
         cr = module_coresolution(indecomposable_projective(delta, v), tmods, max_len)
-        statuses.append(cr.status)
         if cr.status != "pass":
             wit.append({"projective": v, "status": cr.status, "detail": cr.detail})
-    return _aggregate(statuses), wit
+    return ("fail" if wit else "pass"), wit
 
 
 def check_generalized_tilting(
     ts: Sequence[MapObject],
     corpus: Optional[Sequence[Module]] = None,
     realization: Optional[FunctorRealization] = None,
-    cross_check: bool = True,
 ) -> TiltingReport:
     """Ext_F^{1,2} vanishing and length-2 coresolutions, with an oracle cross-check.
 
     The cross-check realizes Phi of the category over the endomorphism
     algebra and runs the plain tilting test there; the two verdicts must
-    agree whenever both are conclusive.
+    agree.  Without a corpus, the Lambda-modules to coresolve are the
+    realization's own corpus, so both sides read one knit.
     """
     reps = _category_closure(ts)
     if not reps:
         raise ValueError("the tilting candidate is empty")
-    lam = _lambda_corpus(reps[0].algebra, corpus)
+    real = realization if realization is not None else functor_realization(reps[0].algebra)
+    lam = list(corpus) if corpus is not None else real.corpus
     checks = {
         "ext-vanishes": _ext_check(reps, [1, 2]),
         "projectives-coresolved": _coresolution_check(reps, lam, 2),
     }
-    if cross_check:
-        real = realization if realization is not None else functor_realization(reps[0].algebra)
-        tmods: List[Module] = []
-        for t in reps:
-            m = realize_map_object(real, t)
-            if not m.is_zero() and not any(modules_isomorphic(m, s) for s in tmods):
-                tmods.append(m)
-        maps_side = _aggregate([checks["ext-vanishes"].status, checks["projectives-coresolved"].status])
-        mod_side, wit = _module_tilting_status(tmods, real.delta, [1, 2], 2)
-        if "unresolved" in (maps_side, mod_side):
-            status = "unresolved"
-        else:
-            status = "pass" if maps_side == mod_side else "fail"
-        wit.insert(0, {"maps_side": maps_side, "realized_side": mod_side})
-        checks["realized-agreement"] = CheckResult(status, wit)
+    tmods: List[Module] = []
+    for t in reps:
+        m = realize_map_object(real, t)
+        if not m.is_zero() and not any(modules_isomorphic(m, s) for s in tmods):
+            tmods.append(m)
+    maps_side = _aggregate([c.status for c in checks.values()])
+    mod_side, wit = _module_tilting_status(tmods, real.delta, [1, 2], 2)
+    wit.insert(0, {"maps_side": maps_side, "realized_side": mod_side})
+    checks["realized-agreement"] = CheckResult("pass" if maps_side == mod_side else "fail", wit)
     return TiltingReport(reps, checks)
 
 
@@ -733,11 +703,10 @@ def check_generalized_tilting(
 class ApproxCertificate:
     side: str  # "right" | "left"
     test_factorizations: List[Tuple[int, int, MapMorphism]]
-    complete: bool
     failures: List[Tuple[int, int]]
 
     def __bool__(self) -> bool:
-        return self.complete and not self.failures
+        return not self.failures
 
 
 def certify_right_approx(approx: MapMorphism, corpus: Sequence[MapObject]) -> ApproxCertificate:
@@ -751,7 +720,7 @@ def certify_right_approx(approx: MapMorphism, corpus: Sequence[MapObject]) -> Ap
                 failures.append((k, i))
             else:
                 found.append((k, i, h))
-    return ApproxCertificate("right", found, True, failures)
+    return ApproxCertificate("right", found, failures)
 
 
 def certify_left_approx(approx: MapMorphism, corpus: Sequence[MapObject]) -> ApproxCertificate:
@@ -764,7 +733,7 @@ def certify_left_approx(approx: MapMorphism, corpus: Sequence[MapObject]) -> App
                 failures.append((k, i))
             else:
                 found.append((k, i, h))
-    return ApproxCertificate("left", found, True, failures)
+    return ApproxCertificate("left", found, failures)
 
 
 def _is_epimap(x: MapObject) -> bool:
@@ -775,27 +744,19 @@ def _is_monomap(x: MapObject) -> bool:
     return kernel(x.f)[0].is_zero()
 
 
-def epimap_corpus(algebra: AlgebraPresentation, dim_bound: int = 40) -> List[MapObject]:
+def _gamma_corpus(algebra: AlgebraPresentation, keep: Callable[[MapObject], bool], family: str) -> List[MapObject]:
+    tri = gamma_of(algebra)
+    q = _complete_knit(tri.algebra, f"{family} approximation")
+    return [x for x in (from_gamma_module(tri, m) for m in q.vertices) if keep(x)]
+
+
+def epimap_corpus(algebra: AlgebraPresentation) -> List[MapObject]:
     """All indecomposable map objects with epi structure map."""
-    tri = gamma_of(algebra)
-    q = knit_ar_quiver(tri.algebra, dim_bound=dim_bound)
-    out = []
-    for m in q.vertices:
-        x = from_gamma_module(tri, m)
-        if _is_epimap(x):
-            out.append(x)
-    return out
+    return _gamma_corpus(algebra, _is_epimap, "epimap")
 
 
-def monomap_corpus(algebra: AlgebraPresentation, dim_bound: int = 40) -> List[MapObject]:
-    tri = gamma_of(algebra)
-    q = knit_ar_quiver(tri.algebra, dim_bound=dim_bound)
-    out = []
-    for m in q.vertices:
-        x = from_gamma_module(tri, m)
-        if _is_monomap(x):
-            out.append(x)
-    return out
+def monomap_corpus(algebra: AlgebraPresentation) -> List[MapObject]:
+    return _gamma_corpus(algebra, _is_monomap, "monomap")
 
 
 def right_approx_epimaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = None) -> Tuple[MapMorphism, ApproxCertificate]:
@@ -887,7 +848,7 @@ def transport_approx_via_phi(
                 if sol[j] % p:
                     lift = hom_add(lift, hom_scale(int(sol[j]), b))
             found.append((k, i, lift))
-    return rho, ApproxCertificate("right", found, True, [])
+    return rho, ApproxCertificate("right", found, [])
 
 
 def reconstruct_maps_approx_from_phi(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mapscat import cli
+from mapscat import cli, functors
 from mapscat.algfile import parse_algebra_file
 from mapscat.cli import main
 from mapscat.modules import indecomposable_projective
@@ -164,6 +164,29 @@ def test_check_tilting_negative_verdict(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["results"]["checks"]["projectives-coresolved"]["status"] == "fail"
     capsys.readouterr()
+
+
+def _knit_bounded_at_1(monkeypatch):
+    knit = functors.knit_ar_quiver
+    monkeypatch.setattr(functors, "knit_ar_quiver", lambda algebra, dim_bound=40: knit(algebra, dim_bound=1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-tilting", A2, "--names", "idP1,yP1,yS2", "--mode", "classical"],
+        ["check-tilting", A2, "--names", "idP1,yP1,yS2", "--mode", "generalized"],
+        ["approx", A2, "--object", "f", "--corpus", "epimaps"],
+        ["approx", A2, "--object", "g", "--corpus", "monomaps", "--side", "left"],
+    ],
+)
+def test_incomplete_default_corpus_exits_3(argv, tmp_path, monkeypatch, capsys):
+    _knit_bounded_at_1(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "needs the complete corpus; indecomposable of dimension 2 exceeds bound 1" in err
 
 
 def test_check_tilting_unknown_name(capsys):
