@@ -18,11 +18,14 @@ from .algebra import AlgebraPresentation
 from .modules import (
     Module,
     ModuleHom,
+    combine,
     compose,
     decompose,
     direct_sum,
     dual_hom,
     end_radical,
+    factor_past,
+    factor_through,
     hom_add,
     hom_basis,
     hom_coordinates,
@@ -45,13 +48,14 @@ from .modules import (
     socle_submodule,
     tau,
     tau_inverse,
-    vectorize_hom,
     zero_hom,
 )
 from .maps import (
     MapMorphism,
     MapObject,
     SExactness,
+    from_gamma_hom,
+    from_gamma_module,
     identity_object,
     is_S_exact,
     is_short_exact,
@@ -59,7 +63,7 @@ from .maps import (
     split_epi_section,
     split_mono_retraction,
     target_only,
-    to_gamma_module,
+    to_gamma_hom,
 )
 
 SeqTerm = Union[Module, MapObject]
@@ -92,15 +96,10 @@ def seq_of_maps(inj: MapMorphism, surj: MapMorphism, verified: str = "") -> Shor
     return ShortExactSeq(inj.source, inj.target, surj.target, inj, surj, verified)
 
 
-def _gamma_hom(mor: MapMorphism, gsrc: Module, gtgt: Module) -> ModuleHom:
-    return ModuleHom(gsrc, gtgt, list(mor.h1.mats) + list(mor.h2.mats), check=False)
-
-
 def _to_module_seq(s: ShortExactSeq) -> Tuple[Module, Module, Module, ModuleHom, ModuleHom]:
     if not s.is_maps_level():
         return s.left, s.middle, s.right, s.inj, s.surj
-    gl, gm, gr = (to_gamma_module(t) for t in (s.left, s.middle, s.right))
-    return gl, gm, gr, _gamma_hom(s.inj, gl, gm), _gamma_hom(s.surj, gm, gr)
+    return s.left.gamma, s.middle.gamma, s.right.gamma, to_gamma_hom(s.inj), to_gamma_hom(s.surj)
 
 
 # -- the verifier ---------------------------------------------------------------
@@ -154,7 +153,7 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
     if len(decompose(right)) != 1:
         return AlmostSplitCertificate(False, ["right end is decomposable"])
     for idx, t in enumerate(test_set):
-        x = to_gamma_module(t) if isinstance(t, MapObject) else t
+        x = t.gamma if isinstance(t, MapObject) else t
         into_right = hom_basis(x, right)
         if not into_right:
             continue
@@ -241,10 +240,7 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
             break
     if pick is None:
         raise ArithmeticError("no nonzero socle class found in Ext^1(m, tau m)")
-    phi = None
-    for c, b in zip(pick, cocycles):
-        piece = hom_scale(int(c), b)
-        phi = piece if phi is None else hom_add(phi, piece)
+    phi = combine(k_mod, tm, cocycles, pick)
     e_mod, leg_tm, leg_p0, sd, proj = _pushout_modules(phi, k_incl)
     raw = compose(pres.eps, sd.projections[1])
     surj = hom_through_epi(proj, raw)
@@ -255,21 +251,11 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
 
 
 def _lift_along_epi(eps: ModuleHom, raw: ModuleHom) -> ModuleHom:
-    """Some l with eps o l = raw, when the factorization exists."""
-    basis = hom_basis(raw.source, eps.source)
-    p = eps.source.algebra.p
-    if not basis:
-        if raw.is_zero():
-            return zero_hom(raw.source, eps.source)
-        raise ArithmeticError("no homs available for the projective lifting")
-    cols = np.stack([vectorize_hom(compose(eps, b)) for b in basis], axis=1)
-    coords = la.solve(cols, vectorize_hom(raw), p)
-    if coords is None:
+    """factor_through(eps, raw), raising when the lift does not exist."""
+    lift = factor_through(eps, raw)
+    if lift is None:
         raise ArithmeticError("projective lifting failed")
-    out = zero_hom(raw.source, eps.source)
-    for c, b in zip(coords, basis):
-        out = hom_add(out, hom_scale(int(c), b))
-    return out
+    return lift
 
 
 def almost_split_starting_at(n: Module) -> ShortExactSeq:
@@ -330,7 +316,10 @@ def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None
     u0 = iso_between(base.left, k_mod)
     assert u0 is not None, "kernel of D(p1*) is not tau m"
     u = compose(k_incl, u0)  # tau m -> D(P1*)
-    t_bar = _factor_through_left_almost_split(base.inj, u, dp1)
+    # t_bar o j = u exists: j is left almost split and u is not a split mono
+    t_bar = factor_past(base.inj, u)
+    if t_bar is None:
+        raise ArithmeticError("could not extend the kernel inclusion along the almost split mono")
     t = hom_through_epi(base.surj, compose(g, t_bar))
     sd = direct_sum(alg, [dp1, m])
     h = hom_add(compose(g, sd.projections[0]), compose(t, sd.projections[1]))
@@ -351,23 +340,6 @@ def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None
         if base.middle.dims[v] != sd.module.dims[v] - la.rank(h.mats[v], p):
             raise AssertionError("middle term is not the pullback")
     return _finish_special(inj, surj, test_set)
-
-
-def _factor_through_left_almost_split(j: ModuleHom, u: ModuleHom, target: Module) -> ModuleHom:
-    """t with t o j = u; exists since j is left almost split and u is not
-    a splittable mono."""
-    basis = hom_basis(j.target, target)
-    p = target.algebra.p
-    if not basis:
-        raise ArithmeticError("no homs available to extend along the almost split mono")
-    cols = np.stack([vectorize_hom(compose(b, j)) for b in basis], axis=1)
-    coords = la.solve(cols, vectorize_hom(u), p)
-    if coords is None:
-        raise ArithmeticError("could not extend the kernel inclusion along the almost split mono")
-    out = zero_hom(j.target, target)
-    for c, b in zip(coords, basis):
-        out = hom_add(out, hom_scale(int(c), b))
-    return out
 
 
 def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None) -> List[ShortExactSeq]:
@@ -627,24 +599,11 @@ def maps_seq_from_gamma(tri, seq: ShortExactSeq) -> ShortExactSeq:
     """Reinterpret a sequence of triangular-algebra modules as map objects."""
     if seq.is_maps_level():
         return seq
-    from .maps import from_gamma_module
-
-    n = tri.base.quiver.n_vertices
     left, middle, right = (from_gamma_module(tri, t) for t in (seq.left, seq.middle, seq.right))
-
-    def split_hom(h: ModuleHom, src: MapObject, tgt: MapObject) -> MapMorphism:
-        h1 = ModuleHom(src.m1, tgt.m1, h.mats[:n], check=False)
-        h2 = ModuleHom(src.m2, tgt.m2, h.mats[n:], check=False)
-        return MapMorphism(src, tgt, h1, h2)
-
-    return ShortExactSeq(
-        left,
-        middle,
-        right,
-        split_hom(seq.inj, left, middle),
-        split_hom(seq.surj, middle, right),
-        seq.verified,
-    )
+    inj, surj = from_gamma_hom(seq.inj, left, middle), from_gamma_hom(seq.surj, middle, right)
+    # rebuilt with the check on: each square must commute
+    inj, surj = (MapMorphism(m.source, m.target, m.h1, m.h2) for m in (inj, surj))
+    return ShortExactSeq(left, middle, right, inj, surj, seq.verified)
 
 
 # -- the S-membership theorem as a check ----------------------------------------

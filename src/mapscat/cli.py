@@ -47,7 +47,6 @@ from .maps import (
     map_iso_between,
     source_only,
     target_only,
-    to_gamma_module,
 )
 from .modules import (
     CertificationError,
@@ -229,7 +228,7 @@ def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str
             checks.append((f"sequence-{tag}", False, "no sequence ends at the listed object"))
             continue
         ok_l = map_iso_between(hit.left, left) is not None
-        ok_m = modules_isomorphic(to_gamma_module(hit.middle), to_gamma_module(middle))
+        ok_m = modules_isomorphic(hit.middle.gamma, middle.gamma)
         detail = f"left {'ok' if ok_l else 'MISMATCH'}, middle {'ok' if ok_m else 'MISMATCH'}"
         checks.append((f"sequence-{tag}", ok_l and ok_m, detail))
 

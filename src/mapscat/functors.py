@@ -24,15 +24,16 @@ from .modules import (
     Module,
     ModuleHom,
     cokernel,
+    combine,
     compose,
     decompose,
     direct_sum,
     end_radical,
     ext_dims,
+    factor_through,
     hom_add,
     hom_basis,
     hom_coordinates,
-    hom_scale,
     identity_hom,
     image,
     indecomposable_projective,
@@ -44,7 +45,6 @@ from .modules import (
     projective_resolution,
     radical_submodule,
     vectorize_hom,
-    zero_hom,
 )
 from .maps import (
     MapMorphism,
@@ -53,6 +53,7 @@ from .maps import (
     decompose_map_object,
     direct_sum_maps,
     f_resolution,
+    from_gamma_hom,
     from_gamma_module,
     gamma_of,
     hom_maps,
@@ -62,8 +63,6 @@ from .maps import (
     map_compose,
     map_identity,
     map_iso_between,
-    map_scale,
-    map_zero,
     maps_solve_past,
     maps_solve_through,
     minimal_presentation_with_summands,
@@ -259,12 +258,13 @@ class FunctorRealization:
     corpus: List[Module]
     delta: AlgebraPresentation
     arrow_homs: List[ModuleHom]
-    _delta_quiver: Optional[ArQuiver] = field(default=None, repr=False)
+    _delta_quivers: Dict[int, ArQuiver] = field(default_factory=dict, repr=False)
 
     def delta_ar_quiver(self, dim_bound: int = 60) -> ArQuiver:
-        if self._delta_quiver is None:
-            self._delta_quiver = knit_ar_quiver(self.delta, dim_bound=dim_bound)
-        return self._delta_quiver
+        """The AR quiver of delta, knitted once per dim_bound."""
+        if dim_bound not in self._delta_quivers:
+            self._delta_quivers[dim_bound] = knit_ar_quiver(self.delta, dim_bound=dim_bound)
+        return self._delta_quivers[dim_bound]
 
 
 def _complete_knit(algebra: AlgebraPresentation, needed_by: str, dim_bound: int = 40) -> ArQuiver:
@@ -404,7 +404,7 @@ class PhiArImage:
     corpus_complete: bool
 
 
-def phi_image_of_ar(real: FunctorRealization, s: ShortExactSeq, dim_bound: int = 60) -> PhiArImage:
+def phi_image_of_ar(real: FunctorRealization, s: ShortExactSeq) -> PhiArImage:
     """Push an almost split sequence of map objects through Phi and certify it.
 
     The sequence must be certified almost split and both end structure maps
@@ -423,7 +423,7 @@ def phi_image_of_ar(real: FunctorRealization, s: ShortExactSeq, dim_bound: int =
         realized = seq_of_modules(inj, surj, verified="")
     except ValueError as e:
         raise CertificationError(f"realized sequence is not short exact: {e}")
-    dq = real.delta_ar_quiver(dim_bound=dim_bound)
+    dq = real.delta_ar_quiver()
     cert = is_almost_split(realized, dq.vertices)
     if not cert:
         raise CertificationError("realized sequence fails the almost-split test: " + "; ".join(cert.reasons))
@@ -828,25 +828,16 @@ def transport_approx_via_phi(
 
     Raises when some realized corpus hom fails to factor, naming it.
     """
-    p = real.delta.p
     rho = map_morphism_to_hom(real, approx)
     found = []
     for k, c in enumerate(corpus):
         fc = realize_map_object(real, c)
-        through = hom_basis(fc, rho.source)
-        cols = [vectorize_hom(compose(rho, b)) for b in through]
-        ambient = sum(rho.target.dims[v] * fc.dims[v] for v in range(len(fc.dims)))
-        mat = np.stack(cols, axis=1) if cols else la.zeros(ambient, 0)
         for i, h in enumerate(hom_basis(fc, rho.target)):
-            sol = la.solve(mat, vectorize_hom(h), p)
-            if sol is None:
+            lift = factor_through(rho, h)
+            if lift is None:
                 raise CertificationError(
                     f"hom {i} from corpus object {k} does not factor through the transported approximation"
                 )
-            lift = zero_hom(fc, rho.source)
-            for j, b in enumerate(through):
-                if sol[j] % p:
-                    lift = hom_add(lift, hom_scale(int(sol[j]), b))
             found.append((k, i, lift))
     return rho, ApproxCertificate("right", found, [])
 
@@ -864,7 +855,6 @@ def reconstruct_maps_approx_from_phi(
     z + (ker f, 0, 0) + (M1, M1, 1) and restricts to a lift of rho on z;
     the corpus must contain those two auxiliary forms.
     """
-    p = real.delta.p
     k_mod, k_incl = structure_kernel(m)
     for part, _, _ in (decompose(k_mod) if not k_mod.is_zero() else []):
         want = source_only(part)
@@ -879,17 +869,11 @@ def reconstruct_maps_approx_from_phi(
                 f"corpus lacks the object ({part.dims}, {part.dims}, 1) required by the reconstruction"
             )
 
-    basis = hom_maps(z, m)
-    cols = [vectorize_hom(map_morphism_to_hom(real, b)) for b in basis]
-    ambient = len(vectorize_hom(rho))
-    mat = np.stack(cols, axis=1) if cols else la.zeros(ambient, 0)
-    sol = la.solve(mat, vectorize_hom(rho), p)
+    basis = hom_basis(z.gamma, m.gamma)
+    sol = hom_coordinates([rho], [map_morphism_to_hom(real, from_gamma_hom(b, z, m)) for b in basis])
     if sol is None:
         raise CertificationError("the functor approximation does not lift to the maps category")
-    r = map_zero(z, m)
-    for j, b in enumerate(basis):
-        if sol[j] % p:
-            r = map_add(r, map_scale(int(sol[j]), b))
+    r = from_gamma_hom(combine(z.gamma, m.gamma, basis, sol[:, 0]), z, m)
 
     s1 = direct_sum(m.algebra, [z.m1, k_mod, m.m1])
     s2 = direct_sum(m.algebra, [z.m2, m.m1])

@@ -20,10 +20,13 @@ from .modules import (
     Module,
     ModuleHom,
     cokernel,
+    combine,
     commuting_square_kernel,
     compose,
     decompose,
     direct_sum,
+    factor_past,
+    factor_through,
     hom_add,
     hom_basis,
     hom_scale,
@@ -34,7 +37,6 @@ from .modules import (
     iso_between,
     kernel,
     quotient,
-    unvectorize_hom,
     vectorize_hom,
     zero_hom,
     zero_module,
@@ -42,7 +44,11 @@ from .modules import (
 
 
 class MapObject:
-    """An object of maps(mod Lambda): a morphism f: m1 -> m2."""
+    """An object of maps(mod Lambda): a morphism f: m1 -> m2.
+
+    Immutable by contract, like modules: the Gamma module of the object is
+    built once, on first use of gamma, and then kept.
+    """
 
     def __init__(self, f: ModuleHom, name: str = ""):
         self.f = f
@@ -50,6 +56,14 @@ class MapObject:
         self.m2 = f.target
         self.algebra = f.source.algebra
         self.name = name
+        self._gamma: Optional[Module] = None
+
+    @property
+    def gamma(self) -> Module:
+        """The same object as a module over the triangular matrix algebra."""
+        if self._gamma is None:
+            self._gamma = to_gamma_module(self)
+        return self._gamma
 
     @property
     def total_dim(self) -> int:
@@ -120,13 +134,6 @@ def vectorize_map_morphism(f: MapMorphism) -> np.ndarray:
     return np.concatenate([vectorize_hom(f.h1), vectorize_hom(f.h2)])
 
 
-def unvectorize_map_morphism(x: MapObject, y: MapObject, vec: np.ndarray) -> MapMorphism:
-    n1 = sum(a * b for a, b in zip(x.m1.dims, y.m1.dims))
-    h1 = unvectorize_hom(x.m1, y.m1, vec[:n1])
-    h2 = unvectorize_hom(x.m2, y.m2, vec[n1:])
-    return MapMorphism(x, y, h1, h2, check=False)
-
-
 def identity_object(m: Module) -> MapObject:
     return MapObject(identity_hom(m), name=f"({m.name},{m.name},1)" if m.name else "")
 
@@ -182,21 +189,12 @@ def direct_sum_maps(algebra: AlgebraPresentation, parts: Sequence[MapObject], na
 
 
 def hom_maps(x: MapObject, y: MapObject) -> List[MapMorphism]:
-    """Canonical basis of the space of commuting squares x -> y."""
-    q = x.algebra.quiver
-    nv = q.n_vertices
-    shapes = [(y.m1.dims[v], x.m1.dims[v]) for v in range(nv)]
-    shapes += [(y.m2.dims[v], x.m2.dims[v]) for v in range(nv)]
-    if not any(r * c for r, c in shapes):
-        return []
-    squares = []
-    for i, (_, s, t) in enumerate(q.arrows):
-        squares.append((y.m1.mats[i], s, t, x.m1.mats[i]))
-        squares.append((y.m2.mats[i], nv + s, nv + t, x.m2.mats[i]))
-    # interchange: y.f h1 = h2 x.f at every vertex
-    squares += [(y.f.mats[v], v, nv + v, x.f.mats[v]) for v in range(nv)]
-    kern = commuting_square_kernel(shapes, squares, x.algebra.p)
-    return [unvectorize_map_morphism(x, y, kern[:, j]) for j in range(kern.shape[1])]
+    """Canonical basis of the space of commuting squares x -> y.
+
+    This is hom_basis(x.gamma, y.gamma) split back into squares: the
+    connecting arrows of Gamma carry the interchange y.f h1 = h2 x.f.
+    """
+    return [from_gamma_hom(h, x, y) for h in hom_basis(x.gamma, y.gamma)]
 
 
 def map_hom_coordinates(mors: Sequence[MapMorphism], basis: Sequence[MapMorphism]) -> Optional[np.ndarray]:
@@ -210,34 +208,14 @@ def map_hom_coordinates(mors: Sequence[MapMorphism], basis: Sequence[MapMorphism
 
 def maps_solve_through(q: MapMorphism, g: MapMorphism) -> Optional[MapMorphism]:
     """h with q o h = g, for g landing where q lands; None if impossible."""
-    basis = hom_maps(g.source, q.source)
-    if not basis:
-        return None if not g.is_zero() else map_zero(g.source, q.source)
-    p = g.source.algebra.p
-    cols = np.stack([vectorize_map_morphism(map_compose(q, b)) for b in basis], axis=1)
-    coords = la.solve(cols, vectorize_map_morphism(g), p)
-    if coords is None:
-        return None
-    out = map_zero(g.source, q.source)
-    for c, b in zip(coords, basis):
-        out = map_add(out, map_scale(int(c), b))
-    return out
+    h = factor_through(to_gamma_hom(q), to_gamma_hom(g))
+    return None if h is None else from_gamma_hom(h, g.source, q.source)
 
 
 def maps_solve_past(u: MapMorphism, g: MapMorphism) -> Optional[MapMorphism]:
     """h with h o u = g, extending g along u; None if impossible."""
-    basis = hom_maps(u.target, g.target)
-    if not basis:
-        return None if not g.is_zero() else map_zero(u.target, g.target)
-    p = g.source.algebra.p
-    cols = np.stack([vectorize_map_morphism(map_compose(b, u)) for b in basis], axis=1)
-    coords = la.solve(cols, vectorize_map_morphism(g), p)
-    if coords is None:
-        return None
-    out = map_zero(u.target, g.target)
-    for c, b in zip(coords, basis):
-        out = map_add(out, map_scale(int(c), b))
-    return out
+    h = factor_past(to_gamma_hom(u), to_gamma_hom(g))
+    return None if h is None else from_gamma_hom(h, u.target, g.target)
 
 
 # -- the triangular matrix algebra bridge --------------------------------------
@@ -250,6 +228,7 @@ def gamma_of(algebra: AlgebraPresentation) -> TriangularAlgebra:
 
 
 def to_gamma_module(x: MapObject) -> Module:
+    """Build the Gamma module of x; x.gamma keeps the result."""
     tri = gamma_of(x.algebra)
     n = x.algebra.quiver.n_vertices
     dims = list(x.m1.dims) + list(x.m2.dims)
@@ -263,29 +242,37 @@ def to_gamma_module(x: MapObject) -> Module:
 
 
 def from_gamma_module(tri: TriangularAlgebra, g: Module) -> MapObject:
+    """The map object of a Gamma module g; its gamma is g itself."""
     base = tri.base
     n = base.quiver.n_vertices
     m1 = Module(base, g.dims[:n], [g.mats[i] for i in tri.copy1_arrows])
     m2 = Module(base, g.dims[n:], [g.mats[i] for i in tri.copy2_arrows])
     f = ModuleHom(m1, m2, [g.mats[tri.connecting[v]] for v in range(n)])
-    return MapObject(f, name=g.name)
+    x = MapObject(f, name=g.name)
+    x._gamma = g
+    return x
+
+
+def to_gamma_hom(mor: MapMorphism) -> ModuleHom:
+    """A morphism of map objects as a hom of their Gamma modules."""
+    return ModuleHom(mor.source.gamma, mor.target.gamma, mor.h1.mats + mor.h2.mats, check=False)
+
+
+def from_gamma_hom(h: ModuleHom, x: MapObject, y: MapObject) -> MapMorphism:
+    """The morphism x -> y of a hom x.gamma -> y.gamma: the two levels of its matrices."""
+    n = x.algebra.quiver.n_vertices
+    h1 = ModuleHom(x.m1, y.m1, h.mats[:n], check=False)
+    h2 = ModuleHom(x.m2, y.m2, h.mats[n:], check=False)
+    return MapMorphism(x, y, h1, h2, check=False)
 
 
 def decompose_map_object(x: MapObject) -> List[Tuple[MapObject, MapMorphism, MapMorphism]]:
     """Indecomposable summands of x, found on the triangular-algebra side."""
     tri = gamma_of(x.algebra)
-    g = to_gamma_module(x)
     out = []
-    for part, incl, proj in decompose(g):
+    for part, incl, proj in decompose(x.gamma):
         y = from_gamma_module(tri, part)
-        n = x.algebra.quiver.n_vertices
-        i1 = ModuleHom(y.m1, x.m1, incl.mats[:n], check=False)
-        i2 = ModuleHom(y.m2, x.m2, incl.mats[n:], check=False)
-        p1 = ModuleHom(x.m1, y.m1, proj.mats[:n], check=False)
-        p2 = ModuleHom(x.m2, y.m2, proj.mats[n:], check=False)
-        out.append(
-            (y, MapMorphism(y, x, i1, i2, check=False), MapMorphism(x, y, p1, p2, check=False))
-        )
+        out.append((y, from_gamma_hom(incl, y, x), from_gamma_hom(proj, x, y)))
     return out
 
 
@@ -293,16 +280,10 @@ def map_iso_between(x: MapObject, y: MapObject) -> Optional[MapMorphism]:
     """An isomorphism x -> y found by iso_between on the Gamma side, or None.
 
     None is a proof only when x or y is indecomposable.  To compare two
-    possibly decomposable objects use
-    modules_isomorphic(to_gamma_module(x), to_gamma_module(y)).
+    possibly decomposable objects use modules_isomorphic(x.gamma, y.gamma).
     """
-    g = iso_between(to_gamma_module(x), to_gamma_module(y))
-    if g is None:
-        return None
-    n = x.algebra.quiver.n_vertices
-    h1 = ModuleHom(x.m1, y.m1, g.mats[:n], check=False)
-    h2 = ModuleHom(x.m2, y.m2, g.mats[n:], check=False)
-    return MapMorphism(x, y, h1, h2, check=False)
+    g = iso_between(x.gamma, y.gamma)
+    return None if g is None else from_gamma_hom(g, x, y)
 
 
 def indec_map_kind(x: MapObject) -> str:
@@ -333,9 +314,9 @@ def minimal_presentation_with_summands(x: MapObject) -> Tuple[MapObject, List[Ma
     keep = [y for y, _, _ in parts if indec_map_kind(y) in ("generic", "target_only")]
     if not keep:
         return zero_map_object(x.algebra), []
-    out = keep[0] if len(keep) == 1 else direct_sum_maps(x.algebra, keep).object
-    out.name = x.name
-    return out, keep
+    if len(keep) == 1:
+        return MapObject(keep[0].f, name=x.name), keep
+    return direct_sum_maps(x.algebra, keep, name=x.name).object, keep
 
 
 def minimize_presentation(x: MapObject) -> MapObject:
@@ -367,10 +348,7 @@ def null_homotopic_basis(x: MapObject, y: MapObject) -> List[MapMorphism]:
         cols = np.stack([vectorize_hom(compose(y.f, k)) for k in kbasis], axis=1)
         kern = la.kernel_basis(cols, p)
         for j in range(kern.shape[1]):
-            k = None
-            for c, b in zip(kern[:, j], kbasis):
-                piece = hom_scale(int(c), b)
-                k = piece if k is None else hom_add(k, piece)
+            k = combine(x.m1, y.m1, kbasis, kern[:, j])
             cands.append(MapMorphism(x, y, k, zero_hom(x.m2, y.m2), check=False))
     if not cands:
         return []
@@ -418,34 +396,12 @@ def phi_op_dim_at(x: MapObject, t: Module) -> int:
 
 def split_epi_section(v: ModuleHom) -> Optional[ModuleHom]:
     """A section s with v o s = 1, or None."""
-    basis = hom_basis(v.target, v.source)
-    if not basis:
-        return identity_hom(v.target) if v.target.is_zero() else None
-    p = v.source.algebra.p
-    cols = np.stack([vectorize_hom(compose(v, b)) for b in basis], axis=1)
-    coords = la.solve(cols, vectorize_hom(identity_hom(v.target)), p)
-    if coords is None:
-        return None
-    out = zero_hom(v.target, v.source)
-    for c, b in zip(coords, basis):
-        out = hom_add(out, hom_scale(int(c), b))
-    return out
+    return factor_through(v, identity_hom(v.target))
 
 
 def split_mono_retraction(u: ModuleHom) -> Optional[ModuleHom]:
     """A retraction r with r o u = 1, or None."""
-    basis = hom_basis(u.target, u.source)
-    if not basis:
-        return identity_hom(u.source) if u.source.is_zero() else None
-    p = u.source.algebra.p
-    cols = np.stack([vectorize_hom(compose(b, u)) for b in basis], axis=1)
-    coords = la.solve(cols, vectorize_hom(identity_hom(u.source)), p)
-    if coords is None:
-        return None
-    out = zero_hom(u.target, u.source)
-    for c, b in zip(coords, basis):
-        out = hom_add(out, hom_scale(int(c), b))
-    return out
+    return factor_past(u, identity_hom(u.source))
 
 
 def is_short_exact(u: ModuleHom, v: ModuleHom) -> bool:

@@ -177,6 +177,14 @@ def unvectorize_hom(source: Module, target: Module, vec: np.ndarray) -> ModuleHo
     return ModuleHom(source, target, mats, check=False)
 
 
+def combine(m: Module, n: Module, basis: Sequence[ModuleHom], coords: np.ndarray) -> ModuleHom:
+    """The hom sum_i coords[i] basis[i]: m -> n (zero for an empty basis)."""
+    if not basis:
+        return zero_hom(m, n)
+    flat = np.stack([vectorize_hom(b) for b in basis])
+    return unvectorize_hom(m, n, coords @ flat % m.algebra.p)
+
+
 def commuting_square_kernel(shapes: Sequence[Tuple[int, int]], squares, p: int) -> np.ndarray:
     """Kernel of the system A X_s - X_t B = 0 over a list of squares.
 
@@ -228,6 +236,25 @@ def hom_coordinates(homs: Sequence[ModuleHom], basis: Sequence[ModuleHom]) -> Op
         return la.zeros(len(basis), 0)
     vecs = [vectorize_hom(h) for h in homs]
     return la.span_coordinates([vectorize_hom(b) for b in basis], vecs, homs[0].source.algebra.p)
+
+
+def factor_through(q: ModuleHom, g: ModuleHom) -> Optional[ModuleHom]:
+    """h with q o h = g, for g landing where q lands; None if there is none.
+
+    The one factorization of the package, with factor_past: g is solved
+    against the images of the canonical basis of Hom(g.source, q.source),
+    and h is the solution with zeros in its free coordinates.
+    """
+    basis = hom_basis(g.source, q.source)
+    coords = hom_coordinates([g], [compose(q, b) for b in basis])
+    return None if coords is None else combine(g.source, q.source, basis, coords[:, 0])
+
+
+def factor_past(u: ModuleHom, g: ModuleHom) -> Optional[ModuleHom]:
+    """h with h o u = g, extending g along u; None if there is none."""
+    basis = hom_basis(u.target, g.target)
+    coords = hom_coordinates([g], [compose(b, u) for b in basis])
+    return None if coords is None else combine(u.target, g.target, basis, coords[:, 0])
 
 
 # -- canonical modules --------------------------------------------------------
@@ -766,8 +793,7 @@ def _is_nilpotent_ideal(ideal: np.ndarray, T: np.ndarray, p: int) -> bool:
 
 def _from_coords(m: Module, ends: List[ModuleHom], cols: np.ndarray) -> List[ModuleHom]:
     """The endomorphisms of m with the given coordinate columns over ends."""
-    flat = np.stack([vectorize_hom(e) for e in ends])
-    return [unvectorize_hom(m, m, col @ flat % m.algebra.p) for col in cols.T]
+    return [combine(m, m, ends, col) for col in cols.T]
 
 
 def _matpow(a: np.ndarray, e: int, q: int) -> np.ndarray:

@@ -639,3 +639,14 @@ def test_realization_across_corpus(name, n, arrows, rels, ddim, nrel, nindec):
     dq = real.delta_ar_quiver()
     assert dq.complete
     assert len(dq.vertices) == nindec
+
+
+def test_delta_ar_quiver_is_knitted_per_dim_bound(a2):
+    """A bounded knit must not stand in for a later call with a larger bound."""
+    real = functor_realization(a2)
+    small = real.delta_ar_quiver(dim_bound=1)
+    assert not small.complete and len(small.vertices) == 1
+    full = real.delta_ar_quiver(dim_bound=60)
+    assert full.complete and len(full.vertices) == 5
+    assert real.delta_ar_quiver(dim_bound=60) is full
+    assert real.delta_ar_quiver(dim_bound=1) is small

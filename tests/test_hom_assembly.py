@@ -1,30 +1,61 @@
-"""The commuting-square assembler and the batched coordinate solve against
-independent references.
+"""The commuting-square assembler, the batched coordinate solve and the
+factorization primitive against independent references.
 
 The references assemble each hom system independently of the package:
 one ``np.kron`` pair per commuting square, stacked with ``np.vstack``.
 kernel_basis is canonical for the row space, so the package's bases must
-equal the reference bases exactly, not just up to span.
+equal the reference bases exactly, not just up to span.  Factorizations
+are checked against the solve-and-recombine that each call site once
+carried, so they must be equal, not just valid.
 """
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
-from mapscat.ar import knit_ar_quiver
-from mapscat.maps import MapObject, gamma_of, hom_maps, map_hom_coordinates, vectorize_map_morphism
+from mapscat.ar import knit_ar_quiver, maps_seq_from_gamma
+from mapscat.maps import (
+    MapObject,
+    direct_sum_maps,
+    from_gamma_module,
+    gamma_of,
+    hom_maps,
+    map_add,
+    map_compose,
+    map_equal,
+    map_hom_coordinates,
+    map_identity,
+    map_scale,
+    map_zero,
+    maps_solve_past,
+    maps_solve_through,
+    split_epi_section,
+    split_mono_retraction,
+    vectorize_map_morphism,
+)
 from mapscat.modules import (
     Module,
+    compose,
     direct_sum,
+    factor_past,
+    factor_through,
+    hom_add,
     hom_basis,
     hom_coordinates,
+    hom_equal,
+    hom_scale,
+    identity_hom,
+    indecomposable_projective,
     simple_module,
     unvectorize_hom,
     vectorize_hom,
+    zero_hom,
+    zero_module,
 )
 
 PRIMES = [2, 3, 5, 101]
@@ -265,3 +296,126 @@ def test_coordinates_none_when_one_column_leaves_the_span():
     assert hom_coordinates([second, first], [first, second]).tolist() == [[0, 1], [1, 0]]
     assert hom_coordinates([], [first]).shape == (1, 0)
     assert hom_coordinates([first], []) is None
+
+
+# -- the one factorization --------------------------------------------------------
+
+
+def _solve_and_recombine(basis, images, g, zero, add, scale, vectorize, p):
+    """Reference factorization: solve g against the images of the basis and
+    rebuild the combination, as each call site did before factor_through
+    and factor_past."""
+    if not basis:
+        return None if vectorize(g).any() else zero
+    coords = la.solve(np.stack([vectorize(x) for x in images], axis=1), vectorize(g), p)
+    if coords is None:
+        return None
+    out = zero
+    for c, b in zip(coords, basis):
+        out = add(out, scale(int(c), b))
+    return out
+
+
+def _assert_same_factor(got, want, equal):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**CORPUS_DRAW)
+def test_factor_through_and_past_match_solve_and_recombine(p, which, i, j, k, seed):
+    m, n = _corpus_pair(p, which, i, j, k, seed)
+    rng = np.random.default_rng(seed + 3)
+    q, u = _random_hom(m, n, rng), _random_hom(n, m, rng)
+    # the first right-hand side factors by construction, the second may not
+    for g in (compose(q, _random_hom(n, m, rng)), _random_hom(n, n, rng)):
+        h = factor_through(q, g)
+        basis = hom_basis(n, m)
+        want = _solve_and_recombine(
+            basis, [compose(q, b) for b in basis], g, zero_hom(n, m), hom_add, hom_scale, vectorize_hom, p
+        )
+        _assert_same_factor(h, want, hom_equal)
+        if h is not None:
+            assert hom_equal(compose(q, h), g)
+    assert factor_through(q, compose(q, identity_hom(m))) is not None
+    for g in (compose(_random_hom(m, n, rng), u), _random_hom(n, n, rng)):
+        h = factor_past(u, g)
+        basis = hom_basis(m, n)
+        want = _solve_and_recombine(
+            basis, [compose(b, u) for b in basis], g, zero_hom(m, n), hom_add, hom_scale, vectorize_hom, p
+        )
+        _assert_same_factor(h, want, hom_equal)
+        if h is not None:
+            assert hom_equal(compose(h, u), g)
+
+
+def test_split_section_and_retraction_exist_exactly_for_split_maps():
+    alg = linear_quiver_algebra(5, 2)
+    s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
+    p1 = indecomposable_projective(alg, 0)
+    # P1 -> S1 and S2 -> P1 are the non-split ends of 0 -> S2 -> P1 -> S1 -> 0
+    assert split_epi_section(hom_basis(p1, s1)[0]) is None
+    assert split_mono_retraction(hom_basis(s2, p1)[0]) is None
+    sd = direct_sum(alg, [s1, p1])
+    sec = split_epi_section(sd.projections[1])
+    assert sec is not None and hom_equal(compose(sd.projections[1], sec), identity_hom(p1))
+    ret = split_mono_retraction(sd.inclusions[0])
+    assert ret is not None and hom_equal(compose(ret, sd.inclusions[0]), identity_hom(s1))
+    z = zero_module(alg)
+    assert split_epi_section(zero_hom(s1, z)) is not None
+    assert split_mono_retraction(zero_hom(z, s1)) is not None
+
+
+@lru_cache(maxsize=None)
+def _gamma_a2(p: int):
+    tri = gamma_of(linear_quiver_algebra(p, 2))
+    q = knit_ar_quiver(tri.algebra)
+    return tri, q, [from_gamma_module(tri, m) for m in q.vertices]
+
+
+def _random_map_morphism(x, y, rng):
+    out = map_zero(x, y)
+    for b in hom_maps(x, y):
+        out = map_add(out, map_scale(int(rng.integers(0, x.algebra.p)), b))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from(PRIMES), i=st.integers(0, 10), j=st.integers(0, 10), k=st.integers(0, 10), seed=st.integers(0, 10**6))
+def test_maps_solve_through_and_past_on_gamma_a2(p, i, j, k, seed):
+    _, _, xs = _gamma_a2(p)
+    a = direct_sum_maps(xs[0].algebra, [xs[i], xs[j]]).object
+    b = xs[k]
+    rng = np.random.default_rng(seed)
+    q, u = _random_map_morphism(a, b, rng), _random_map_morphism(b, a, rng)
+    for g in (map_compose(q, _random_map_morphism(b, a, rng)), _random_map_morphism(b, b, rng)):
+        h = maps_solve_through(q, g)
+        basis = hom_maps(b, a)
+        want = _solve_and_recombine(
+            basis, [map_compose(q, x) for x in basis], g, map_zero(b, a), map_add, map_scale, vectorize_map_morphism, p
+        )
+        _assert_same_factor(h, want, map_equal)
+        if h is not None:
+            assert map_equal(map_compose(q, h), g)
+    for g in (map_compose(_random_map_morphism(a, b, rng), u), _random_map_morphism(b, b, rng)):
+        h = maps_solve_past(u, g)
+        basis = hom_maps(a, b)
+        want = _solve_and_recombine(
+            basis, [map_compose(x, u) for x in basis], g, map_zero(a, b), map_add, map_scale, vectorize_map_morphism, p
+        )
+        _assert_same_factor(h, want, map_equal)
+        if h is not None:
+            assert map_equal(map_compose(h, u), g)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_maps_solve_is_none_on_almost_split_sequences(p):
+    """Neither end of an almost split sequence of Gamma(A2) splits off."""
+    tri, q, _ = _gamma_a2(p)
+    assert q.sequences
+    for s in q.sequences.values():
+        ms = maps_seq_from_gamma(tri, s)
+        assert maps_solve_through(ms.surj, map_identity(ms.right)) is None
+        assert maps_solve_past(ms.inj, map_identity(ms.left)) is None
+        assert maps_solve_through(ms.surj, ms.surj) is not None

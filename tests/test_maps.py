@@ -66,6 +66,33 @@ def test_hom_maps_basis_entries_commute(a2_objects):
         M.MapMorphism(x, x3, h.h1, h.h2, check=True)
 
 
+def test_gamma_is_seeded_by_from_gamma_module_and_built_once(a2, a2_objects, monkeypatch):
+    """x.gamma is the Gamma module a map object came from, or is built once."""
+    S1, S2, P1, x, x3 = a2_objects
+    built = []
+    real = M.to_gamma_module
+
+    def counting(obj):
+        built.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(M, "to_gamma_module", counting)
+    g = real(x)
+    y = M.from_gamma_module(M.gamma_of(a2), g)
+    assert y.gamma is g
+    M.hom_maps(y, y)
+    M.map_iso_between(y, y)
+    assert built == []
+    z = M.MapObject(x3.f, name="z")
+    first = z.gamma
+    M.hom_maps(z, y)
+    M.hom_maps(y, z)
+    M.map_iso_between(z, z)
+    M.decompose_map_object(z)
+    M.maps_solve_through(M.map_identity(z), M.map_identity(z))
+    assert z.gamma is first and built == [z]
+
+
 def test_phi_dims(a2_objects):
     S1, S2, P1, x, x3 = a2_objects
     # x presents rad(-, S1); evaluations at (S2, P1, S1)
