@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
-Matrices are numpy int64 arrays with entries reduced to [0, p).  Every
-routine here is exact: no floating point anywhere.  Row reduction is the
-workhorse; everything else (kernels, solving, inverses, minimal
-polynomials) is phrased through it.
+Matrices are stored dense, as numpy int64 arrays with entries reduced to
+[0, p).  Every routine here is exact: no floating point anywhere.  Row
+reduction is the workhorse; everything else (kernels, solving, inverses,
+minimal polynomials) is phrased through it.  rref eliminates over the
+stored nonzeros only, so its cost follows the entries it touches, not
+rows x cols; its (R, pivots) is the unique RREF, which callers freeze
+into expected values.
 """
 
 from typing import List, Optional, Tuple
@@ -47,27 +50,63 @@ def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     pivot columns are cleared above and below, zero rows sit at the bottom.
     The pair (R, pivot_cols) is the unique RREF, so callers may rely on it
     for canonical forms.
+
+    The matrix is stored dense but eliminated over its stored nonzeros:
+    each row becomes a {col: value} dict, a column -> rows index finds the
+    rows a pivot must clear, and pivot columns are taken in ascending
+    order.  Cost is proportional to the entries the elimination touches,
+    not to rows x cols; the commuting-square systems of the hom spaces
+    hold a few nonzeros per row and barely fill in.  A dense input pays
+    for that in dict traffic.  R is written into the reduced copy of
+    ``a``, returned as a dense int64 array.
     """
-    m = normalize(a, p)
+    m = np.asarray(a, dtype=np.int64, order="C") % p
     rows, cols = m.shape
+    flat = m.reshape(-1)  # a view, since m is C-contiguous
+    at = flat.nonzero()[0]
     pivots: List[int] = []
-    r = 0
+    if not at.size:  # the zero matrix is its own RREF
+        return m, pivots
+    row_of: List[dict] = [{} for _ in range(rows)]
+    rows_in: List[set] = [set() for _ in range(cols)]
+    for f, v in zip(at.tolist(), flat[at].tolist()):
+        i, c = divmod(f, cols)
+        row_of[i][c] = v
+        rows_in[c].add(i)
+    pivot_rows: List[int] = []
+    used = [False] * rows
     for c in range(cols):
-        if r == rows:
+        if len(pivots) == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        free = [i for i in rows_in[c] if not used[i]]
+        if not free:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * inv_mod(m[r, c], p)) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
+        r = min(free)
+        pivot = row_of[r]
+        if pivot[c] != 1:
+            s = inv_mod(pivot[c], p)
+            pivot = row_of[r] = {k: v * s % p for k, v in pivot.items()}
+        clear, rows_in[c] = rows_in[c], {r}
+        for i in clear:
+            if i == r:
+                continue
+            row = row_of[i]
+            f = row[c]
+            for k, v in pivot.items():
+                x = (row.get(k, 0) - f * v) % p
+                if x:
+                    if k not in row:
+                        rows_in[k].add(i)
+                    row[k] = x
+                else:  # f * v cancels a stored entry; at k = c always
+                    del row[k]
+                    rows_in[k].discard(i)
+        used[r] = True
         pivots.append(c)
-        r += 1
+        pivot_rows.append(r)
+    flat[at] = 0
+    out = [(i * cols, row_of[r]) for i, r in enumerate(pivot_rows)]
+    flat[[start + k for start, row in out for k in row]] = [v for _, row in out for v in row.values()]
     return m, pivots
 
 
@@ -85,17 +124,17 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     canonical choice matters: downstream code freezes kernel output into
     expected values.
     """
-    m = normalize(a, p)
-    rows, cols = m.shape
+    cols = a.shape[1]
     if cols == 0:
         return zeros(0, 0)
-    r, pivots = rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
+    r, pivots = rref(a, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = zeros(cols, len(free))
     for j, fc in enumerate(free):
         basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-r[i, fc]) % p
+    if pivots:
+        basis[pivots] = -r[: len(pivots), free] % p
     return basis
 
 

@@ -75,6 +75,17 @@ def test_euler_form_on_the_knitted_a3_modules():
     assert ext_dim(s1, s3, 2) == 1
 
 
+def test_euler_form_on_large_kronecker_preprojectives():
+    # the first eight preprojectives (k, k+1) of the Kronecker quiver: their
+    # hom systems reach 114,240 cells, far larger than any other tier-1 rref
+    alg = algebra_from_spec(101, 2, [("a", 0, 1), ("b", 0, 1)])
+    mods = knit_ar_quiver(alg, dim_bound=16).vertices
+    assert [list(m.dims) for m in mods] == [[k, k + 1] for k in range(8)]
+    for m in mods:
+        for n in mods:
+            assert _homological_euler(m, n) == _euler_form(alg, m.dims, n.dims), (m.dims, n.dims)
+
+
 @st.composite
 def hereditary_pairs(draw):
     """Two random representations of a random acyclic quiver, no relations."""

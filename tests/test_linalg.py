@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mapscat import linalg as la
 
@@ -111,6 +112,125 @@ def test_solve_round_trip(rows, seed):
     got = la.solve(a, b, P)
     assert got is not None
     assert (la.matmul(a, got.reshape(-1, 1), P)[:, 0] == b).all()
+
+
+# ---- the dense column loop as reference for the sparse rref ----
+
+
+def _reference_rref(a, p):
+    """The former dense rref: one numpy pass per pivot over a whole column
+    and the rows it clears."""
+    m = la.normalize(a, p)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r] = (m[r] * la.inv_mod(m[r, c], p)) % p
+        other = np.nonzero(m[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _reference_kernel(a, p):
+    cols = a.shape[1]
+    if cols == 0:
+        return la.zeros(0, 0)
+    r, pivots = _reference_rref(a, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = la.zeros(cols, len(free))
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = (-r[i, fc]) % p
+    return basis
+
+
+def _reference_solve(a, b, p):
+    ncols = a.shape[1]
+    aug, pivots = _reference_rref(np.hstack([a, b.reshape(-1, 1)]), p)
+    if any(c >= ncols for c in pivots):
+        return None
+    x = la.zeros(ncols, 1)
+    for i, c in enumerate(pivots):
+        x[c] = aug[i, ncols:]
+    return x[:, 0]
+
+
+def _reference_invert(a, p):
+    n = a.shape[0]
+    if n == 0:
+        return la.zeros(0, 0)
+    aug, pivots = _reference_rref(np.hstack([a, la.eye(n)]), p)
+    return aug[:, n:] if pivots == list(range(n)) else None
+
+
+PRIMES = st.sampled_from([2, 3, 5, 101])
+ENTRY = st.integers(-250, 250)  # negative and >= p as well as [0, p)
+
+
+@st.composite
+def dense_matrices(draw):
+    shape = (draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+    return draw(arrays(np.int64, shape, elements=ENTRY))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 40 x 40 with at most two nonzeros per row, as the hom systems."""
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    a = la.zeros(rows, cols)
+    if cols:
+        at = draw(arrays(np.int64, (rows, 2), elements=st.integers(0, cols - 1)))
+        a[np.arange(rows)[:, None], at] = draw(arrays(np.int64, (rows, 2), elements=ENTRY))
+    return a
+
+
+def _assert_matches_reference(a, p, rhs):
+    r, pivots = la.rref(a, p)
+    ref_r, ref_pivots = _reference_rref(a, p)
+    assert r.dtype == np.int64 and r.shape == a.shape
+    assert (r == ref_r).all() and pivots == ref_pivots
+    k = la.kernel_basis(a, p)
+    ref_k = _reference_kernel(a, p)
+    assert k.shape == ref_k.shape and (k == ref_k).all()
+    x, ref_x = la.solve(a, rhs, p), _reference_solve(a, rhs, p)
+    assert (x is None) == (ref_x is None)
+    if x is not None:
+        assert (x == ref_x).all()
+    n = min(a.shape)
+    inv, ref_inv = la.invert(a[:n, :n], p), _reference_invert(a[:n, :n], p)
+    assert (inv is None) == (ref_inv is None)
+    if inv is not None:
+        assert inv.shape == ref_inv.shape and (inv == ref_inv).all()
+
+
+@given(st.one_of(dense_matrices(), sparse_matrices()), PRIMES, st.data())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_the_dense_reference(a, p, data):
+    rhs = data.draw(arrays(np.int64, a.shape[0], elements=ENTRY))
+    _assert_matches_reference(a, p, rhs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3), (4, 4)])
+def test_rref_matches_the_dense_reference_on_empty_and_zero_matrices(shape, p):
+    a = la.zeros(*shape)
+    _assert_matches_reference(a, p, la.zeros(shape[0], 1)[:, 0])
+    _assert_matches_reference(a + p, p, arr([p] * shape[0]))  # zero mod p
+    r, pivots = la.rref(a, p)
+    assert pivots == [] and r.shape == shape and not r.any()
 
 
 def test_minimal_polynomial_agrees_with_evaluation():
