@@ -174,6 +174,7 @@ def parse_algebra_file(text: str, p_override: Optional[int] = None) -> AlgebraFi
             require_header(line)
             try:
                 algebra = algebra_from_spec(p, n_vertices, arrow_specs, relation_specs)
+                algebra.basis  # the admissibility check runs with the basis
             except ValueError as e:
                 raise AlgFileError(line, str(e))
         return algebra
@@ -236,7 +237,7 @@ def parse_algebra_file(text: str, p_override: Optional[int] = None) -> AlgebraFi
                     if t not in known:
                         raise AlgFileError(lineno, f"unknown arrow {t!r} in relation")
             relation_specs.append(terms)
-            try:  # pin admissibility failures to this line
+            try:  # pin a malformed relation to this line
                 algebra_from_spec(p, n_vertices, arrow_specs, relation_specs)
             except ValueError as e:
                 raise AlgFileError(lineno, str(e))

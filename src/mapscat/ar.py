@@ -201,7 +201,8 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
     Built from a class in Ext^1(m, tau m) annihilated by the radical of
     End(m); the result is verified exact and non-split.  Its left term is
     tau(m) itself, computed here, so is_almost_split(seq, [m]) certifies
-    the sequence by the socle criterion without recomputing tau.
+    the sequence by the socle criterion without recomputing tau.  One
+    minimal presentation of m serves both tau and Ext^1(m, tau m).
     """
     if len(decompose(m)) != 1:
         raise ValueError("right end must be indecomposable")
@@ -209,8 +210,8 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
         raise ValueError("no almost split sequence ends at a projective")
     alg = m.algebra
     p = alg.p
-    tm = tau(m)
     pres = minimal_projective_presentation(m)
+    tm = tau(m, pres)
     k_mod, k_incl = pres.syzygy, pres.syzygy_incl
     cocycles = hom_basis(k_mod, tm)
     if not cocycles:

@@ -20,6 +20,17 @@ from .algebra import AlgebraPresentation, Path, path_source, path_target
 class Module:
     """A finite-dimensional representation of a presented algebra.
 
+    Immutable by contract: algebra, dims and mats never change after
+    construction (only the report label name of a module nobody else
+    holds yet may be set).  So a module keeps three of its own invariants
+    once they are computed: the kernel of End(m) behind hom_basis(m, m),
+    the rad End(m) coordinates behind end_radical(m), and the summands of
+    decompose(m).  They are stored as read-only numpy arrays and part
+    modules, never as objects that refer back to the module, so a module
+    with filled caches is still freed by reference counting alone.  Every
+    call rebuilds its list of ModuleHoms from them, so a caller can
+    change that list without touching the cache.
+
     Args:
         algebra: the AlgebraPresentation acted by.
         dims: dimension at each vertex.
@@ -29,6 +40,11 @@ class Module:
     """
 
     def __init__(self, algebra: AlgebraPresentation, dims: Sequence[int], mats, name: str = ""):
+        self._end_kernel: Optional[np.ndarray] = None  # hom_basis(self, self), as columns
+        self._rad_coords: Optional[np.ndarray] = None  # rad End(self) over that basis
+        # decompose(self): (part, inclusion, projection) per summand, the homs
+        # as vectorize_hom arrays; (None, None, None) when self is indecomposable
+        self._summands: Optional[List[Tuple[Optional["Module"], Optional[np.ndarray], Optional[np.ndarray]]]] = None
         self.algebra = algebra
         self.dims = tuple(int(d) for d in dims)
         q = algebra.quiver
@@ -68,16 +84,29 @@ class Module:
 
 
 class ModuleHom:
-    """A homomorphism: one matrix per vertex, commuting with all arrows."""
+    """A homomorphism: one matrix per vertex, commuting with all arrows.
 
-    def __init__(self, source: Module, target: Module, mats, check: bool = True):
+    The vertex matrices are copied, reshaped and reduced mod p, unless
+    the caller passes reduced=True for matrices it already holds in that
+    form: int64 arrays of shape (target.dims[v], source.dims[v]) with
+    entries in [0, p).  Those are kept as given, without a copy.  The
+    trusted callers are unvectorize_hom (the kernel columns of hom_basis
+    and the summand homs of decompose, views of arrays a Module keeps
+    read-only), identity_hom, zero_hom, and the products of compose,
+    hom_add and hom_scale.
+    """
+
+    def __init__(self, source: Module, target: Module, mats, check: bool = True, reduced: bool = False):
         self.source = source
         self.target = target
         p = source.algebra.p
-        self.mats = [
-            la.normalize(np.asarray(m).reshape(target.dims[v], source.dims[v]), p)
-            for v, m in enumerate(mats)
-        ]
+        if reduced:
+            self.mats = list(mats)
+        else:
+            self.mats = [
+                la.normalize(np.asarray(m).reshape(target.dims[v], source.dims[v]), p)
+                for v, m in enumerate(mats)
+            ]
         if check:
             q = source.algebra.quiver
             for i, (_, s, t) in enumerate(q.arrows):
@@ -106,27 +135,11 @@ def act_along(m: Module, path: Path) -> np.ndarray:
     return out
 
 
-def act_element(m: Module, vec: Dict[int, int], src: int, tgt: int) -> np.ndarray:
-    """Matrix of an algebra element given as {monomial index: coeff}.
-
-    Only the (src -> tgt)-component acts; other monomials are ignored.
-    """
-    p = m.algebra.p
-    basis = m.algebra.basis
-    out = la.zeros(m.dims[tgt], m.dims[src])
-    for mi, c in vec.items():
-        mono = basis.monomials[mi]
-        if path_source(mono) != src or path_target(m.algebra.quiver, mono) != tgt:
-            continue
-        out = (out + c * act_along(m, mono)) % p
-    return out
-
-
 def identity_hom(m: Module) -> ModuleHom:
-    return ModuleHom(m, m, [la.eye(d) for d in m.dims], check=False)
+    return ModuleHom(m, m, [la.eye(d) for d in m.dims], check=False, reduced=True)
 
 def zero_hom(source: Module, target: Module) -> ModuleHom:
-    return ModuleHom(source, target, [la.zeros(target.dims[v], source.dims[v]) for v in range(len(source.dims))], check=False)
+    return ModuleHom(source, target, [la.zeros(target.dims[v], source.dims[v]) for v in range(len(source.dims))], check=False, reduced=True)
 
 
 def compose(g: ModuleHom, f: ModuleHom) -> ModuleHom:
@@ -139,19 +152,20 @@ def compose(g: ModuleHom, f: ModuleHom) -> ModuleHom:
         g.target,
         [la.matmul(g.mats[v], f.mats[v], p) for v in range(len(f.source.dims))],
         check=False,
+        reduced=True,
     )
 
 
 def hom_add(f: ModuleHom, g: ModuleHom) -> ModuleHom:
     p = f.source.algebra.p
     return ModuleHom(
-        f.source, f.target, [(f.mats[v] + g.mats[v]) % p for v in range(len(f.mats))], check=False
+        f.source, f.target, [(f.mats[v] + g.mats[v]) % p for v in range(len(f.mats))], check=False, reduced=True
     )
 
 
 def hom_scale(c: int, f: ModuleHom) -> ModuleHom:
     p = f.source.algebra.p
-    return ModuleHom(f.source, f.target, [(c * m) % p for m in f.mats], check=False)
+    return ModuleHom(f.source, f.target, [(c * m) % p for m in f.mats], check=False, reduced=True)
 
 
 def hom_sub(f: ModuleHom, g: ModuleHom) -> ModuleHom:
@@ -168,13 +182,18 @@ def vectorize_hom(f: ModuleHom) -> np.ndarray:
 
 
 def unvectorize_hom(source: Module, target: Module, vec: np.ndarray) -> ModuleHom:
+    """The hom with vectorize_hom(h) == vec, sharing vec's memory.
+
+    vec must already be reduced: int64 with entries in [0, p), as the
+    kernel columns of hom_basis and the products of combine are.
+    """
     mats = []
     off = 0
     for v in range(len(source.dims)):
         size = source.dims[v] * target.dims[v]
         mats.append(vec[off : off + size].reshape(target.dims[v], source.dims[v]))
         off += size
-    return ModuleHom(source, target, mats, check=False)
+    return ModuleHom(source, target, mats, check=False, reduced=True)
 
 
 def combine(m: Module, n: Module, basis: Sequence[ModuleHom], coords: np.ndarray) -> ModuleHom:
@@ -212,16 +231,29 @@ def commuting_square_kernel(shapes: Sequence[Tuple[int, int]], squares, p: int) 
     return la.kernel_basis(system, p)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself, made read-only: the memoised arrays of a Module."""
+    a.flags.writeable = False
+    return a
+
+
 def hom_basis(m: Module, n: Module) -> List[ModuleHom]:
-    """Canonical basis of Hom(m, n), from the commuting-square kernel."""
+    """Canonical basis of Hom(m, n), from the commuting-square kernel.
+
+    The kernel of End(m) = Hom(m, m) is computed once and kept on m.
+    """
     if m.algebra is not n.algebra and m.algebra.quiver != n.algebra.quiver:
         raise ValueError("modules over different algebras")
     q = m.algebra.quiver
     shapes = [(n.dims[v], m.dims[v]) for v in range(q.n_vertices)]
     if not any(r * c for r, c in shapes):
         return []
-    squares = [(n.mats[i], s, t, m.mats[i]) for i, (_, s, t) in enumerate(q.arrows)]
-    kern = commuting_square_kernel(shapes, squares, m.algebra.p)
+    kern = m._end_kernel if m is n else None
+    if kern is None:
+        squares = [(n.mats[i], s, t, m.mats[i]) for i, (_, s, t) in enumerate(q.arrows)]
+        kern = commuting_square_kernel(shapes, squares, m.algebra.p)
+        if m is n:
+            m._end_kernel = _frozen(kern)
     return [unvectorize_hom(m, n, kern[:, j]) for j in range(kern.shape[1])]
 
 
@@ -689,11 +721,14 @@ def star_of_projective_hom(cover_src: ProjCover, cover_tgt: ProjCover, h: Module
     return star_src, star_tgt, star_h, tgt_vs, src_vs
 
 
-def transpose(m: Module) -> Tuple[Module, List[Module]]:
+def transpose(m: Module, presentation: Optional[ProjPresentation] = None) -> Tuple[Module, List[Module]]:
     """Tr(m) over the opposite algebra, after splitting off projectives.
 
     Returns (Tr of the projective-free part, list of projective summands
-    that were split off).
+    that were split off).  presentation, when given, must be
+    minimal_projective_presentation(m), already built by the caller; it
+    is used when m is its own projective-free part, so no second
+    presentation of m is built.
     """
     parts = decompose(m)
     projectives = []
@@ -706,7 +741,7 @@ def transpose(m: Module) -> Tuple[Module, List[Module]]:
     if not rest:
         return zero_module(opposite_of(m.algebra)), projectives
     core = direct_sum(m.algebra, rest).module if len(rest) > 1 else rest[0]
-    pres = minimal_projective_presentation(core)
+    pres = presentation if core is m and presentation is not None else minimal_projective_presentation(core)
     _, _, star_d, _, _ = star_of_projective_hom(pres.p1, pres.p0, pres.d)
     tr, _ = cokernel(star_d)
     tr.name = f"Tr({m.name})" if m.name else "Tr"
@@ -729,13 +764,14 @@ def is_injective_indec(m: Module) -> bool:
     return False
 
 
-def tau(m: Module) -> Module:
+def tau(m: Module, presentation: Optional[ProjPresentation] = None) -> Module:
     """The Auslander-Reiten translate D Tr.
 
     Raises for a nonzero projective input; projective summands of a mixed
-    input are stripped (they contribute nothing).
+    input are stripped (they contribute nothing).  presentation is passed
+    on to transpose.
     """
-    tr, stripped = transpose(m)
+    tr, stripped = transpose(m, presentation)
     if tr.is_zero() and not m.is_zero():
         raise ValueError("tau of a projective module is undefined here")
     out = dual_module(tr)
@@ -842,11 +878,16 @@ def _radical_coords(m: Module, ends: List[ModuleHom], T: np.ndarray) -> np.ndarr
 
 
 def end_radical(m: Module) -> List[ModuleHom]:
-    """Basis of rad End(m), from the certified chain of _radical_coords."""
+    """Basis of rad End(m), from the certified chain of _radical_coords.
+
+    The coordinates over hom_basis(m, m) are computed once and kept on m.
+    """
     ends = hom_basis(m, m)
     if len(ends) <= 1:
         return []  # End(m) is 0 or F_p
-    return _from_coords(m, ends, _radical_coords(m, ends, _mult_coords(ends)))
+    if m._rad_coords is None:
+        m._rad_coords = _frozen(_radical_coords(m, ends, _mult_coords(ends)))
+    return _from_coords(m, ends, m._rad_coords)
 
 
 def _split_by_endo(m: Module, f: ModuleHom) -> Optional[Tuple[Tuple[Module, ModuleHom, ModuleHom], Tuple[Module, ModuleHom, ModuleHom]]]:
@@ -967,32 +1008,44 @@ def decompose(m: Module) -> List[Tuple[Module, ModuleHom, ModuleHom]]:
     split of the current summand; a summand none of them splits is decided
     in End/rad by _splitting_endomorphism, which certifies it
     indecomposable or supplies an endomorphism that splits it.
-    Deterministic in every characteristic.
+    Deterministic in every characteristic.  The split is computed once
+    and kept on m; every call returns the same part modules with fresh
+    inclusion/projection homs around them.
     """
-    out: List[Tuple[Module, ModuleHom, ModuleHom]] = []
-
-    def recurse(cur: Module, incl: ModuleHom, proj: ModuleHom):
-        if cur.total_dim == 0:
-            return
-        ends = hom_basis(cur, cur)
-        split = None
-        if len(ends) > 1:
-            split = next(filter(None, (_split_by_endo(cur, h) for h in ends)), None)
+    if m._summands is None:
+        out: List[Tuple[Module, ModuleHom, ModuleHom]] = []
+        # a stack, depth first and first piece first; a closure calling itself
+        # would be a reference cycle holding m until the cycle collector runs
+        todo = [(m, identity_hom(m), identity_hom(m))]
+        while todo:
+            cur, incl, proj = todo.pop()
+            if cur.total_dim == 0:
+                continue
+            ends = hom_basis(cur, cur)
+            split = None
+            if len(ends) > 1:
+                split = next(filter(None, (_split_by_endo(cur, h) for h in ends)), None)
+                if split is None:
+                    f = _splitting_endomorphism(cur, ends)
+                    if f is not None:
+                        split = _split_by_endo(cur, f)
+                        assert split is not None, "End/rad splitter failed to split"
             if split is None:
-                f = _splitting_endomorphism(cur, ends)
-                if f is not None:
-                    split = _split_by_endo(cur, f)
-                    assert split is not None, "End/rad splitter failed to split"
-        if split is None:
-            out.append((cur, incl, proj))
-            return
-        (m1, i1, p1), (m2, i2, p2) = split
-        recurse(m1, compose(incl, i1), compose(p1, proj))
-        recurse(m2, compose(incl, i2), compose(p2, proj))
-
-    recurse(m, identity_hom(m), identity_hom(m))
-    out.sort(key=lambda t: (t[0].total_dim, t[0].dims))
-    return out
+                out.append((cur, incl, proj))
+                continue
+            for piece, i, pr in reversed(split):
+                todo.append((piece, compose(incl, i), compose(pr, proj)))
+        out.sort(key=lambda t: (t[0].total_dim, t[0].dims))
+        # m itself is stored as None: the cache must not refer back to m
+        m._summands = [
+            (None, None, None) if part is m else (part, _frozen(vectorize_hom(incl)), _frozen(vectorize_hom(proj)))
+            for part, incl, proj in out
+        ]
+    return [
+        (m, identity_hom(m), identity_hom(m)) if part is None
+        else (part, unvectorize_hom(part, m, incl), unvectorize_hom(m, part, proj))
+        for part, incl, proj in m._summands
+    ]
 
 
 @dataclass

@@ -273,3 +273,26 @@ def test_import_does_not_load_sympy():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, mapscat; assert 'sympy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "field p=101\nvertices 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n",
+        "field p=101\nvertices 1\narrow x: 1 -> 1\n",
+    ],
+    ids=["two-cycle", "loop"],
+)
+def test_non_admissible_ideal_is_an_input_error(text, tmp_path):
+    # an oriented cycle with no relation leaves paths of every length
+    bad = tmp_path / "cycle.alg"
+    bad.write_text(text)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "mapscat.cli", "ar-quiver", str(bad), "--out", str(tmp_path / "q")],
+        capture_output=True, text=True, env={"PYTHONPATH": src},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:")
+    assert "not admissible" in run.stderr
+    assert "Traceback" not in run.stderr

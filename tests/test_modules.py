@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,8 @@ from hypothesis import strategies as st
 
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
+from mapscat.ar import knit_ar_quiver
+from mapscat.maps import gamma_of
 from mapscat.modules import (
     Module,
     compose,
@@ -328,3 +333,104 @@ def test_decompose_recovers_summands_after_base_change(counts, seed, p):
         isos = [h for h in (iso_between(part, piece) for piece in pieces) if h is not None]
         assert isos
         assert all(la.invert(x, p) is not None for x in isos[0].mats)
+
+
+# -- memoised invariants --------------------------------------------------------
+
+
+def _s2_plus_p2(alg):
+    """S2 + P2 over 1 -> 2 -> 3: End of dimension 3 with a one-dimensional radical."""
+    return direct_sum(alg, [simple_module(alg, 1), indecomposable_projective(alg, 1)]).module
+
+
+@pytest.mark.parametrize("build", [_s2_plus_p2, lambda alg: simple_module(alg, 1)], ids=["sum", "indecomposable"])
+def test_module_with_filled_caches_is_freed_without_the_cycle_collector(build):
+    alg = linear_quiver_algebra(P, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        m = build(alg)
+        hom_basis(m, m)
+        end_radical(m)
+        decompose(m)
+        tau(m)
+        assert m._end_kernel is not None and m._summands is not None
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _plain(result):
+    """A detached, comparable copy of a list of homs or of decompose triples."""
+
+    def mats(h):
+        return [x.tolist() for x in h.mats]
+
+    return [(it[0].dims, mats(it[1]), mats(it[2])) if isinstance(it, tuple) else mats(it) for it in result]
+
+
+INVARIANTS = {"hom_basis": lambda x: hom_basis(x, x), "end_radical": end_radical, "decompose": decompose}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANTS))
+def test_callers_cannot_change_a_memoised_invariant(name):
+    m = _s2_plus_p2(linear_quiver_algebra(P, 3))
+    first = INVARIANTS[name](m)
+    want = _plain(first)
+    assert want
+    first.reverse()
+    first.append(first[0])
+    first[0] = None
+    again = INVARIANTS[name](m)
+    assert _plain(again) == want
+    assert INVARIANTS[name](m) is not again
+
+
+@pytest.mark.parametrize("name", ["hom_basis", "decompose"])
+def test_memoised_matrices_are_read_only(name):
+    # these homs are views of the arrays kept on the module
+    m = _s2_plus_p2(linear_quiver_algebra(P, 3))
+    homs = [h for it in INVARIANTS[name](m) for h in (it[1:] if isinstance(it, tuple) else [it])]
+    mats = [x for h in homs for x in h.mats if x.size]
+    assert mats
+    for x in mats:
+        with pytest.raises(ValueError):
+            x[0, 0] = 1
+
+
+def test_memoised_decompose_returns_the_same_parts():
+    alg = linear_quiver_algebra(P, 3)
+    m = _s2_plus_p2(alg)
+    first = [part for part, _, _ in decompose(m)]
+    assert [part for part, _, _ in decompose(m)] == first
+    s = simple_module(alg, 1)
+    assert [part for part, _, _ in decompose(s)] == [s]
+
+
+def _assert_reduced(h, p):
+    for v, x in enumerate(h.mats):
+        assert x.dtype == np.int64
+        assert x.shape == (h.target.dims[v], h.source.dims[v])
+        assert x.size == 0 or (x.min() >= 0 and x.max() < p)
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_basis_homs_over_the_a3_gamma_corpus_are_reduced(p):
+    # the invariant that ModuleHom's normalization guaranteed before kernel
+    # columns and composites were taken as given
+    alg = algebra_from_spec(p, 3, [("a", 0, 1), ("b", 1, 2)])
+    q = knit_ar_quiver(gamma_of(alg).algebra)
+    assert q.complete and len(q.vertices) == 29
+    for x in q.vertices:
+        for y in q.vertices:
+            for h in hom_basis(x, y):
+                _assert_reduced(h, p)
+        for h in end_radical(x):
+            _assert_reduced(h, p)
+    for seq in q.sequences.values():
+        for _, incl, proj in decompose(seq.middle):
+            _assert_reduced(incl, p)
+            _assert_reduced(proj, p)
+            _assert_reduced(compose(seq.surj, incl), p)
