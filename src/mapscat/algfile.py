@@ -308,8 +308,8 @@ def parse_algebra_file(text: str, p_override: Optional[int] = None) -> AlgebraFi
         else:
             raise AlgFileError(lineno, f"unknown directive {keyword!r}")
 
-    last = text.count("\n") + 1
-    algebra = build_algebra(last)
+    # an error of the whole file is reported at its last line
+    algebra = build_algebra(max(len(text.splitlines()), 1))
     return AlgebraFile(p, algebra, modules, maps)
 
 

@@ -18,6 +18,7 @@ from .algebra import AlgebraPresentation
 from .modules import (
     Module,
     ModuleHom,
+    ProjPresentation,
     combine,
     compose,
     decompose,
@@ -42,6 +43,7 @@ from .modules import (
     cokernel,
     minimal_projective_presentation,
     projective_cover,
+    pushout,
     quotient,
     star_of_projective_hom,
     radical_submodule,
@@ -179,22 +181,6 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
 # -- construction of almost split sequences -------------------------------------
 
 
-def _pushout_modules(phi: ModuleHom, incl: ModuleHom):
-    """(N (+) P) / {(phi k, -k)} with the two induced legs, incl assumed mono."""
-    alg = phi.source.algebra
-    p = alg.p
-    n_mod, p_mod = phi.target, incl.target
-    sd = direct_sum(alg, [n_mod, p_mod])
-    w_bases = []
-    for v in range(alg.quiver.n_vertices):
-        stacked = np.vstack([phi.mats[v], (-incl.mats[v]) % p])
-        w_bases.append(la.column_space_basis(stacked, p))
-    quot, proj = quotient(sd.module, w_bases)
-    leg_n = compose(proj, sd.inclusions[0])
-    leg_p = compose(proj, sd.inclusions[1])
-    return quot, leg_n, leg_p, sd, proj
-
-
 def almost_split_ending_at(m: Module) -> ShortExactSeq:
     """The almost split sequence 0 -> tau m -> E -> m -> 0.
 
@@ -204,6 +190,11 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
     the sequence by the socle criterion without recomputing tau.  One
     minimal presentation of m serves both tau and Ext^1(m, tau m).
     """
+    return _almost_split_with_presentation(m)[0]
+
+
+def _almost_split_with_presentation(m: Module) -> Tuple[ShortExactSeq, ProjPresentation]:
+    """almost_split_ending_at(m) with the minimal presentation of m it built."""
     if len(decompose(m)) != 1:
         raise ValueError("right end must be indecomposable")
     if is_projective_indec(m):
@@ -242,13 +233,12 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
     if pick is None:
         raise ArithmeticError("no nonzero socle class found in Ext^1(m, tau m)")
     phi = combine(k_mod, tm, cocycles, pick)
-    e_mod, leg_tm, leg_p0, sd, proj = _pushout_modules(phi, k_incl)
-    raw = compose(pres.eps, sd.projections[1])
-    surj = hom_through_epi(proj, raw)
+    _, leg_tm, _, sd, proj = pushout(phi, k_incl)
+    surj = hom_through_epi(proj, compose(pres.eps, sd.projections[1]))
     seq = seq_of_modules(leg_tm, surj, verified="socle class")
     if split_epi_section(surj) is not None:
         raise AssertionError("constructed sequence split; socle pick was wrong")
-    return seq
+    return seq, pres
 
 
 def _lift_along_epi(eps: ModuleHom, raw: ModuleHom) -> ModuleHom:
@@ -306,10 +296,9 @@ def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None
     found by lifting the kernel inclusion along the left almost split
     map of the module sequence.
     """
-    base = almost_split_ending_at(m)
+    base, pres = _almost_split_with_presentation(m)
     alg = m.algebra
     p = alg.p
-    pres = minimal_projective_presentation(m)
     _, _, star_d, _, _ = star_of_projective_hom(pres.p1, pres.p0, pres.d)
     g = dual_hom(star_d)  # D(P1*) -> D(P0*)
     dp1, dp0 = g.source, g.target

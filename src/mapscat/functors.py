@@ -21,6 +21,7 @@ from . import linalg as la
 from .algebra import AlgebraPresentation, algebra_from_spec
 from .modules import (
     CertificationError,
+    _summands_match,
     Module,
     ModuleHom,
     cokernel,
@@ -39,6 +40,7 @@ from .modules import (
     indecomposable_projective,
     injective_envelope,
     is_projective_indec,
+    iso_between,
     kernel,
     modules_isomorphic,
     projective_cover,
@@ -50,8 +52,10 @@ from .maps import (
     MapMorphism,
     MapObject,
     ProjComplex,
+    _epi_from_pieces,
+    _fresh_map_object,
+    _structural_pieces,
     decompose_map_object,
-    direct_sum_maps,
     f_resolution,
     from_gamma_hom,
     from_gamma_module,
@@ -59,14 +63,11 @@ from .maps import (
     hom_maps,
     identity_object,
     is_S_exact,
-    map_add,
-    map_compose,
     map_identity,
     map_iso_between,
     maps_solve_past,
     maps_solve_through,
     minimal_presentation_with_summands,
-    morphism_cokernel,
     relative_ext_dims,
     source_only,
     structure_kernel,
@@ -155,20 +156,13 @@ def functors_isomorphic(f: FpFunctor, g: FpFunctor) -> bool:
 
     Minimal presentations are unique up to isomorphism, so by Krull-Schmidt
     the functors agree exactly when their indecomposable summands match
-    one to one, and map_iso_between is complete on indecomposables.
+    one to one; their Gamma modules are matched as modules_isomorphic
+    matches summands.
     """
     fp, gp = f.presentation, g.presentation
-    if (fp.m1.dims, fp.m2.dims) != (gp.m1.dims, gp.m2.dims) or len(f.summands) != len(g.summands):
+    if (fp.m1.dims, fp.m2.dims) != (gp.m1.dims, gp.m2.dims):
         return False
-    remaining = list(g.summands)
-    for part in f.summands:
-        for i, other in enumerate(remaining):
-            if map_iso_between(part, other) is not None:
-                remaining.pop(i)
-                break
-        else:
-            return False
-    return True
+    return _summands_match([s.gamma for s in f.summands], [s.gamma for s in g.summands])
 
 
 def representable_functor(m: Module) -> FpFunctor:
@@ -485,33 +479,57 @@ def _category_closure(ts: Sequence[MapObject]) -> List[MapObject]:
     return reps
 
 
-def _in_add_maps(x: MapObject, reps: List[MapObject]) -> bool:
+@dataclass
+class Coresolution:
+    terms: list  # middle terms, then the final cokernel (in add): map objects or modules
+    status: str  # "pass" | "fail"
+    detail: dict
+
+
+def _in_add_modules(x: Module, reps: List[Module]) -> bool:
+    """Whether every indecomposable summand of x is isomorphic to one of reps."""
     if x.is_zero():
         return True
-    for part, _, _ in decompose_map_object(x):
-        if all(map_iso_between(part, r) is None for r in reps):
-            return False
-    return True
+    return all(any(iso_between(part, r) is not None for r in reps) for part, _, _ in decompose(x))
 
 
-def _left_add_approx_maps(w: MapObject, reps: List[MapObject]) -> Optional[MapMorphism]:
+def _left_add_approx_modules(w: Module, reps: List[Module]) -> Optional[ModuleHom]:
     """The canonical map from w into a sum of reps, one leg per hom basis element."""
-    pieces = [(r, b) for r in reps for b in hom_maps(w, r)]
+    pieces = [(r, b) for r in reps for b in hom_basis(w, r)]
     if not pieces:
         return None
-    sm = direct_sum_maps(w.algebra, [r for r, _ in pieces])
+    sm = direct_sum(w.algebra, [r for r, _ in pieces])
     u = None
     for k, (_, b) in enumerate(pieces):
-        leg = map_compose(sm.inclusions[k], b)
-        u = leg if u is None else map_add(u, leg)
+        leg = compose(sm.inclusions[k], b)
+        u = leg if u is None else hom_add(u, leg)
     return u
 
 
-@dataclass
-class Coresolution:
-    terms: List[MapObject]  # middle terms, then the final cokernel (in add)
-    status: str  # "pass" | "fail"
-    detail: dict
+def _coresolve(w: Module, reps: List[Module], max_len: int, not_mono: str, in_s: Optional[Callable[[ModuleHom, ModuleHom], bool]] = None) -> Coresolution:
+    """The canonical coresolution of w by add(reps), on modules.
+
+    A step whose approximation u is not mono fails with reason not_mono;
+    in_s, when given, must also accept u with its cokernel projection.
+    """
+    p = w.algebra.p
+    terms: List[Module] = []
+    cur = w
+    while not _in_add_modules(cur, reps):
+        step = len(terms)
+        if step == max_len:
+            return Coresolution(terms, "fail", {"reason": f"canonical coresolution longer than {max_len}", "step": step})
+        u = _left_add_approx_modules(cur, reps)
+        if u is None:
+            return Coresolution(terms, "fail", {"reason": "no maps into the category", "step": step})
+        if any(la.rank(m, p) != d for m, d in zip(u.mats, cur.dims)):
+            return Coresolution(terms, "fail", {"reason": not_mono, "step": step})
+        coker, proj = cokernel(u)
+        if in_s is not None and not in_s(u, proj):
+            return Coresolution(terms, "fail", {"reason": "canonical sequence leaves S", "step": step})
+        terms.append(u.target)
+        cur = coker
+    return Coresolution(terms + [cur], "pass", {"length": len(terms)})
 
 
 def relative_coresolution(w: MapObject, reps: List[MapObject], max_len: int) -> Coresolution:
@@ -522,25 +540,18 @@ def relative_coresolution(w: MapObject, reps: List[MapObject], max_len: int) -> 
     in add(reps) (Auslander-Smalo 1980), so when Ext_F^i vanishes among the
     reps for 0 < i <= max_len, which the same tilting report checks, a
     coresolution exists exactly when this one ends in time: "fail" is then
-    a proof.
+    a proof.  The steps run on Gamma; a step must be levelwise mono and
+    its canonical sequence must lie in S.
     """
-    terms: List[MapObject] = []
-    cur = w
-    while not _in_add_maps(cur, reps):
-        step = len(terms)
-        if step == max_len:
-            return Coresolution(terms, "fail", {"reason": f"canonical coresolution longer than {max_len}", "step": step})
-        u = _left_add_approx_maps(cur, reps)
-        if u is None:
-            return Coresolution(terms, "fail", {"reason": "no maps into the category", "step": step})
-        if not all(kernel(h)[0].is_zero() for h in (u.h1, u.h2)):
-            return Coresolution(terms, "fail", {"reason": "approximation not levelwise mono", "step": step})
-        coker, proj = morphism_cokernel(u)
-        if not is_S_exact(u, proj).verdict:
-            return Coresolution(terms, "fail", {"reason": "canonical sequence leaves S", "step": step})
-        terms.append(u.target)
-        cur = coker
-    return Coresolution(terms + [cur], "pass", {"length": len(terms)})
+    tri = gamma_of(w.algebra)
+
+    def in_s(u: ModuleHom, proj: ModuleHom) -> bool:
+        src, mid, end = (from_gamma_module(tri, m) for m in (u.source, u.target, proj.target))
+        return is_S_exact(from_gamma_hom(u, src, mid), from_gamma_hom(proj, mid, end)).verdict
+
+    cr = _coresolve(w.gamma, [r.gamma for r in reps], max_len, "approximation not levelwise mono", in_s)
+    cr.terms = [w if t is w.gamma else _fresh_map_object(tri, t) for t in cr.terms]
+    return cr
 
 
 def _aggregate(parts: List[str]) -> str:
@@ -603,48 +614,14 @@ def check_classical_tilting(
 # -- module-side analogues, used as the independent oracle --------------------------
 
 
-def _in_add_modules(x: Module, reps: List[Module]) -> bool:
-    if x.is_zero():
-        return True
-    for part, _, _ in decompose(x):
-        if not any(modules_isomorphic(part, r) for r in reps):
-            return False
-    return True
-
-
-def _left_add_approx_modules(w: Module, reps: List[Module]) -> Optional[ModuleHom]:
-    pieces = [(r, b) for r in reps for b in hom_basis(w, r)]
-    if not pieces:
-        return None
-    sm = direct_sum(w.algebra, [r for r, _ in pieces])
-    u = None
-    for k, (_, b) in enumerate(pieces):
-        leg = compose(sm.inclusions[k], b)
-        u = leg if u is None else hom_add(u, leg)
-    return u
-
-
 def module_coresolution(w: Module, reps: List[Module], max_len: int) -> Coresolution:
     """Plain-exact coresolution of w by add(reps), mirroring the relative search.
 
     As there, "fail" is a proof when Ext^i vanishes among the reps for
-    0 < i <= max_len, which the same tilting test checks.
+    0 < i <= max_len, which the same tilting test checks.  A step must be
+    mono.
     """
-    terms: List[Module] = []
-    cur = w
-    while not _in_add_modules(cur, reps):
-        step = len(terms)
-        if step == max_len:
-            return Coresolution(terms, "fail", {"reason": f"canonical coresolution longer than {max_len}", "step": step})
-        u = _left_add_approx_modules(cur, reps)
-        if u is None:
-            return Coresolution(terms, "fail", {"reason": "no maps into the category", "step": step})
-        if not kernel(u)[0].is_zero():
-            return Coresolution(terms, "fail", {"reason": "approximation not mono", "step": step})
-        coker, _ = cokernel(u)
-        terms.append(u.target)
-        cur = coker
-    return Coresolution(terms + [cur], "pass", {"length": len(terms)})
+    return _coresolve(w, reps, max_len, "approximation not mono")
 
 
 def _module_tilting_status(tmods: List[Module], delta: AlgebraPresentation, degrees: Sequence[int], max_len: int) -> Tuple[str, List[dict]]:
@@ -875,17 +852,7 @@ def reconstruct_maps_approx_from_phi(
         raise CertificationError("the functor approximation does not lift to the maps category")
     r = from_gamma_hom(combine(z.gamma, m.gamma, basis, sol[:, 0]), z, m)
 
-    s1 = direct_sum(m.algebra, [z.m1, k_mod, m.m1])
-    s2 = direct_sum(m.algebra, [z.m2, m.m1])
-    wmap = hom_add(
-        compose(s2.inclusions[0], compose(z.f, s1.projections[0])),
-        compose(s2.inclusions[1], s1.projections[2]),
-    )
-    w = MapObject(wmap, name=f"w({m.name})" if m.name else "")
-    n1 = hom_add(
-        hom_add(compose(r.h1, s1.projections[0]), compose(k_incl, s1.projections[1])),
-        s1.projections[2],
-    )
-    n2 = hom_add(compose(r.h2, s2.projections[0]), compose(m.f, s2.projections[1]))
-    n = MapMorphism(w, m, n1, n2)
+    legs = [("approx", z, r)] + [piece for piece in _structural_pieces(m, k_mod, k_incl) if piece[0] != "target"]
+    n = _epi_from_pieces(m, legs, name=f"w({m.name})" if m.name else "")
+    n = MapMorphism(n.source, m, n.h1, n.h2)
     return n, certify_right_approx(n, corpus)

@@ -2,11 +2,13 @@
 
 Objects are morphisms f: M1 -> M2 in mod Lambda, morphisms are commuting
 squares.  The category is equivalent to modules over the triangular matrix
-algebra of Lambda (both directions implemented and cross-checked), carries
-the exact structure S whose admissible sequences have split kernel-,
-source- and target-columns, and supports the relative homological algebra
-of that structure: F-projective covers, resolutions of length at most two,
-and relative Ext.
+algebra Gamma of Lambda, and goes through Gamma: hom spaces, direct sums,
+kernels, images, cokernels, pushouts, decomposition and the Ext counts are
+the module constructions on the Gamma side, split back into squares.  The
+category carries the exact structure S whose admissible sequences have
+split kernel-, source- and target-columns, and supports the relative
+homological algebra of that structure: F-projective covers, resolutions of
+length at most two, and relative Ext.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ from .modules import (
     factor_through,
     hom_add,
     hom_basis,
+    hom_complex_dims,
     hom_scale,
     hom_through_epi,
     hom_into_sub,
@@ -36,7 +39,7 @@ from .modules import (
     image,
     iso_between,
     kernel,
-    quotient,
+    pushout,
     vectorize_hom,
     zero_hom,
     zero_module,
@@ -160,28 +163,11 @@ class MapSum:
 
 
 def direct_sum_maps(algebra: AlgebraPresentation, parts: Sequence[MapObject], name: str = "") -> MapSum:
-    s1 = direct_sum(algebra, [x.m1 for x in parts])
-    s2 = direct_sum(algebra, [x.m2 for x in parts])
-    p = algebra.p
-    fmats = []
-    for v in range(algebra.quiver.n_vertices):
-        blocks = [x.f.mats[v] for x in parts]
-        total = la.zeros(s2.module.dims[v], s1.module.dims[v])
-        r = c = 0
-        for b in blocks:
-            total[r : r + b.shape[0], c : c + b.shape[1]] = b
-            r += b.shape[0]
-            c += b.shape[1]
-        fmats.append(total)
-    obj = MapObject(ModuleHom(s1.module, s2.module, fmats, check=False), name=name)
-    incls = [
-        MapMorphism(parts[i], obj, s1.inclusions[i], s2.inclusions[i], check=False)
-        for i in range(len(parts))
-    ]
-    projs = [
-        MapMorphism(obj, parts[i], s1.projections[i], s2.projections[i], check=False)
-        for i in range(len(parts))
-    ]
+    tri = gamma_of(algebra)
+    s = direct_sum(tri.algebra, [x.gamma for x in parts])
+    obj = _fresh_map_object(tri, s.module, name)
+    incls = [from_gamma_hom(i, x, obj) for i, x in zip(s.inclusions, parts)]
+    projs = [from_gamma_hom(q, obj, x) for q, x in zip(s.projections, parts)]
     return MapSum(obj, list(parts), incls, projs)
 
 
@@ -247,10 +233,20 @@ def from_gamma_module(tri: TriangularAlgebra, g: Module) -> MapObject:
     n = base.quiver.n_vertices
     m1 = Module(base, g.dims[:n], [g.mats[i] for i in tri.copy1_arrows])
     m2 = Module(base, g.dims[n:], [g.mats[i] for i in tri.copy2_arrows])
-    f = ModuleHom(m1, m2, [g.mats[tri.connecting[v]] for v in range(n)])
+    # the commuting squares are relations of Gamma, so g already checked them
+    f = ModuleHom(m1, m2, [g.mats[tri.connecting[v]] for v in range(n)], check=False)
     x = MapObject(f, name=g.name)
     x._gamma = g
     return x
+
+
+def _fresh_map_object(tri: TriangularAlgebra, g: Module, name: str = "") -> MapObject:
+    """The map object of a Gamma module that nobody else holds yet.
+
+    The module and the map object are both labelled name.
+    """
+    g.name = name
+    return from_gamma_module(tri, g)
 
 
 def to_gamma_hom(mor: MapMorphism) -> ModuleHom:
@@ -495,8 +491,27 @@ def f_projective_cover(x: MapObject, minimize: bool = False) -> FCover:
     are further trimmed greedily as long as the restricted epi stays
     S-admissible.
     """
-    alg = x.algebra
-    k, k_incl = structure_kernel(x)
+    pieces = _structural_pieces(x, *structure_kernel(x))
+    if minimize:
+        pieces = _trim_cover_pieces(x, pieces)
+    if not pieces:
+        z = zero_map_object(x.algebra)
+        return FCover(z, map_zero(z, x), [])
+    epi = _epi_from_pieces(x, pieces)
+    epi = MapMorphism(epi.source, x, epi.h1, epi.h2, check=True)
+    _assert_admissible_epi(epi)
+    tags = [tag for tag, _, _ in pieces]
+    if minimize and epi.source.total_dim == x.total_dim:
+        # the trimmed epi is an iso, so x was F-projective already
+        return FCover(x, map_identity(x), tags)
+    return FCover(epi.source, epi, tags)
+
+
+def _structural_pieces(x: MapObject, k: Module, k_incl: ModuleHom) -> List[Tuple[str, MapObject, MapMorphism]]:
+    """The nonzero ones of (ker f, 0, 0), (m1, m1, 1), (0, m2, 0), tagged, with their maps onto x.
+
+    k_incl: k -> x.m1 is the kernel of x.f.
+    """
     pieces: List[Tuple[str, MapObject, MapMorphism]] = []
     if not k.is_zero():
         src = source_only(k)
@@ -507,23 +522,17 @@ def f_projective_cover(x: MapObject, minimize: bool = False) -> FCover:
     if not x.m2.is_zero():
         tgt = target_only(x.m2)
         pieces.append(("target", tgt, MapMorphism(tgt, x, zero_hom(tgt.m1, x.m1), identity_hom(x.m2), check=False)))
-    if minimize:
-        pieces = _trim_cover_pieces(x, pieces)
-    if not pieces:
-        z = zero_map_object(alg)
-        return FCover(z, map_zero(z, x), [])
-    sum_data = direct_sum_maps(alg, [obj for _, obj, _ in pieces])
+    return pieces
+
+
+def _epi_from_pieces(x: MapObject, pieces, name: str = "") -> MapMorphism:
+    """The map onto x from the sum of the pieces' objects, one leg per piece."""
+    sum_data = direct_sum_maps(x.algebra, [obj for _, obj, _ in pieces], name=name)
     epi = None
-    for i, (_, _, comp) in enumerate(pieces):
-        term = map_compose(comp, sum_data.projections[i])
+    for (_, _, comp), proj in zip(pieces, sum_data.projections):
+        term = map_compose(comp, proj)
         epi = term if epi is None else map_add(epi, term)
-    epi = MapMorphism(sum_data.object, x, epi.h1, epi.h2, check=True)
-    _assert_admissible_epi(epi)
-    tags = [tag for tag, _, _ in pieces]
-    if minimize and sum_data.object.total_dim == x.total_dim:
-        # the trimmed epi is an iso, so x was F-projective already
-        return FCover(x, map_identity(x), tags)
-    return FCover(sum_data.object, epi, tags)
+    return epi
 
 
 def _epi_is_admissible(epi: MapMorphism) -> bool:
@@ -558,12 +567,7 @@ def _trim_cover_pieces(x, pieces):
                 if x.is_zero():
                     return []
                 continue
-            sum_data = direct_sum_maps(x.algebra, [obj for _, obj, _ in trial])
-            epi = None
-            for j, (_, _, comp) in enumerate(trial):
-                term = map_compose(comp, sum_data.projections[j])
-                epi = term if epi is None else map_add(epi, term)
-            if _epi_is_admissible(epi):
+            if _epi_is_admissible(_epi_from_pieces(x, trial)):
                 expanded = trial
                 changed = True
                 break
@@ -572,33 +576,23 @@ def _trim_cover_pieces(x, pieces):
 
 def morphism_kernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:
     """Kernel of a morphism of map objects, with its inclusion."""
-    k1, incl1 = kernel(mor.h1)
-    k2, incl2 = kernel(mor.h2)
-    struct = hom_into_sub(incl2, compose(mor.source.f, incl1))
-    kobj = MapObject(struct)
-    return kobj, MapMorphism(kobj, mor.source, incl1, incl2, check=False)
+    k, incl = kernel(to_gamma_hom(mor))
+    kobj = _fresh_map_object(gamma_of(mor.source.algebra), k)
+    return kobj, from_gamma_hom(incl, kobj, mor.source)
 
 
 def morphism_image(mor: MapMorphism) -> Tuple[MapObject, MapMorphism, MapMorphism]:
     """Image object with inclusion into the target and epi from the source."""
-    i1, incl1, epi1 = image(mor.h1)
-    i2, incl2, epi2 = image(mor.h2)
-    struct = hom_into_sub(incl2, compose(mor.target.f, incl1))
-    iobj = MapObject(struct)
-    return (
-        iobj,
-        MapMorphism(iobj, mor.target, incl1, incl2, check=False),
-        MapMorphism(mor.source, iobj, epi1, epi2, check=False),
-    )
+    i, incl, epi = image(to_gamma_hom(mor))
+    iobj = _fresh_map_object(gamma_of(mor.source.algebra), i)
+    return iobj, from_gamma_hom(incl, iobj, mor.target), from_gamma_hom(epi, mor.source, iobj)
 
 
 def morphism_cokernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:
     """Cokernel of a morphism of map objects, with its projection."""
-    c1, proj1 = cokernel(mor.h1)
-    c2, proj2 = cokernel(mor.h2)
-    struct = hom_through_epi(proj1, compose(proj2, mor.target.f))
-    cobj = MapObject(struct)
-    return cobj, MapMorphism(mor.target, cobj, proj1, proj2, check=False)
+    c, proj = cokernel(to_gamma_hom(mor))
+    cobj = _fresh_map_object(gamma_of(mor.source.algebra), c)
+    return cobj, from_gamma_hom(proj, mor.target, cobj)
 
 
 @dataclass
@@ -628,28 +622,16 @@ def f_resolution(x: MapObject) -> FResolution:
     return FResolution(x, covers, diffs)
 
 
-def _map_hom_matrix(d: MapMorphism, source_basis: List[MapMorphism], target_basis: List[MapMorphism]) -> np.ndarray:
-    """Matrix of (- o d): Hom(d.target, y) -> Hom(d.source, y)."""
-    coords = map_hom_coordinates([map_compose(b, d) for b in source_basis], target_basis)
-    assert coords is not None
-    return coords
-
-
 def relative_ext_dims(res: FResolution, y: MapObject, degrees: Sequence[int]) -> List[int]:
     """dim Ext_F^k(res.x, y) for each k in degrees (each in {1, 2}).
 
-    Hom(Q_i, y) is computed once per cover Q_i of res, and the rank r_i of
-    (- o d_i): Hom(Q_i, y) -> Hom(Q_{i+1}, y) once per differential, so
-    every degree reads dim Ext^k = dim Hom(Q_k, y) - r_k - r_{k-1}.
-    Covers and differentials past the end of res count as zero.
+    The cohomology of Hom(Q, y) for the F-projective resolution Q of res,
+    counted on Gamma by hom_complex_dims.
     """
     if any(k not in (1, 2) for k in degrees):
         raise ValueError("relative Ext implemented for k = 1, 2 only")
-    p = y.algebra.p
-    bases = [hom_maps(c.cover, y) for c in res.covers]
-    ranks = [la.rank(_map_hom_matrix(d, bases[i], bases[i + 1]), p) for i, d in enumerate(res.diffs)] + [0] * 3
-    dims = [len(b) for b in bases] + [0] * 3
-    return [dims[k] - ranks[k] - ranks[k - 1] for k in degrees]
+    terms = [c.cover.gamma for c in res.covers]
+    return hom_complex_dims(terms, [to_gamma_hom(d) for d in res.diffs], y.gamma, degrees)
 
 
 def relative_ext_dim(x: MapObject, y: MapObject, k: int) -> int:
@@ -705,44 +687,12 @@ def ext1_data(x: MapObject, y: MapObject) -> Ext1Data:
 def pushout_extension(data: Ext1Data, cocycle: MapMorphism) -> Tuple[MapObject, MapMorphism, MapMorphism]:
     """The extension 0 -> y -> E -> x -> 0 given by a cocycle N0 -> y.
 
-    Pushout of the cover sequence along the cocycle, built levelwise as
-    (y (+) Q0) / {(phi n, -n)}.
+    The pushout of the cover sequence along the cocycle, taken on Gamma.
     """
-    x, y = data.x, data.y
-    alg = x.algebra
-    p = alg.p
-    cover = data.cover
-    levels = []
-    for phi, incl, ymod, qmod in (
-        (cocycle.h1, data.syzygy_incl.h1, y.m1, cover.cover.m1),
-        (cocycle.h2, data.syzygy_incl.h2, y.m2, cover.cover.m2),
-    ):
-        sd = direct_sum(alg, [ymod, qmod])
-        w_bases = []
-        for v in range(alg.quiver.n_vertices):
-            stacked = np.vstack([phi.mats[v], (-incl.mats[v]) % p])
-            w_bases.append(la.column_space_basis(stacked, p))
-        quot, proj = quotient(sd.module, w_bases)
-        levels.append((sd, proj))
-    (sd1, pr1), (sd2, pr2) = levels
-    big_struct_mats = []
-    for v in range(alg.quiver.n_vertices):
-        blk = la.zeros(sd2.module.dims[v], sd1.module.dims[v])
-        blk[: y.m2.dims[v], : y.m1.dims[v]] = y.f.mats[v]
-        blk[y.m2.dims[v] :, y.m1.dims[v] :] = cover.cover.f.mats[v]
-        big_struct_mats.append(blk)
-    big_struct = ModuleHom(sd1.module, sd2.module, big_struct_mats, check=False)
-    e_struct = hom_through_epi(pr1, compose(pr2, big_struct))
-    e_obj = MapObject(e_struct)
-    incl_y = MapMorphism(
-        y, e_obj, compose(pr1, sd1.inclusions[0]), compose(pr2, sd2.inclusions[0]), check=True
-    )
-    raw1 = compose(cover.epi.h1, sd1.projections[1])
-    raw2 = compose(cover.epi.h2, sd2.projections[1])
-    proj_x = MapMorphism(
-        e_obj, x, hom_through_epi(pr1, raw1), hom_through_epi(pr2, raw2), check=True
-    )
-    return e_obj, incl_y, proj_x
+    e, leg_y, _, sd, proj = pushout(to_gamma_hom(cocycle), to_gamma_hom(data.syzygy_incl))
+    e_obj = _fresh_map_object(gamma_of(data.x.algebra), e)
+    onto = hom_through_epi(proj, compose(to_gamma_hom(data.cover.epi), sd.projections[1]))
+    return e_obj, from_gamma_hom(leg_y, data.y, e_obj), from_gamma_hom(onto, e_obj, data.x)
 
 
 # -- complexes of projectives ---------------------------------------------------

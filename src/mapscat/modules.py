@@ -497,6 +497,23 @@ def cokernel(f: ModuleHom) -> Tuple[Module, ModuleHom]:
     return quotient(f.target, bases, name="coker")
 
 
+def pushout(phi: ModuleHom, incl: ModuleHom) -> Tuple[Module, ModuleHom, ModuleHom, SumData, ModuleHom]:
+    """The pushout of phi: K -> N along a mono incl: K -> P.
+
+    It is (N (+) P) / {(phi k, -k)}.  Returns the quotient, its two legs
+    from N and P, the sum N (+) P and the projection onto the quotient.
+    """
+    alg = phi.source.algebra
+    p = alg.p
+    sd = direct_sum(alg, [phi.target, incl.target])
+    w_bases = [
+        la.column_space_basis(np.vstack([phi.mats[v], (-incl.mats[v]) % p]), p)
+        for v in range(alg.quiver.n_vertices)
+    ]
+    quot, proj = quotient(sd.module, w_bases)
+    return quot, compose(proj, sd.inclusions[0]), compose(proj, sd.inclusions[1]), sd, proj
+
+
 def hom_through_epi(proj: ModuleHom, raw: ModuleHom) -> ModuleHom:
     """The hom X -> T induced by raw: M -> T along an epi proj: M -> X.
 
@@ -1107,12 +1124,19 @@ def modules_isomorphic(m: Module, n: Module) -> bool:
         return False
     if iso_between(m, n) is not None:
         return True
-    mparts = [x[0] for x in decompose(m)]
-    nparts = [x[0] for x in decompose(n)]
-    if len(mparts) != len(nparts):
+    return _summands_match([x[0] for x in decompose(m)], [x[0] for x in decompose(n)])
+
+
+def _summands_match(ms: Sequence[Module], ns: Sequence[Module]) -> bool:
+    """Whether two lists of indecomposables agree up to isomorphism and order.
+
+    Greedy one-to-one matching, which is exact because iso_between is
+    complete on indecomposables.
+    """
+    if len(ms) != len(ns):
         return False
-    remaining = list(nparts)
-    for part in mparts:
+    remaining = list(ns)
+    for part in ms:
         for i, other in enumerate(remaining):
             if part.dims == other.dims and iso_between(part, other) is not None:
                 remaining.pop(i)
@@ -1148,24 +1172,34 @@ def projective_resolution(m: Module, length: int) -> Tuple[List[ProjCover], List
     return covers, diffs
 
 
+def hom_complex_dims(terms: Sequence[Module], diffs: Sequence[ModuleHom], n: Module, degrees: Sequence[int]) -> List[int]:
+    """dim H^k Hom(C, n) for each k in degrees, C the complex terms[0] <- terms[1] <- ...
+
+    diffs[i]: terms[i + 1] -> terms[i], and terms past the end count as
+    zero.  Hom(C_i, n) is computed once per needed term and the rank r_i
+    of Hom(d_i, n): Hom(C_i, n) -> Hom(C_{i+1}, n) once per needed
+    differential, so every degree reads dim Hom(C_k, n) - r_k - r_{k-1}.
+    """
+    if not degrees:
+        return []
+    p = n.algebra.p
+    lo, hi = max(min(degrees) - 1, 0), min(max(degrees) + 1, len(terms) - 1)
+    bases = {i: hom_basis(terms[i], n) for i in range(lo, hi + 1)}
+    ranks = {i: la.rank(hom_space_matrix(diffs[i], bases[i], bases[i + 1]), p) for i in range(lo, hi)}
+    return [len(bases.get(k, ())) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in degrees]
+
+
 def ext_dims(resolution: Tuple[List[ProjCover], List[ModuleHom]], n: Module, degrees: Sequence[int]) -> List[int]:
     """dim Ext^k(m, n) for each k in degrees, from resolution = projective_resolution(m, L).
 
-    L must be at least max(degrees) + 1.  Hom(P_i, n) is computed once per
-    needed cover and the rank r_i of Hom(d_{i+1}, n): Hom(P_i, n) ->
-    Hom(P_{i+1}, n) once per needed differential, so every degree reads
-    dim Ext^k = dim Hom(P_k, n) - r_k - r_{k-1}.
+    L must be at least max(degrees) + 1; the count is hom_complex_dims.
     """
     covers, diffs = resolution
     if min(degrees) < 0:
         raise ValueError("Ext is defined for k >= 0 only")
     if max(degrees) >= len(diffs):
         raise ValueError("the resolution is too short for the requested degrees")
-    p = n.algebra.p
-    lo, hi = max(min(degrees) - 1, 0), max(degrees) + 1
-    bases = {i: hom_basis(covers[i].sum.module, n) for i in range(lo, hi + 1)}
-    ranks = {i: la.rank(hom_space_matrix(diffs[i], bases[i], bases[i + 1]), p) for i in range(lo, hi)}
-    return [len(bases[k]) - ranks[k] - ranks.get(k - 1, 0) for k in degrees]
+    return hom_complex_dims([c.sum.module for c in covers], diffs, n, degrees)
 
 
 def ext_dim(m: Module, n: Module, k: int) -> int:

@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from mapscat import ar
+from mapscat import ar, modules
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec
 from mapscat.algfile import parse_algebra_file
@@ -24,6 +24,7 @@ from mapscat.modules import (
     iso_between,
     minimal_projective_presentation,
     modules_isomorphic,
+    pushout,
     decompose,
     simple_module,
     tau,
@@ -253,7 +254,7 @@ def test_socle_criterion_rejects_a_class_outside_the_socle(knit):
     r1 = hom_into_sub(incl, compose(r0, incl))
     act = hom_coordinates([compose(z, r1) for z in cocycles], cocycles)
     j = next(j for j in range(len(cocycles)) if la.matmul(classes, act[:, j : j + 1], P).any())
-    _, leg, _, sd, proj = ar._pushout_modules(cocycles[j], incl)
+    _, leg, _, sd, proj = pushout(cocycles[j], incl)
     surj = hom_through_epi(proj, compose(pres.eps, sd.projections[1]))
     seq = seq_of_modules(leg, surj)
     assert tuple(seq.middle.dims) == (2, 2)
@@ -286,6 +287,22 @@ def test_special_shapes_a2(a2_modules):
     assert (mz.left.m1.dims, mz.left.m2.dims) == ((1, 1), (1, 0))
     assert (mz.middle.m1.dims, mz.middle.m2.dims) == ((2, 1), (1, 0))
     assert (mz.right.m1.dims, mz.right.m2.dims) == ((1, 0), (0, 0))
+
+
+def test_special_seq_M_zero_builds_one_presentation(a2_modules, monkeypatch):
+    # the presentation behind the almost split sequence also gives the left term
+    built = []
+    present = ar.minimal_projective_presentation
+
+    def counted(m):
+        built.append(m)
+        return present(m)
+
+    monkeypatch.setattr(ar, "minimal_projective_presentation", counted)
+    monkeypatch.setattr(modules, "minimal_projective_presentation", counted)
+    s1 = a2_modules[0]
+    special_seq_M_zero(s1)
+    assert built == [s1]
 
 
 def test_dual_shapes_a2(a2_modules):

@@ -272,27 +272,28 @@ def test_field_that_is_not_prime_is_an_input_error(tmp_path, capsys):
 def test_import_does_not_load_sympy():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, mapscat; assert 'sympy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, last_line",
     [
-        "field p=101\nvertices 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n",
-        "field p=101\nvertices 1\narrow x: 1 -> 1\n",
+        ("field p=101\nvertices 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n", 4),
+        ("field p=101\nvertices 1\narrow x: 1 -> 1\n", 3),
     ],
     ids=["two-cycle", "loop"],
 )
-def test_non_admissible_ideal_is_an_input_error(text, tmp_path):
+def test_non_admissible_ideal_is_an_input_error(text, last_line, tmp_path):
     # an oriented cycle with no relation leaves paths of every length
     bad = tmp_path / "cycle.alg"
     bad.write_text(text)
     src = str(Path(cli.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-m", "mapscat.cli", "ar-quiver", str(bad), "--out", str(tmp_path / "q")],
-        capture_output=True, text=True, env={"PYTHONPATH": src},
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert run.returncode == 2
-    assert run.stderr.startswith("error:")
+    # a file-level error names the file's last line, not the one past it
+    assert run.stderr.startswith(f"error: line {last_line}:")
     assert "not admissible" in run.stderr
     assert "Traceback" not in run.stderr

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from importlib import resources
 
 import pytest
 
 from mapscat import functors, maps, modules
 from mapscat.algebra import algebra_from_spec
+from mapscat.algfile import parse_algebra_file
 from mapscat.modules import (
     CertificationError,
     direct_sum,
@@ -97,6 +99,17 @@ def gamma_objects(a2):
     tri = gamma_of(a2)
     q = knit_ar_quiver(tri.algebra, dim_bound=80)
     return tri, q, [from_gamma_module(tri, m) for m in q.vertices]
+
+
+@pytest.fixture(scope="module")
+def a2_file():
+    """The bundled a2.alg: its algebra, named modules and named map objects."""
+    return parse_algebra_file(resources.files("mapscat").joinpath("data", "a2.alg").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def a2_file_real(a2_file):
+    return functor_realization(a2_file.algebra)
 
 
 @pytest.fixture(scope="module")
@@ -471,7 +484,7 @@ def test_generalized_tilting_failure_still_agrees(real, mods, homs):
     json.dumps(tilting_report_json(rep))  # report must serialize
 
 
-def test_coresolution_statuses(mods):
+def test_coresolution_statuses(mods, a2_file):
     s1, s2, p1 = mods
     reps = [target_only(s2), target_only(p1)]
     hit = relative_coresolution(target_only(s2), reps, max_len=2)
@@ -486,6 +499,51 @@ def test_coresolution_statuses(mods):
     assert plain.detail["reason"] == "canonical coresolution longer than 1"
     relative = relative_coresolution(target_only(s2), [identity_object(s2)], max_len=0)
     assert relative.status == "fail" and relative.detail["step"] == 0
+
+    # one case per relative outcome, on the named objects of a2.alg
+    alg, named = a2_file.algebra, a2_file.maps
+    wp1, wp2 = (target_only(indecomposable_projective(alg, v)) for v in range(2))
+    assert (wp1.name, wp2.name) == ("(0,P1,0)", "(0,P2,0)")
+
+    def run(names, w):
+        return relative_coresolution(w, [named[n] for n in names], max_len=1)
+
+    cr = run(["yS1"], wp1)
+    assert (cr.status, cr.detail, cr.terms) == ("fail", {"reason": "approximation not levelwise mono", "step": 0}, [])
+    cr = run(["yP1"], wp2)
+    assert (cr.status, cr.detail, cr.terms) == ("fail", {"reason": "canonical sequence leaves S", "step": 0}, [])
+    cr = run(["yP1", "idS2"], wp2)
+    assert (cr.status, cr.detail) == ("fail", {"reason": "canonical coresolution longer than 1", "step": 1})
+    assert [(t.name, t.m1.dims, t.m2.dims) for t in cr.terms] == [("", (0, 1), (1, 2))]
+    cr = run(["yP1", "idS2", "f"], wp2)
+    assert (cr.status, cr.detail) == ("pass", {"length": 1})
+    assert [(t.name, t.m1.dims, t.m2.dims) for t in cr.terms] == [("", (0, 2), (2, 3)), ("", (0, 2), (2, 2))]
+    # a length-0 pass returns w itself
+    cr = run(["yP1", "idS2"], wp1)
+    assert (cr.status, cr.detail) == ("pass", {"length": 0})
+    assert len(cr.terms) == 1 and cr.terms[0] is wp1
+
+
+@pytest.mark.parametrize("third", ["f", "g"])
+def test_minimal_realized_disagreements_on_a2(a2_file, a2_file_real, third):
+    """{yS1, yP1, f} and {yS1, yP1, g}: the smallest subsets where the two sides disagree.
+
+    This pins current behaviour until ROADMAP item 1 decides which side is
+    right: the maps side fails because the canonical approximation of
+    (0,P2,0) leaves S at step 0, while the realized side passes.
+    """
+    ts = [a2_file.maps[n] for n in ("yS1", "yP1", third)]
+    rep = check_generalized_tilting(ts, realization=a2_file_real)
+    agreement = rep.checks["realized-agreement"]
+    assert agreement.status == "fail"
+    assert agreement.witnesses[0] == {"maps_side": "fail", "realized_side": "pass"}
+    assert rep.checks["ext-vanishes"].status == "pass"
+    coresolved = rep.checks["projectives-coresolved"]
+    assert coresolved.status == "fail"
+    failed = [w for w in coresolved.witnesses if w["status"] == "fail"]
+    assert [(w["module"], w["terms"], w["detail"]) for w in failed] == [
+        ({"name": "P2", "dims": [0, 1]}, [], {"reason": "canonical sequence leaves S", "step": 0})
+    ]
 
 
 def _knit_bounded_at_1(monkeypatch):

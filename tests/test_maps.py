@@ -313,6 +313,12 @@ def test_morphism_kernel_image_cokernel(a2_objects):
     assert iobj.m2.dims == (1, 0)
     cobj, cproj = M.morphism_cokernel(mor)
     assert cobj.m1.is_zero() and cobj.m2.is_zero()
+    # every returned morphism is a commuting square
+    for m in (kincl, iincl, iepi, cproj):
+        M.MapMorphism(m.source, m.target, m.h1, m.h2, check=True)
+    assert M.map_compose(mor, kincl).is_zero()
+    assert M.map_compose(cproj, mor).is_zero()
+    assert M.map_equal(M.map_compose(iincl, iepi), mor)
 
 
 def test_decompose_map_object_finds_summands(a2, a2_objects):
