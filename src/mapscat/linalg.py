@@ -1,12 +1,12 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices are stored dense, as numpy int64 arrays with entries reduced to
-[0, p).  Every routine here is exact: no floating point anywhere.  Row
-reduction is the workhorse; everything else (kernels, solving, inverses,
-minimal polynomials) is phrased through it.  rref eliminates over the
-stored nonzeros only, so its cost follows the entries it touches, not
-rows x cols; its (R, pivots) is the unique RREF, which callers freeze
-into expected values.
+Matrices are numpy int64 arrays with entries in [0, p); a linear system
+may instead come as sparse rows, one {col: value} dict per equation.
+Every routine here is exact: no floating point anywhere.  One sparse
+Gauss-Jordan loop, _eliminate, is the workhorse; rref, kernels, solves,
+inverses and minimal polynomials are phrased through it.  Its cost
+follows the entries it touches, not rows x cols, and its result is the
+unique RREF, which callers freeze into expected values.
 """
 
 from typing import List, Optional, Tuple
@@ -43,40 +43,24 @@ def inv_mod(x: int, p: int) -> int:
     return pow(int(x), p - 2, p)
 
 
-def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form over F_p.
+def _eliminate(row_of: List[dict], cols: int, p: int) -> Tuple[List[int], List[dict]]:
+    """Gauss-Jordan over sparse rows: the one elimination loop of the package.
 
-    Returns (R, pivot_cols).  R has the same shape as ``a``, pivots are 1,
-    pivot columns are cleared above and below, zero rows sit at the bottom.
-    The pair (R, pivot_cols) is the unique RREF, so callers may rely on it
-    for canonical forms.
-
-    The matrix is stored dense but eliminated over its stored nonzeros:
-    each row becomes a {col: value} dict, a column -> rows index finds the
-    rows a pivot must clear, and pivot columns are taken in ascending
-    order.  Cost is proportional to the entries the elimination touches,
-    not to rows x cols; the commuting-square systems of the hom spaces
-    hold a few nonzeros per row and barely fill in.  A dense input pays
-    for that in dict traffic.  R is written into the reduced copy of
-    ``a``, returned as a dense int64 array.
+    ``row_of`` holds one {col: value} dict per row, values in (0, p); it is
+    consumed.  Returns (pivot_cols, pivot_rows): the nonzero rows of the
+    unique RREF, in pivot order.  A column -> rows index finds the rows a
+    pivot must clear, so cost follows the entries touched; the hom systems
+    hold a few nonzeros per row and barely fill in.
     """
-    m = np.asarray(a, dtype=np.int64, order="C") % p
-    rows, cols = m.shape
-    flat = m.reshape(-1)  # a view, since m is C-contiguous
-    at = flat.nonzero()[0]
-    pivots: List[int] = []
-    if not at.size:  # the zero matrix is its own RREF
-        return m, pivots
-    row_of: List[dict] = [{} for _ in range(rows)]
     rows_in: List[set] = [set() for _ in range(cols)]
-    for f, v in zip(at.tolist(), flat[at].tolist()):
-        i, c = divmod(f, cols)
-        row_of[i][c] = v
-        rows_in[c].add(i)
-    pivot_rows: List[int] = []
-    used = [False] * rows
+    for i, row in enumerate(row_of):
+        for c in row:
+            rows_in[c].add(i)
+    pivots: List[int] = []
+    pivot_rows: List[dict] = []
+    used = [False] * len(row_of)
     for c in range(cols):
-        if len(pivots) == rows:
+        if len(pivots) == len(row_of):
             break
         free = [i for i in rows_in[c] if not used[i]]
         if not free:
@@ -103,10 +87,41 @@ def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
                     rows_in[k].discard(i)
         used[r] = True
         pivots.append(c)
-        pivot_rows.append(r)
-    flat[at] = 0
-    out = [(i * cols, row_of[r]) for i, r in enumerate(pivot_rows)]
-    flat[[start + k for start, row in out for k in row]] = [v for _, row in out for v in row.values()]
+        pivot_rows.append(pivot)
+    return pivots, pivot_rows
+
+
+def _sparse_rows(m: np.ndarray) -> List[dict]:
+    """The rows of a reduced 2-D array as {col: value} dicts of its nonzeros."""
+    row_of: List[dict] = [{} for _ in range(m.shape[0])]
+    flat = m.reshape(-1)
+    at = flat.nonzero()[0]
+    for f, v in zip(at.tolist(), flat[at].tolist()):
+        i, c = divmod(f, m.shape[1])
+        row_of[i][c] = v
+    return row_of
+
+
+def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form over F_p.
+
+    Returns (R, pivot_cols).  R has the same shape as ``a``, pivots are 1,
+    pivot columns are cleared above and below, zero rows sit at the bottom.
+    The pair (R, pivot_cols) is the unique RREF, so callers may rely on it
+    for canonical forms.
+
+    The dense wrapper of _eliminate, for callers that need R itself: the
+    nonzeros of ``a`` mod p become sparse rows, and the pivot rows are
+    written back into a dense int64 array.  A dense input pays for that
+    in dict traffic.
+    """
+    m = np.asarray(a, dtype=np.int64, order="C") % p
+    pivots, pivot_rows = _eliminate(_sparse_rows(m), m.shape[1], p)
+    m.fill(0)
+    at = [(i * m.shape[1] + k, v) for i, row in enumerate(pivot_rows) for k, v in row.items()]
+    if at:
+        flat, values = zip(*at)
+        m.reshape(-1)[list(flat)] = values
     return m, pivots
 
 
@@ -116,26 +131,32 @@ def rank(a: np.ndarray, p: int) -> int:
     return len(rref(a, p)[1])
 
 
-def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right kernel {x : a x = 0}, as columns.
+def sparse_kernel_basis(row_of: List[dict], cols: int, p: int) -> np.ndarray:
+    """Basis of the right kernel of the system whose rows are {col: value}
+    dicts with values in (0, p); ``row_of`` is consumed.
 
     Canonical form: one basis column per free column of the RREF, ordered
     by ascending free-column index, with a 1 in the free coordinate.  The
     canonical choice matters: downstream code freezes kernel output into
-    expected values.
+    expected values.  The pivot coordinates are read off the sparse pivot
+    rows; R is never written out.
     """
-    cols = a.shape[1]
-    if cols == 0:
-        return zeros(0, 0)
-    r, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    pivots, pivot_rows = _eliminate(row_of, cols, p)
+    free = sorted(set(range(cols)).difference(pivots))
+    slot = {c: j for j, c in enumerate(free)}
+    at = [(c * len(free) + j, 1) for j, c in enumerate(free)]
+    at += [(pc * len(free) + slot[k], p - v) for pc, row in zip(pivots, pivot_rows) for k, v in row.items() if k != pc]
     basis = zeros(cols, len(free))
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-    if pivots:
-        basis[pivots] = -r[: len(pivots), free] % p
+    if at:
+        flat, values = zip(*at)
+        basis.reshape(-1)[list(flat)] = values
     return basis
+
+
+def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the right kernel {x : a x = 0}, as columns, in the canonical
+    form of sparse_kernel_basis."""
+    return sparse_kernel_basis(_sparse_rows(normalize(a, p)), a.shape[1], p)
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:

@@ -209,26 +209,33 @@ def commuting_square_kernel(shapes: Sequence[Tuple[int, int]], squares, p: int) 
 
     The unknowns are matrices X_0, X_1, ... of the given (rows, cols)
     shapes, flattened row-major and concatenated in order.  Each square
-    (A, s, t, B) asks A @ X_s == X_t @ B; its equations fill one row block
-    of a preallocated system, written through 4-D views of that block:
-    entry (i, j) of A @ X_s has coefficient A[i, k] at X_s[k, j], and
-    entry (i, j) of X_t @ B has B[l, j] at X_t[i, l].  Returns the
-    canonical kernel basis of la.kernel_basis, as columns.
+    (A, s, t, B), entries in [0, p), asks A @ X_s == X_t @ B: one sparse
+    row per entry (i, j), from the nonzeros A[i, k] at X_s[k, j] and
+    -B[l, j] at X_t[i, l]; terms meeting on one unknown (s == t) add up,
+    and a sum that cancels mod p is dropped.  Returns the canonical
+    kernel basis of la.sparse_kernel_basis, as columns.
     """
     offsets = [0]
     for r, c in shapes:
         offsets.append(offsets[-1] + r * c)
-    live = [sq for sq in squares if sq[0].shape[0] * shapes[sq[1]][1]]
-    system = np.zeros((sum(a.shape[0] * shapes[s][1] for a, s, _, _ in live), offsets[-1]), dtype=np.int64)
-    row = 0
-    for a, s, t, b in live:
-        r, (k, c), l = a.shape[0], shapes[s], shapes[t][1]
-        block = system[row : row + r * c]
-        jj, ii = np.arange(c), np.arange(r)
-        block[:, offsets[s] : offsets[s + 1]].reshape(r, c, k, c)[:, jj, :, jj] = a
-        block[:, offsets[t] : offsets[t + 1]].reshape(r, c, r, l)[ii, :, ii, :] -= b.T
-        row += r * c
-    return la.kernel_basis(system, p)
+    rows = []
+    for a, s, t, b in squares:
+        c, l = shapes[s][1], shapes[t][1]
+        a_rows = [[(k, v) for k, v in enumerate(line) if v] for line in a.tolist()]
+        b_cols = [[(x, p - v) for x, v in enumerate(line) if v] for line in b.T.tolist()]
+        for i, a_row in enumerate(a_rows):
+            xt = offsets[t] + i * l
+            for j, b_col in enumerate(b_cols):
+                row = {offsets[s] + k * c + j: v for k, v in a_row}
+                for x, v in b_col:
+                    v = (row.get(xt + x, 0) + v) % p
+                    if v:
+                        row[xt + x] = v
+                    else:
+                        del row[xt + x]
+                if row:
+                    rows.append(row)
+    return la.sparse_kernel_basis(rows, offsets[-1], p)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

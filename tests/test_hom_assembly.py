@@ -2,13 +2,16 @@
 factorization primitive against independent references.
 
 The references assemble each hom system independently of the package:
-one ``np.kron`` pair per commuting square, stacked with ``np.vstack``.
-kernel_basis is canonical for the row space, so the package's bases must
-equal the reference bases exactly, not just up to span.  Factorizations
-are checked against the solve-and-recombine that each call site once
-carried, so they must be equal, not just valid.
+one ``np.kron`` pair per commuting square, stacked with ``np.vstack``,
+and take its kernel by the dense reference elimination, not by the
+package's sparse loop.  The kernel is canonical for the row space, so
+the package's bases must equal the reference bases exactly, not just up
+to span.  Factorizations are checked against the solve-and-recombine
+that each call site once carried, so they must be equal, not just
+valid.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import reference_kernel
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
 from mapscat.ar import knit_ar_quiver, maps_seq_from_gamma
@@ -91,7 +95,7 @@ def _kron_hom_kernel(m: Module, n: Module) -> np.ndarray:
     if total == 0:
         return la.zeros(0, 0)
     rows = _kron_rows(m, n, offsets[:-1], total, p)
-    return la.kernel_basis(np.vstack(rows) if rows else la.zeros(0, total), p)
+    return reference_kernel(np.vstack(rows) if rows else la.zeros(0, total), p)
 
 
 def _kron_hom_maps_kernel(x: MapObject, y: MapObject) -> np.ndarray:
@@ -116,7 +120,7 @@ def _kron_hom_maps_kernel(x: MapObject, y: MapObject) -> np.ndarray:
             row[:, off2[v] : off2[v] + sizes2[v]] - np.kron(la.eye(y.m2.dims[v]), x.f.mats[v].T)
         ) % p
         rows.append(row)
-    return la.kernel_basis(np.vstack(rows) if rows else la.zeros(0, total), p)
+    return reference_kernel(np.vstack(rows) if rows else la.zeros(0, total), p)
 
 
 def _as_columns(vecs, ambient: int) -> np.ndarray:
@@ -215,6 +219,25 @@ def test_hom_basis_matches_kron_reference_on_random_representations(mods):
     m, n = mods
     _assert_hom_basis_matches(m, n)
     _assert_hom_basis_matches(n, m)
+
+
+def test_hom_system_is_never_stored_dense():
+    """End of the Kronecker module (30, 31) with a = [I; 0], b = [0; I] is a
+    1860 x 1861 system, 26.4 MiB as a dense int64 array; its sparse rows
+    and the kernel need a small fraction of that."""
+    alg = algebra_from_spec(101, 2, [("a", 0, 1), ("b", 0, 1)])
+    eye = la.eye(30)
+    zero_row = la.zeros(1, 30)
+    m = Module(alg, [30, 31], [np.vstack([eye, zero_row]), np.vstack([zero_row, eye])])
+    dense_bytes = 1860 * 1861 * 8
+    tracemalloc.start()
+    try:
+        basis = hom_basis(m, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 1  # a preprojective Kronecker module is a brick
+    assert peak < dense_bytes / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _random_hom(m1: Module, m2: Module, rng):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dense_reference import reference_kernel, reference_rref
 from mapscat import linalg as la
 
 P = 101
@@ -117,49 +118,9 @@ def test_solve_round_trip(rows, seed):
 # ---- the dense column loop as reference for the sparse rref ----
 
 
-def _reference_rref(a, p):
-    """The former dense rref: one numpy pass per pivot over a whole column
-    and the rows it clears."""
-    m = la.normalize(a, p)
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * la.inv_mod(m[r, c], p)) % p
-        other = np.nonzero(m[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def _reference_kernel(a, p):
-    cols = a.shape[1]
-    if cols == 0:
-        return la.zeros(0, 0)
-    r, pivots = _reference_rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = la.zeros(cols, len(free))
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = (-r[i, fc]) % p
-    return basis
-
-
 def _reference_solve(a, b, p):
     ncols = a.shape[1]
-    aug, pivots = _reference_rref(np.hstack([a, b.reshape(-1, 1)]), p)
+    aug, pivots = reference_rref(np.hstack([a, b.reshape(-1, 1)]), p)
     if any(c >= ncols for c in pivots):
         return None
     x = la.zeros(ncols, 1)
@@ -172,7 +133,7 @@ def _reference_invert(a, p):
     n = a.shape[0]
     if n == 0:
         return la.zeros(0, 0)
-    aug, pivots = _reference_rref(np.hstack([a, la.eye(n)]), p)
+    aug, pivots = reference_rref(np.hstack([a, la.eye(n)]), p)
     return aug[:, n:] if pivots == list(range(n)) else None
 
 
@@ -199,11 +160,11 @@ def sparse_matrices(draw):
 
 def _assert_matches_reference(a, p, rhs):
     r, pivots = la.rref(a, p)
-    ref_r, ref_pivots = _reference_rref(a, p)
+    ref_r, ref_pivots = reference_rref(a, p)
     assert r.dtype == np.int64 and r.shape == a.shape
     assert (r == ref_r).all() and pivots == ref_pivots
     k = la.kernel_basis(a, p)
-    ref_k = _reference_kernel(a, p)
+    ref_k = reference_kernel(a, p)
     assert k.shape == ref_k.shape and (k == ref_k).all()
     x, ref_x = la.solve(a, rhs, p), _reference_solve(a, rhs, p)
     assert (x is None) == (ref_x is None)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dense_reference import reference_kernel
+from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
 from mapscat.modules import (
     compose,
@@ -11,6 +13,7 @@ from mapscat.modules import (
     kernel,
     minimal_projective_presentation,
     simple_module,
+    vectorize_hom,
     zero_hom,
 )
 from mapscat import maps as M
@@ -286,6 +289,61 @@ def test_disk_cover_is_relatively_projective(a3rel):
         lhs = compose(pis[k - 1], qc.diffs[k - 1])
         rhs = compose(cpx.diffs[k - 1], pis[k])
         assert all((a == b).all() for a, b in zip(lhs.mats, rhs.mats))
+
+
+def _kron_chain_kernel(src, tgt):
+    """Reference for _chain_maps_basis: one np.kron pair per square, the
+    arrow squares of every degree and the differential squares
+    tgt.d sigma_k = sigma_{k-1} src.d at every vertex, with the kernel taken
+    by the dense reference elimination."""
+    alg = src.modules[0].algebra
+    p, nv = alg.p, alg.quiver.n_vertices
+    n = src.length
+    sizes = [tgt.modules[k].dims[v] * src.modules[k].dims[v] for k in range(n + 1) for v in range(nv)]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    squares = [
+        (tgt.modules[k].mats[i], k * nv + s, k * nv + t, src.modules[k].mats[i])
+        for k in range(n + 1)
+        for i, (_, s, t) in enumerate(alg.quiver.arrows)
+    ] + [
+        (tgt.diffs[k - 1].mats[v], k * nv + v, (k - 1) * nv + v, src.diffs[k - 1].mats[v])
+        for k in range(1, n + 1)
+        for v in range(nv)
+    ]
+    rows = []
+    for a, s, t, b in squares:
+        # A X_s = X_t B, row-major: vec(A X) = (A kron I) vec(X), vec(X B) = (I kron B^T) vec(X)
+        row = la.zeros(a.shape[0] * b.shape[1], total)
+        row[:, offsets[s] : offsets[s + 1]] = np.kron(a, la.eye(b.shape[1]))
+        row[:, offsets[t] : offsets[t + 1]] -= np.kron(la.eye(a.shape[0]), b.T)
+        rows.append(row)
+    return reference_kernel(np.vstack(rows), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_chain_maps_basis_matches_kron_reference(p):
+    """The chain-map caller of the assembler, whose differential squares link
+    the unknown blocks of neighbouring degrees, on the a3rel complexes that
+    rpdim and disk_cover build."""
+    a3rel = algebra_from_spec(p, 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]])
+    cpx = _s0_resolution_complex(a3rel)
+    complexes = [cpx, M.disk_cover(cpx)[0]]
+    for i in range(cpx.length):
+        syz = M.relative_syzygy(cpx, i)
+        complexes += [syz, M.disk_cover(syz)[0]]
+    cut = 0
+    for src in complexes:
+        for tgt in complexes:
+            if src.length != tgt.length:
+                continue
+            ref = _kron_chain_kernel(src, tgt)
+            got = [np.concatenate([vectorize_hom(h) for h in sigma]) for sigma in M._chain_maps_basis(src, tgt)]
+            got = np.stack(got, axis=1) if got else la.zeros(ref.shape[0], 0)
+            assert got.shape == ref.shape and (got == ref).all()
+            degreewise = sum(len(hom_basis(x, y)) for x, y in zip(src.modules, tgt.modules))
+            cut += 0 < ref.shape[1] < degreewise
+    assert cut  # the differential squares cut some nonzero space of chain maps
 
 
 def test_minimize_presentation_drops_invisible_summands(a2, a2_objects):
