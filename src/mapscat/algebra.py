@@ -21,7 +21,9 @@ from . import linalg as la
 Path = Tuple[int, Tuple[int, ...]]  # (source vertex, arrows in application order)
 
 # growth guards for the basis computation; admissible presentations at desk
-# scale stay far below these
+# scale stay far below these.  A path surviving reduction past
+# MAX_PATH_LEN rejects the presentation as not admissible.
+MAX_PATH_LEN = 30
 MAX_PATHS_PER_LENGTH = 4000
 MAX_TOTAL_PATHS = 50000
 
@@ -176,17 +178,9 @@ class AlgebraPresentation:
         p: field characteristic, a prime.
         quiver: the quiver.
         relations: generators of the ideal.
-        max_path_len: admissibility cutoff; if paths survive reduction past
-            this length the presentation is rejected.
     """
 
-    def __init__(
-        self,
-        p: int,
-        quiver: Quiver,
-        relations: Sequence[Relation] = (),
-        max_path_len: int = 30,
-    ):
+    def __init__(self, p: int, quiver: Quiver, relations: Sequence[Relation] = ()):
         if p >= 2**20:
             raise ValueError("p too large for exact int64 arithmetic")
         if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
@@ -194,7 +188,6 @@ class AlgebraPresentation:
         self.p = int(p)
         self.quiver = quiver
         self.relations = tuple(r.validated(quiver, p) for r in relations)
-        self.max_path_len = max_path_len
         self._cache: Dict = {}
 
     # -- basis -------------------------------------------------------------
@@ -228,9 +221,9 @@ class AlgebraPresentation:
         d = 1
         while retained.get(d):
             d += 1
-            if d > self.max_path_len:
+            if d > MAX_PATH_LEN:
                 raise ValueError(
-                    f"paths still survive at length {self.max_path_len}: "
+                    f"paths still survive at length {MAX_PATH_LEN}: "
                     "ideal is not admissible within the cutoff"
                 )
             prev = paths_at[d - 1]
@@ -339,7 +332,7 @@ class AlgebraPresentation:
                 src = path_target(q, (v, arrows))
                 terms.append((c, (src, tuple(reversed(arrows)))))
             op_rels.append(Relation(tuple(terms)))
-        return AlgebraPresentation(self.p, opq, op_rels, self.max_path_len)
+        return AlgebraPresentation(self.p, opq, op_rels)
 
     def __repr__(self):
         return (
@@ -411,7 +404,7 @@ def triangular_matrix_algebra(a: AlgebraPresentation) -> TriangularAlgebra:
         rhs = (s, (connecting[s], copy2[i]))
         rels.append(Relation(((1, lhs), (-1, rhs))))
 
-    gamma = AlgebraPresentation(a.p, gq, rels, a.max_path_len)
+    gamma = AlgebraPresentation(a.p, gq, rels)
     assert gamma.dim == 3 * a.dim, (gamma.dim, a.dim)
     return TriangularAlgebra(a, gamma, copy1, copy2, connecting)
 
@@ -430,7 +423,6 @@ def algebra_from_spec(
     n_vertices: int,
     arrow_specs: Sequence[Tuple[str, int, int]],
     relation_specs: Sequence[Sequence[Tuple[int, Sequence[str]]]] = (),
-    max_path_len: int = 30,
 ) -> AlgebraPresentation:
     """Build a presentation from arrow names.
 
@@ -445,4 +437,4 @@ def algebra_from_spec(
             idxs = tuple(quiver.arrow_index(nm) for nm in names)
             terms.append((c, (quiver.source(idxs[0]), idxs)))
         rels.append(Relation(tuple(terms)))
-    return AlgebraPresentation(p, quiver, rels, max_path_len)
+    return AlgebraPresentation(p, quiver, rels)

@@ -39,6 +39,7 @@ from .modules import (
     is_injective_indec,
     is_projective_indec,
     iso_between,
+    iso_index,
     kernel,
     cokernel,
     minimal_projective_presentation,
@@ -440,6 +441,10 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
     arrows into Z are read from the middle term of the sequence ending at
     Z, or from rad Z for projective Z (Auslander-Reiten-Smalo VII.1): a
     summand X occurring n times gives dim_K Irr(X, Z) = n * dim_K End(X)/rad End(X).
+    Each module met is resolved to its vertex once, by iso_index: while
+    the knit grows, through the add that also discovers it; once a bound
+    is hit, against the final vertex list.  The arrows and tau edges are
+    read from those indices after the vertices are sorted.
     A complete knit certifies each sequence from its right end alone,
     by is_almost_split(seq, [m]), and marks it "corpus".
     Exceeding dim_bound (or a hard vertex cap) yields a partial quiver,
@@ -450,17 +455,11 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
     complete = True
     warning = ""
 
-    def find(m: Module) -> Optional[int]:
-        for i, r in enumerate(reps):
-            if r.dims == m.dims and iso_between(r, m) is not None:
-                return i
-        return None
-
     def add(m: Module) -> Optional[int]:
         nonlocal complete, warning
         if m.is_zero():
             return None
-        idx = find(m)
+        idx = iso_index(m, reps)
         if idx is not None:
             return idx
         if m.total_dim > dim_bound:
@@ -474,58 +473,58 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
         reps.append(m)
         return len(reps) - 1
 
-    # id(vertex) -> (sequence ending there or None, summands of the sink's source)
-    sinks: Dict[int, Tuple[Optional[ShortExactSeq], List[Module]]] = {}
+    # per vertex, in discovery order: the sequence ending there (None at a
+    # projective), the vertices of the summands of the sink's source, the
+    # vertex of the sequence's left end, and whether the vertex is injective
+    found: List[Tuple[Optional[ShortExactSeq], List[Optional[int]], Optional[int], bool]] = []
     for v in range(algebra.quiver.n_vertices):
         add(indecomposable_projective(algebra, v))
     for m in reps:  # reps grows while it is walked, until a bound is hit
         seq = None if is_projective_indec(m) else almost_split_ending_at(m)
         source = radical_submodule(m)[0] if seq is None else seq.middle
         mid_parts = [part for part, _, _ in decompose(source)]
-        sinks[id(m)] = seq, mid_parts
-        if not complete:
-            continue
-        if seq is not None:
-            add(seq.left)
-        if not is_injective_indec(m):
-            add(tau_inverse(m))
-        else:
-            qt, _ = quotient(m, socle_submodule(m)[1].mats)
-            mid_parts = mid_parts + [part for part, _, _ in decompose(qt)]  # closure only
-        for part in mid_parts:
-            add(part)
+        injective = is_injective_indec(m)
+        if complete:
+            at = None if seq is None else add(seq.left)
+            if not injective:
+                add(tau_inverse(m))
+            mids = [add(part) for part in mid_parts]
+            if injective:  # closure only
+                qt, _ = quotient(m, socle_submodule(m)[1].mats)
+                for part, _, _ in decompose(qt):
+                    add(part)
+        else:  # nothing is added once a bound is hit, so reps is final
+            at = None if seq is None else iso_index(seq.left, reps)
+            mids = [iso_index(part, reps) for part in mid_parts]
+        found.append((seq, mids, at, injective))
 
-    reps.sort(key=_vertex_key)  # stable: the order of the adds breaks ties
-
-    projectives = [i for i, m in enumerate(reps) if is_projective_indec(m)]
-    injectives = [i for i, m in enumerate(reps) if is_injective_indec(m)]
+    order = sorted(range(len(reps)), key=lambda k: _vertex_key(reps[k]))  # stable: discovery breaks ties
+    rank = {k: i for i, k in enumerate(order)}
+    vertices = [reps[k] for k in order]
+    projectives = [i for i, k in enumerate(order) if found[k][0] is None]
+    injectives = [i for i, k in enumerate(order) if found[k][3]]
 
     sequences: Dict[int, ShortExactSeq] = {}
     tau_edges: List[Tuple[int, int]] = []
     arrows: Dict[Tuple[int, int], int] = {}
-    residue = [len(hom_basis(m, m)) - len(end_radical(m)) for m in reps]
-    for i, m in enumerate(reps):
-        seq, mid_parts = sinks[id(m)]
-        for part in mid_parts:
-            j = find(part)
+    residue = [len(hom_basis(m, m)) - len(end_radical(m)) for m in vertices]
+    for i, k in enumerate(order):
+        seq, mids, at, _ = found[k]
+        for j in mids:
             if j is not None:
+                j = rank[j]
                 arrows[(j, i)] = arrows.get((j, i), 0) + residue[j]
-            elif complete:
-                raise AssertionError("a middle-term summand escaped the corpus")
         if seq is None:
             continue
-        if complete and not (cert := is_almost_split(seq, [m])):
+        if complete and not (cert := is_almost_split(seq, [vertices[i]])):
             raise AssertionError("; ".join(cert.reasons))
         seq.verified = "corpus" if complete else "corpus-bounded"
         sequences[i] = seq
-        at = find(seq.left)
         if at is not None:
-            tau_edges.append((i, at))
-        elif complete:
-            raise AssertionError("translate of a corpus module escaped the corpus")
+            tau_edges.append((i, rank[at]))
 
     return ArQuiver(
-        algebra, reps, arrows, tau_edges, sequences, projectives, injectives, complete, warning
+        algebra, vertices, arrows, tau_edges, sequences, projectives, injectives, complete, warning
     )
 
 

@@ -18,7 +18,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraPresentation
 from .algfile import AlgebraFile, AlgFileError, parse_algebra_file
@@ -41,7 +41,6 @@ from .functors import (
 )
 from .maps import (
     MapObject,
-    from_gamma_module,
     gamma_of,
     identity_object,
     map_iso_between,
@@ -51,10 +50,12 @@ from .maps import (
 from .modules import (
     CertificationError,
     Module,
+    _summands_match,
     compose,
     direct_sum,
     hom_basis,
     indecomposable_projective,
+    iso_index,
     modules_isomorphic,
     simple_module,
 )
@@ -139,18 +140,6 @@ def cmd_ar_quiver(args) -> int:
 # -- verify-example ----------------------------------------------------------------
 
 
-def _match_bijectively(found: List[MapObject], expected: List[MapObject]) -> bool:
-    if len(found) != len(expected):
-        return False
-    remaining = list(expected)
-    for x in found:
-        hit = next((i for i, y in enumerate(remaining) if map_iso_between(x, y) is not None), None)
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True
-
-
 def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str]]:
     """Replay the worked example over the path algebra of 1 -> 2.
 
@@ -190,14 +179,14 @@ def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str
 
     tri = gamma_of(alg)
     gq = knit_ar_quiver(tri.algebra, dim_bound=80)
-    projs = [from_gamma_module(tri, gq.vertices[i]) for i in gq.projectives]
+    projs = [gq.vertices[i] for i in gq.projectives]
     expected_projs = [
         target_only(s2),
         target_only(p1),
         identity_object(p1),
         identity_object(s2),
     ]
-    ok = len(gq.vertices) == 11 and _match_bijectively(projs, expected_projs)
+    ok = len(gq.vertices) == 11 and _summands_match(projs, [x.gamma for x in expected_projs])
     checks.append(
         (
             "projective-gamma-modules",
@@ -221,12 +210,12 @@ def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str
         ),
         ("c", MapObject(g), MapObject(sum_c.projections[0]), source_only(s1)),
     ]
-    seqs = [maps_seq_from_gamma(tri, s) for _, s in sorted(gq.sequences.items())]
     for tag, left, middle, right in listed:
-        hit = next((s for s in seqs if map_iso_between(s.right, right) is not None), None)
-        if hit is None:
+        j = iso_index(right.gamma, gq.vertices)
+        if j not in gq.sequences:
             checks.append((f"sequence-{tag}", False, "no sequence ends at the listed object"))
             continue
+        hit = maps_seq_from_gamma(tri, gq.sequences[j])
         ok_l = map_iso_between(hit.left, left) is not None
         ok_m = modules_isomorphic(hit.middle.gamma, middle.gamma)
         detail = f"left {'ok' if ok_l else 'MISMATCH'}, middle {'ok' if ok_m else 'MISMATCH'}"
@@ -241,12 +230,7 @@ def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str
         ("(-,S1)", target_only(s1)),
         ("S_{S1}", MapObject(g)),
     ]
-    idx: List[Optional[int]] = []
-    for _, x in chain:
-        m = realize_map_object(real, x)
-        idx.append(
-            next((j for j, v in enumerate(dq.vertices) if modules_isomorphic(v, m)), None)
-        )
+    idx = [iso_index(realize_map_object(real, x), dq.vertices) for _, x in chain]
     ok = (
         len(dq.vertices) == 5
         and all(i is not None for i in idx)
@@ -285,7 +269,10 @@ def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str
 
 def cmd_verify_example(args) -> int:
     fname, text = _read(args.file)
-    primes = [int(p) for p in args.primes.split(",")] if args.primes else [101, 5]
+    try:
+        primes = [int(p) for p in args.primes.split(",")] if args.primes else [101, 5]
+    except ValueError:
+        raise InputError(f"--primes must be comma-separated integers, got {args.primes!r}") from None
     t0 = time.perf_counter()
     runs = []
     for p in primes:

@@ -40,7 +40,7 @@ from .modules import (
     indecomposable_projective,
     injective_envelope,
     is_projective_indec,
-    iso_between,
+    iso_index,
     kernel,
     modules_isomorphic,
     projective_cover,
@@ -64,13 +64,11 @@ from .maps import (
     identity_object,
     is_S_exact,
     map_identity,
-    map_iso_between,
     maps_solve_past,
     maps_solve_through,
     minimal_presentation_with_summands,
     relative_ext_dims,
     source_only,
-    structure_kernel,
     target_only,
     theta_presentation,
     zero_map_object,
@@ -98,9 +96,7 @@ class EvalData:
     """
 
     dim: int
-    into_source: List[ModuleHom]
     into_target: List[ModuleHom]
-    action: np.ndarray
     proj: np.ndarray
     section: np.ndarray
 
@@ -114,7 +110,7 @@ def _eval_at(x: MapObject, t: Module) -> EvalData:
     dim = proj.shape[0]
     section = la.solve(proj, la.eye(dim), p)
     assert section is not None, "projection lost full row rank"
-    return EvalData(dim, b1, b2, action, proj, section)
+    return EvalData(dim, b2, proj, section)
 
 
 class FpFunctor:
@@ -128,14 +124,6 @@ class FpFunctor:
         self.presentation, self.summands = minimal_presentation_with_summands(presentation)
         self.algebra = presentation.algebra
         self.name = name
-        # id(t) -> (t, data): holding t keeps its id from being reused
-        self._eval: Dict[int, Tuple[Module, EvalData]] = {}
-
-    def eval_data(self, t: Module) -> EvalData:
-        hit = self._eval.get(id(t))
-        if hit is None or hit[0] is not t:
-            hit = self._eval[id(t)] = (t, _eval_at(self.presentation, t))
-        return hit[1]
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -144,7 +132,7 @@ class FpFunctor:
 
 
 def evaluate(f: FpFunctor, x: Module) -> int:
-    return f.eval_data(x).dim
+    return _eval_at(f.presentation, x).dim
 
 
 def functor_is_zero(f: FpFunctor) -> bool:
@@ -473,7 +461,7 @@ def _category_closure(ts: Sequence[MapObject]) -> List[MapObject]:
         if x.is_zero():
             continue
         for part, _, _ in decompose_map_object(x):
-            if all(map_iso_between(part, r) is None for r in reps):
+            if iso_index(part.gamma, [r.gamma for r in reps]) is None:
                 reps.append(part)
     reps.sort(key=lambda x: (x.total_dim, x.m1.dims, x.m2.dims))
     return reps
@@ -490,7 +478,7 @@ def _in_add_modules(x: Module, reps: List[Module]) -> bool:
     """Whether every indecomposable summand of x is isomorphic to one of reps."""
     if x.is_zero():
         return True
-    return all(any(iso_between(part, r) is not None for r in reps) for part, _, _ in decompose(x))
+    return all(iso_index(part, reps) is not None for part, _, _ in decompose(x))
 
 
 def _left_add_approx_modules(w: Module, reps: List[Module]) -> Optional[ModuleHom]:
@@ -832,16 +820,15 @@ def reconstruct_maps_approx_from_phi(
     z + (ker f, 0, 0) + (M1, M1, 1) and restricts to a lift of rho on z;
     the corpus must contain those two auxiliary forms.
     """
-    k_mod, k_incl = structure_kernel(m)
+    k_mod, k_incl = kernel(m.f)
+    gammas = [c.gamma for c in corpus]
     for part, _, _ in (decompose(k_mod) if not k_mod.is_zero() else []):
-        want = source_only(part)
-        if all(map_iso_between(want, c) is None for c in corpus):
+        if iso_index(source_only(part).gamma, gammas) is None:
             raise CertificationError(
                 f"corpus lacks the object ({part.dims}, 0, 0) required by the reconstruction"
             )
     for part, _, _ in (decompose(m.m1) if not m.m1.is_zero() else []):
-        want = identity_object(part)
-        if all(map_iso_between(want, c) is None for c in corpus):
+        if iso_index(identity_object(part).gamma, gammas) is None:
             raise CertificationError(
                 f"corpus lacks the object ({part.dims}, {part.dims}, 1) required by the reconstruction"
             )

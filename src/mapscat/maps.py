@@ -417,11 +417,6 @@ def is_short_exact(u: ModuleHom, v: ModuleHom) -> bool:
     )
 
 
-def structure_kernel(x: MapObject) -> Tuple[Module, ModuleHom]:
-    """ker(x.f) with its inclusion into x.m1."""
-    return kernel(x.f)
-
-
 @dataclass
 class SExactness:
     """Verdict of membership in the exact structure S.
@@ -452,9 +447,9 @@ def is_S_exact(u: MapMorphism, v: MapMorphism) -> SExactness:
     """
     if not (is_short_exact(u.h1, v.h1) and is_short_exact(u.h2, v.h2)):
         raise ValueError("the given pair is not a short exact sequence")
-    kn = structure_kernel(u.source)
-    ke = structure_kernel(v.source)
-    km = structure_kernel(v.target)
+    kn = kernel(u.source.f)
+    ke = kernel(v.source.f)
+    km = kernel(v.target.f)
     k_in = induced_kernel_hom(u, kn, ke)
     k_out = induced_kernel_hom(v, ke, km)
     kernel_exact = is_short_exact(k_in, k_out)
@@ -491,7 +486,7 @@ def f_projective_cover(x: MapObject, minimize: bool = False) -> FCover:
     are further trimmed greedily as long as the restricted epi stays
     S-admissible.
     """
-    pieces = _structural_pieces(x, *structure_kernel(x))
+    pieces = _structural_pieces(x, *kernel(x.f))
     if minimize:
         pieces = _trim_cover_pieces(x, pieces)
     if not pieces:

@@ -773,19 +773,13 @@ def transpose(m: Module, presentation: Optional[ProjPresentation] = None) -> Tup
 
 
 def is_projective_indec(m: Module) -> bool:
-    for v in range(m.algebra.quiver.n_vertices):
-        pv = indecomposable_projective(m.algebra, v)
-        if pv.dims == m.dims and iso_between(m, pv) is not None:
-            return True
-    return False
+    n = m.algebra.quiver.n_vertices
+    return iso_index(m, [indecomposable_projective(m.algebra, v) for v in range(n)]) is not None
 
 
 def is_injective_indec(m: Module) -> bool:
-    for v in range(m.algebra.quiver.n_vertices):
-        iv = indecomposable_injective(m.algebra, v)
-        if iv.dims == m.dims and iso_between(m, iv) is not None:
-            return True
-    return False
+    n = m.algebra.quiver.n_vertices
+    return iso_index(m, [indecomposable_injective(m.algebra, v) for v in range(n)]) is not None
 
 
 def tau(m: Module, presentation: Optional[ProjPresentation] = None) -> Module:
@@ -1087,15 +1081,16 @@ class Decomposition:
 
 def decomposition(m: Module) -> Decomposition:
     flat = decompose(m)
-    groups: List[Tuple[Module, int]] = []
+    reps: List[Module] = []
+    mults: List[int] = []
     for part, _, _ in flat:
-        for i, (rep, mult) in enumerate(groups):
-            if part.dims == rep.dims and iso_between(part, rep) is not None:
-                groups[i] = (rep, mult + 1)
-                break
+        i = iso_index(part, reps)
+        if i is None:
+            reps.append(part)
+            mults.append(1)
         else:
-            groups.append((part, 1))
-    return Decomposition(m, groups, flat)
+            mults[i] += 1
+    return Decomposition(m, list(zip(reps, mults)), flat)
 
 
 def iso_between(m: Module, n: Module) -> Optional[ModuleHom]:
@@ -1119,6 +1114,19 @@ def iso_between(m: Module, n: Module) -> Optional[ModuleHom]:
     return None
 
 
+def iso_index(m: Module, reps: Sequence[Module]) -> Optional[int]:
+    """The first i with reps[i] isomorphic to m by iso_between, or None.
+
+    The one isomorphism-class lookup.  None is a proof when m is
+    indecomposable, or when every rep is: iso_between is complete as soon
+    as one side is.
+    """
+    for i, r in enumerate(reps):
+        if r.dims == m.dims and iso_between(r, m) is not None:
+            return i
+    return None
+
+
 def modules_isomorphic(m: Module, n: Module) -> bool:
     """Isomorphism test for arbitrary modules; False is always a proof.
 
@@ -1137,19 +1145,17 @@ def modules_isomorphic(m: Module, n: Module) -> bool:
 def _summands_match(ms: Sequence[Module], ns: Sequence[Module]) -> bool:
     """Whether two lists of indecomposables agree up to isomorphism and order.
 
-    Greedy one-to-one matching, which is exact because iso_between is
+    Greedy one-to-one matching, which is exact because iso_index is
     complete on indecomposables.
     """
     if len(ms) != len(ns):
         return False
     remaining = list(ns)
     for part in ms:
-        for i, other in enumerate(remaining):
-            if part.dims == other.dims and iso_between(part, other) is not None:
-                remaining.pop(i)
-                break
-        else:
+        i = iso_index(part, remaining)
+        if i is None:
             return False
+        remaining.pop(i)
     return True
 
 

@@ -21,10 +21,14 @@ from mapscat.modules import (
     hom_through_epi,
     identity_hom,
     indecomposable_projective,
+    is_injective_indec,
+    is_projective_indec,
     iso_between,
+    iso_index,
     minimal_projective_presentation,
     modules_isomorphic,
     pushout,
+    radical_submodule,
     decompose,
     simple_module,
     tau,
@@ -434,6 +438,48 @@ def test_complete_knit_certifies_from_the_right_end_alone(monkeypatch, gamma_a2)
     assert len(certified) == len(q.sequences) == 7
     for seq, test_set in certified:
         assert len(test_set) == 1 and test_set[0] is seq.right
+
+
+def _arrows_and_tau_by_lookup(q):
+    """q.arrows and q.tau_edges rebuilt by looking every module up in q.vertices.
+
+    The reference the knit used to run as a second pass: each summand of
+    a sink's source (rad P at a projective, else the middle term) and
+    each left end is resolved by iso_index over the final vertex list.
+    """
+    residue = [len(hom_basis(m, m)) - len(end_radical(m)) for m in q.vertices]
+    arrows, tau_edges = {}, []
+    for i, m in enumerate(q.vertices):
+        seq = q.sequences.get(i)
+        source = radical_submodule(m)[0] if seq is None else seq.middle
+        for part, _, _ in decompose(source):
+            j = iso_index(part, q.vertices)
+            if j is not None:
+                arrows[(j, i)] = arrows.get((j, i), 0) + residue[j]
+        if seq is not None and (at := iso_index(seq.left, q.vertices)) is not None:
+            tau_edges.append((i, at))
+    return arrows, tau_edges
+
+
+@pytest.mark.parametrize("case", ["gamma-a3-linear", "kronecker-30"])
+def test_knit_remaps_recorded_indices_after_sorting(knit, monkeypatch, case):
+    if case == "gamma-a3-linear":
+        q = knit("a3_linear", "gamma")
+        assert q.complete
+    else:
+        calls = _count_sequence_builds(monkeypatch)
+        q = knit_ar_quiver(algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], []), dim_bound=30)
+        assert not q.complete and "exceeds bound 30" in q.warning
+        # tau^-1 (13, 14) has dimension 31 and stops the knit before (12, 13)
+        # is processed, so that vertex is resolved after the bound was hit
+        built = [m.dims for m in calls]
+        assert built.index((13, 14)) < built.index((12, 13))
+    arrows, tau_edges = _arrows_and_tau_by_lookup(q)
+    assert q.arrows == arrows
+    assert q.tau_edges == tau_edges
+    assert q.projectives == [i for i, m in enumerate(q.vertices) if is_projective_indec(m)]
+    assert q.injectives == [i for i, m in enumerate(q.vertices) if is_injective_indec(m)]
+    assert sorted(q.sequences) == [i for i in range(len(q.vertices)) if i not in q.projectives]
 
 
 def test_knit_nakayama_with_relation():

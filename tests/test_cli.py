@@ -297,3 +297,15 @@ def test_non_admissible_ideal_is_an_input_error(text, last_line, tmp_path):
     assert run.stderr.startswith(f"error: line {last_line}:")
     assert "not admissible" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("primes", ["abc", ",5"], ids=["letters", "empty-entry"])
+def test_primes_entry_that_is_not_an_integer_is_an_input_error(primes):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "mapscat.cli", "verify-example", "--primes", primes],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:")
+    assert "Traceback" not in run.stderr
