@@ -134,8 +134,10 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
     right end factors through surj.  Factorization is a linear
     condition, so instead of sampling homs the verifier compares
     subspaces: for X not isomorphic to the right end, all of Hom(X, right)
-    must be hit; for X the right end itself, the radical of its
-    endomorphism space must be.
+    must be hit; for X isomorphic to the right end, the radical of its
+    endomorphism space must be.  The right end itself is compared
+    through its identity: rad End is a two-sided ideal, so every
+    isomorphism gives the same required space.
 
     Against a complete corpus of indecomposables this is the definition
     of an almost split sequence, and the tests use it as the oracle.
@@ -161,7 +163,7 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
         if not into_right:
             continue
         through = [compose(surj, h) for h in hom_basis(x, middle)]
-        u = iso_between(x, right)
+        u = identity_hom(x) if x is right else iso_between(x, right)
         if u is None:
             required = into_right
             label = "all homs"
@@ -267,24 +269,30 @@ def almost_split_starting_at(n: Module) -> ShortExactSeq:
 
 def special_seq_identity_target(m: Module, test_set: Optional[Sequence[MapObject]] = None) -> ShortExactSeq:
     """0 -> (tau m, 0, 0) -> (E, m, pi) -> (m, m, 1) -> 0."""
-    base = almost_split_ending_at(m)
-    tm, e_mod = base.left, base.middle
-    left = source_only(tm)
-    middle = MapObject(base.surj)
-    right = identity_object(m)
-    inj = MapMorphism(left, middle, base.inj, zero_hom(left.m2, middle.m2))
-    surj = MapMorphism(middle, right, base.surj, identity_hom(m))
-    return _finish_special(inj, surj, test_set)
+    return _seq_ending_at_identity(almost_split_ending_at(m), test_set)
 
 
 def special_seq_zero_source(m: Module, test_set: Optional[Sequence[MapObject]] = None) -> ShortExactSeq:
     """0 -> (tau m, tau m, 1) -> (tau m, E, j) -> (0, m, 0) -> 0."""
-    base = almost_split_ending_at(m)
-    tm = base.left
-    left = identity_object(tm)
+    return _seq_ending_at_target(almost_split_ending_at(m), test_set)
+
+
+def _seq_ending_at_identity(base: ShortExactSeq, test_set) -> ShortExactSeq:
+    """0 -> (L, 0, 0) -> (E, R, pi) -> (R, R, 1) -> 0 from 0 -> L -j-> E -pi-> R -> 0."""
+    left = source_only(base.left)
+    middle = MapObject(base.surj)
+    right = identity_object(base.right)
+    inj = MapMorphism(left, middle, base.inj, zero_hom(left.m2, middle.m2))
+    surj = MapMorphism(middle, right, base.surj, identity_hom(base.right))
+    return _finish_special(inj, surj, test_set)
+
+
+def _seq_ending_at_target(base: ShortExactSeq, test_set) -> ShortExactSeq:
+    """0 -> (L, L, 1) -> (L, E, j) -> (0, R, 0) -> 0 from 0 -> L -j-> E -pi-> R -> 0."""
+    left = identity_object(base.left)
     middle = MapObject(base.inj)
-    right = target_only(m)
-    inj = MapMorphism(left, middle, identity_hom(tm), base.inj)
+    right = target_only(base.right)
+    inj = MapMorphism(left, middle, identity_hom(base.left), base.inj)
     surj = MapMorphism(middle, right, zero_hom(middle.m1, right.m1), base.surj)
     return _finish_special(inj, surj, test_set)
 
@@ -349,24 +357,9 @@ def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None)
     p = alg.p
 
     # (a)(1): 0 -> (n,n,1) -> (n,E,j) -> (0, ti, 0) -> 0
-    left1 = identity_object(n)
-    middle1 = MapObject(base.inj)
-    right1 = target_only(ti)
-    seq1 = _finish_special(
-        MapMorphism(left1, middle1, identity_hom(n), base.inj),
-        MapMorphism(middle1, right1, zero_hom(middle1.m1, right1.m1), base.surj),
-        test_set,
-    )
-
+    seq1 = _seq_ending_at_target(base, test_set)
     # (a)(2): 0 -> (n,0,0) -> (E, ti, pi) -> (ti, ti, 1) -> 0
-    left2 = source_only(n)
-    middle2 = MapObject(base.surj)
-    right2 = identity_object(ti)
-    seq2 = _finish_special(
-        MapMorphism(left2, middle2, base.inj, zero_hom(left2.m2, middle2.m2)),
-        MapMorphism(middle2, right2, base.surj, identity_hom(ti)),
-        test_set,
-    )
+    seq2 = _seq_ending_at_identity(base, test_set)
 
     # (b): 0 -> (0,n,0) -> (D(I0)*, D(I1)* (+) n) -> (D(I0)*, D(I1)*, D(q1)*) -> 0
     i0, q0 = injective_envelope(n)

@@ -317,6 +317,8 @@ def cmd_check_tilting(args) -> int:
     fname, text = _read(args.file)
     af = parse_algebra_file(text)
     ts = _named_maps(af, args.names)
+    if all(x.is_zero() for x in ts):
+        raise InputError("every named map object is zero; the tilting candidate is empty")
     t0 = time.perf_counter()
     if args.mode == "classical":
         rep = check_classical_tilting(ts)

@@ -1,10 +1,10 @@
 """Finitely presented functors on mod Lambda.
 
 A functor F is presented by a map object f: M1 -> M2; its value at X is
-coker(Hom(X, M1) -> Hom(X, M2)).  Three layers live here:
+coker(Hom(X, M1) -> Hom(X, M2)), evaluated by maps.phi_at.  Three layers
+live here:
 
-* evaluation of presented functors and of the natural transformations
-  induced by morphisms of map objects,
+* presented functors and their invariants (syzygy, torsion, pdim),
 * a realization of the functor category as modules over the endomorphism
   algebra of the additive generator (presented from the AR quiver), used
   as an independent oracle for almost split sequences, Ext and tilting,
@@ -49,6 +49,7 @@ from .modules import (
     vectorize_hom,
 )
 from .maps import (
+    EvalData,
     MapMorphism,
     MapObject,
     ProjComplex,
@@ -67,6 +68,7 @@ from .maps import (
     maps_solve_past,
     maps_solve_through,
     minimal_presentation_with_summands,
+    phi_at,
     relative_ext_dims,
     source_only,
     target_only,
@@ -84,33 +86,7 @@ from .ar import (
 )
 
 
-# -- evaluation ------------------------------------------------------------------
-
-
-@dataclass
-class EvalData:
-    """Coker(Hom(X,M1) -> Hom(X,M2)) with coordinates.
-
-    proj maps Hom(X,M2)-coordinates onto F(X)-coordinates; section is a
-    right inverse of proj, picking representatives.
-    """
-
-    dim: int
-    into_target: List[ModuleHom]
-    proj: np.ndarray
-    section: np.ndarray
-
-
-def _eval_at(x: MapObject, t: Module) -> EvalData:
-    p = x.algebra.p
-    b1 = hom_basis(t, x.m1)
-    b2 = hom_basis(t, x.m2)
-    action = hom_coordinates([compose(x.f, b) for b in b1], b2)
-    proj = la.kernel_basis(action.T, p).T
-    dim = proj.shape[0]
-    section = la.solve(proj, la.eye(dim), p)
-    assert section is not None, "projection lost full row rank"
-    return EvalData(dim, b2, proj, section)
+# -- presented functors ----------------------------------------------------------
 
 
 class FpFunctor:
@@ -132,7 +108,7 @@ class FpFunctor:
 
 
 def evaluate(f: FpFunctor, x: Module) -> int:
-    return _eval_at(f.presentation, x).dim
+    return phi_at(f.presentation, x).dim
 
 
 def functor_is_zero(f: FpFunctor) -> bool:
@@ -343,37 +319,40 @@ def functor_realization(algebra: AlgebraPresentation, dim_bound: int = 40) -> Fu
     return real
 
 
-def realize_map_object(real: FunctorRealization, x: MapObject) -> Module:
-    """The module over real.delta with fibers coker(Hom(X_v, f))."""
-    evs = [_eval_at(x, t) for t in real.corpus]
-    dims = [e.dim for e in evs]
+Realized = Tuple[Module, List[EvalData]]
+
+
+def _realize(real: FunctorRealization, x: MapObject) -> Realized:
+    """Phi(x) over real.delta, with its evaluation at each corpus object."""
+    evs = [phi_at(x, t) for t in real.corpus]
     p = real.delta.p
     mats = []
     for k, r in enumerate(real.arrow_homs):
         src = real.delta.quiver.source(k)
         tgt = real.delta.quiver.target(k)
         pre = hom_coordinates([compose(b, r) for b in evs[src].into_target], evs[tgt].into_target)
-        mat = la.matmul(evs[tgt].proj, la.matmul(pre, evs[src].section, p), p)
-        mats.append(mat)
-    return Module(real.delta, dims, mats, name=f"Phi({x.name})" if x.name else "")
+        mats.append(la.matmul(evs[tgt].proj, la.matmul(pre, evs[src].section, p), p))
+    return Module(real.delta, [e.dim for e in evs], mats, name=f"Phi({x.name})" if x.name else ""), evs
 
 
-def functor_to_module(real: FunctorRealization, f: FpFunctor) -> Module:
-    return realize_map_object(real, f.presentation)
+def realize_map_object(real: FunctorRealization, x: MapObject) -> Module:
+    """The module over real.delta with fibers coker(Hom(X_v, f))."""
+    return _realize(real, x)[0]
+
+
+def _phi_hom(real: FunctorRealization, u: MapMorphism, src: Realized, tgt: Realized) -> ModuleHom:
+    """Phi(u): src -> tgt, for the realizations src of u.source and tgt of u.target."""
+    p = real.delta.p
+    mats = []
+    for ex, ey in zip(src[1], tgt[1]):
+        post = hom_coordinates([compose(u.h2, b) for b in ex.into_target], ey.into_target)
+        mats.append(la.matmul(ey.proj, la.matmul(post, ex.section, p), p))
+    return ModuleHom(src[0], tgt[0], mats)
 
 
 def map_morphism_to_hom(real: FunctorRealization, u: MapMorphism) -> ModuleHom:
     """The natural transformation Phi(u) as a hom of realized modules."""
-    p = real.delta.p
-    src_mod = realize_map_object(real, u.source)
-    tgt_mod = realize_map_object(real, u.target)
-    mats = []
-    for v, t in enumerate(real.corpus):
-        ex = _eval_at(u.source, t)
-        ey = _eval_at(u.target, t)
-        post = hom_coordinates([compose(u.h2, b) for b in ex.into_target], ey.into_target)
-        mats.append(la.matmul(ey.proj, la.matmul(post, ex.section, p), p))
-    return ModuleHom(src_mod, tgt_mod, mats)
+    return _phi_hom(real, u, _realize(real, u.source), _realize(real, u.target))
 
 
 @dataclass
@@ -399,8 +378,9 @@ def phi_image_of_ar(real: FunctorRealization, s: ShortExactSeq) -> PhiArImage:
         raise ValueError(f"structure-map hypothesis fails: {reason}")
     if not s.verified:
         raise ValueError("sequence is not certified almost split; verify it against a corpus first")
-    inj = map_morphism_to_hom(real, s.inj)
-    surj = map_morphism_to_hom(real, s.surj)
+    left, middle, right = (_realize(real, x) for x in (s.left, s.middle, s.right))
+    inj = _phi_hom(real, s.inj, left, middle)
+    surj = _phi_hom(real, s.surj, middle, right)
     try:
         realized = seq_of_modules(inj, surj, verified="")
     except ValueError as e:
@@ -834,7 +814,8 @@ def reconstruct_maps_approx_from_phi(
             )
 
     basis = hom_basis(z.gamma, m.gamma)
-    sol = hom_coordinates([rho], [map_morphism_to_hom(real, from_gamma_hom(b, z, m)) for b in basis])
+    rz, rm = _realize(real, z), _realize(real, m)
+    sol = hom_coordinates([rho], [_phi_hom(real, from_gamma_hom(b, z, m), rz, rm) for b in basis])
     if sol is None:
         raise CertificationError("the functor approximation does not lift to the maps category")
     r = from_gamma_hom(combine(z.gamma, m.gamma, basis, sol[:, 0]), z, m)

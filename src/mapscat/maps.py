@@ -27,11 +27,14 @@ from .modules import (
     compose,
     decompose,
     direct_sum,
+    dual_hom,
+    dual_module,
     factor_past,
     factor_through,
     hom_add,
     hom_basis,
     hom_complex_dims,
+    hom_coordinates,
     hom_scale,
     hom_through_epi,
     hom_into_sub,
@@ -361,30 +364,40 @@ def homotopy_quotient_dim(x: MapObject, y: MapObject) -> int:
     return len(full) - len(null)
 
 
-def phi_dim_at(x: MapObject, t: Module) -> int:
-    """Dimension of the cokernel functor of x evaluated at t."""
+@dataclass
+class EvalData:
+    """Phi(x)(t) = coker(Hom(t, x.m1) -> Hom(t, x.m2)) with coordinates.
+
+    into_target is the basis of Hom(t, x.m2); proj maps its coordinates
+    onto Phi(x)(t)-coordinates, and section is a right inverse of proj,
+    picking representatives.
+    """
+
+    dim: int
+    into_target: List[ModuleHom]
+    proj: np.ndarray
+    section: np.ndarray
+
+
+def phi_at(x: MapObject, t: Module) -> EvalData:
+    """The cokernel functor of x evaluated at t."""
     p = x.algebra.p
-    into = hom_basis(t, x.m1)
-    target = hom_basis(t, x.m2)
-    if not target:
-        return 0
-    if not into:
-        return len(target)
-    cols = np.stack([vectorize_hom(compose(x.f, h)) for h in into], axis=1)
-    return len(target) - la.rank(cols, p)
+    b1 = hom_basis(t, x.m1)
+    b2 = hom_basis(t, x.m2)
+    action = hom_coordinates([compose(x.f, b) for b in b1], b2)
+    proj = la.kernel_basis(action.T, p).T
+    dim = proj.shape[0]
+    section = la.solve(proj, la.eye(dim), p)
+    assert section is not None, "projection lost full row rank"
+    return EvalData(dim, b2, proj, section)
 
 
 def phi_op_dim_at(x: MapObject, t: Module) -> int:
-    """The dual construction: coker(Hom(m2,t) -> Hom(m1,t)) at t."""
-    p = x.algebra.p
-    frm = hom_basis(x.m2, t)
-    target = hom_basis(x.m1, t)
-    if not target:
-        return 0
-    if not frm:
-        return len(target)
-    cols = np.stack([vectorize_hom(compose(h, x.f)) for h in frm], axis=1)
-    return len(target) - la.rank(cols, p)
+    """The dual construction: dim coker(Hom(m2,t) -> Hom(m1,t)).
+
+    Hom(m, t) = Hom(Dt, Dm) turns it into Phi of D(x.f) at Dt.
+    """
+    return phi_at(MapObject(dual_hom(x.f)), dual_module(t)).dim
 
 
 # -- exact structure -----------------------------------------------------------
@@ -478,28 +491,20 @@ class FCover:
     tags: List[str]  # one per retained structural summand
 
 
-def f_projective_cover(x: MapObject, minimize: bool = False) -> FCover:
+def f_projective_cover(x: MapObject) -> FCover:
     """An S-admissible epi onto x from an F-projective.
 
     Built from three structural summands: (ker f, 0, 0), (m1, m1, 1) and
-    (0, m2, 0); zero summands are dropped.  With minimize=True, summands
-    are further trimmed greedily as long as the restricted epi stays
-    S-admissible.
+    (0, m2, 0); zero summands are dropped.
     """
     pieces = _structural_pieces(x, *kernel(x.f))
-    if minimize:
-        pieces = _trim_cover_pieces(x, pieces)
     if not pieces:
         z = zero_map_object(x.algebra)
         return FCover(z, map_zero(z, x), [])
     epi = _epi_from_pieces(x, pieces)
     epi = MapMorphism(epi.source, x, epi.h1, epi.h2, check=True)
     _assert_admissible_epi(epi)
-    tags = [tag for tag, _, _ in pieces]
-    if minimize and epi.source.total_dim == x.total_dim:
-        # the trimmed epi is an iso, so x was F-projective already
-        return FCover(x, map_identity(x), tags)
-    return FCover(epi.source, epi, tags)
+    return FCover(epi.source, epi, [tag for tag, _, _ in pieces])
 
 
 def _structural_pieces(x: MapObject, k: Module, k_incl: ModuleHom) -> List[Tuple[str, MapObject, MapMorphism]]:
@@ -544,29 +549,6 @@ def _epi_is_admissible(epi: MapMorphism) -> bool:
 def _assert_admissible_epi(epi: MapMorphism):
     if not _epi_is_admissible(epi):
         raise AssertionError("constructed cover epi is not S-admissible")
-
-
-def _trim_cover_pieces(x, pieces):
-    """Greedily drop indecomposable cover summands while the epi stays
-    S-admissible, preferring to drop later tags first."""
-    expanded = []
-    for tag, obj, comp in pieces:
-        for part, incl, _ in decompose_map_object(obj):
-            expanded.append((tag, part, map_compose(comp, incl)))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(expanded) - 1, -1, -1):
-            trial = expanded[:i] + expanded[i + 1 :]
-            if not trial:
-                if x.is_zero():
-                    return []
-                continue
-            if _epi_is_admissible(_epi_from_pieces(x, trial)):
-                expanded = trial
-                changed = True
-                break
-    return expanded
 
 
 def morphism_kernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:

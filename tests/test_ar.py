@@ -11,6 +11,7 @@ from mapscat.algebra import algebra_from_spec
 from mapscat.algfile import parse_algebra_file
 from mapscat.maps import gamma_of, split_epi_section, to_gamma_module
 from mapscat.modules import (
+    Module,
     compose,
     direct_sum,
     end_radical,
@@ -438,6 +439,25 @@ def test_complete_knit_certifies_from_the_right_end_alone(monkeypatch, gamma_a2)
     assert len(certified) == len(q.sequences) == 7
     for seq, test_set in certified:
         assert len(test_set) == 1 and test_set[0] is seq.right
+
+
+def test_right_end_is_compared_with_itself_by_its_identity(monkeypatch, a2_modules):
+    """is_almost_split(seq, [seq.right]) runs no isomorphism search; an isomorphic copy still does."""
+    s1, s2, p1 = a2_modules
+    seqs = [almost_split_ending_at(s1), special_seq_identity_target(s1)]
+    calls = []
+
+    def counting(m, n):
+        calls.append((m, n))
+        return iso_between(m, n)
+
+    monkeypatch.setattr(ar, "iso_between", counting)
+    for seq in seqs:
+        assert is_almost_split(seq, [seq.right])
+    assert calls == []
+    copy = Module(s1.algebra, s1.dims, s1.mats)
+    assert is_almost_split(seqs[0], [copy])
+    assert calls == [(copy, s1)]
 
 
 def _arrows_and_tau_by_lookup(q):

@@ -194,6 +194,17 @@ def test_check_tilting_unknown_name(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["classical", "generalized"])
+def test_check_tilting_on_zero_objects_only_is_an_input_error(mode, tmp_path, capsys):
+    alg = tmp_path / "zero.alg"
+    alg.write_text("field p=101\nvertices 2\narrow a: 1 -> 2\nmodule Z dims=[0,0]\nmap z: Z -> Z via [[],[]]\n")
+    out = tmp_path / "r.json"
+    assert main(["check-tilting", str(alg), "--names", "z", "--mode", mode, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tilting candidate is empty" in err
+
+
 def test_approx_golden(tmp_path, capsys):
     out = tmp_path / "a.json"
     code = main(

@@ -23,6 +23,7 @@ from mapscat.maps import (
     ProjComplex,
     from_gamma_module,
     gamma_of,
+    homotopy_quotient_dim,
     identity_object,
     indec_map_kind,
     map_equal,
@@ -32,6 +33,7 @@ from mapscat.maps import (
     relative_ext_dim,
     relative_syzygy,
     rpdim,
+    source_only,
     target_only,
     validate_hom_exactness,
     zero_map_object,
@@ -47,11 +49,11 @@ from mapscat.functors import (
     functor_is_zero,
     functor_realization,
     functor_syzygy,
-    functor_to_module,
     functors_isomorphic,
     is_torsion_free,
     left_approx_epimaps,
     left_approx_monomaps,
+    map_morphism_to_hom,
     module_coresolution,
     monomap_corpus,
     pdim,
@@ -319,7 +321,7 @@ def test_realization_shape(real):
 
 def test_representables_realize_to_projectives(real):
     for v, m in enumerate(real.corpus):
-        proj = functor_to_module(real, representable_functor(m))
+        proj = realize_map_object(real, representable_functor(m).presentation)
         assert modules_isomorphic(proj, indecomposable_projective(real.delta, v))
 
 
@@ -345,6 +347,15 @@ def test_kernel_of_realization_is_the_contractible_part(real, gamma_objects):
     for x in xs:
         killed = indec_map_kind(x) in ("contractible", "source_only")
         assert realize_map_object(real, x).is_zero() == killed
+
+
+def test_homotopy_quotient_is_hom_of_realized_functors(real, gamma_objects):
+    """Phi is full, and its kernel is the null-homotopic maps."""
+    tri, q, xs = gamma_objects
+    images = [realize_map_object(real, x) for x in xs]
+    for x, fx in zip(xs, images):
+        for y, fy in zip(xs, images):
+            assert homotopy_quotient_dim(x, y) == len(hom_basis(fx, fy))
 
 
 # -- almost split sequences through the cokernel functor ------------------------
@@ -546,6 +557,41 @@ def test_minimal_realized_disagreements_on_a2(a2_file, a2_file_real, third):
     ]
 
 
+def _killed_by_phi(a2_file):
+    """N: the six objects (X,0,0) and (X,X,1) of Gamma(A2) that Phi kills, by name."""
+    mods = [a2_file.modules[n] for n in ("S1", "S2", "P1")]
+    return {x.name: x for m in mods for x in (source_only(m), identity_object(m))}
+
+
+@pytest.mark.parametrize(
+    "live, added, sides",
+    [
+        (("yS1", "yS2", "yP1"), (), ("pass", "pass")),
+        (("yS1", "yP1", "f"), (), ("fail", "pass")),
+        (("yS1", "yP1", "f"), ("(S2,S2,1)",), ("pass", "pass")),
+        (("yS1", "yP1", "g"), ("(S2,0,0)", "(S2,S2,1)"), ("fail", "pass")),
+        (("yS1", "yP1", "g"), ("(S2,0,0)", "(S2,S2,1)", "(P1,P1,1)"), ("pass", "pass")),
+        (
+            ("f", "g", "yS2"),
+            ("(S1,0,0)", "(S1,S1,1)", "(S2,0,0)", "(S2,S2,1)", "(P1,0,0)", "(P1,P1,1)"),
+            ("fail", "fail"),
+        ),
+    ],
+    ids=["yoneda", "f-alone", "f-closed", "g-short", "g-closed", "f-g-yS2-all-of-N"],
+)
+def test_maps_side_of_live_sets_closed_under_N_on_a2(a2_file, a2_file_real, live, added, sides):
+    """The maps side passes once the objects Phi kills that a live set needs are added.
+
+    The realized side reads only the live objects, so adding members of
+    N leaves it unchanged.
+    """
+    n_objects = _killed_by_phi(a2_file)
+    ts = [a2_file.maps[name] for name in live] + [n_objects[name] for name in added]
+    rep = check_generalized_tilting(ts, realization=a2_file_real)
+    maps_side, realized_side = sides
+    assert rep.checks["realized-agreement"].witnesses[0] == {"maps_side": maps_side, "realized_side": realized_side}
+
+
 def _knit_bounded_at_1(monkeypatch):
     # every indecomposable of a2 but the simples is cut off, so the knit is incomplete
     knit = functors.knit_ar_quiver
@@ -652,6 +698,33 @@ def test_transport_and_reconstruct_roundtrip(real, mods, homs, corpora):
     assert rcert
     again = certify_right_approx(n, ec)
     assert again
+
+
+def test_phi_of_morphisms_evaluates_each_object_once(real, homs, corpora, hypothesis_seqs, monkeypatch):
+    """Each object is evaluated once per corpus object, however many morphisms leave it."""
+    ec, _ = corpora
+    m = MapObject(homs[1])
+    approx, _ = right_approx_epimaps(m, ec)
+    rho, _ = transport_approx_via_phi(real, approx, ec)
+    ms = next(s for s, ok in hypothesis_seqs if ok)
+    evaluated = []
+    phi_at = functors.phi_at
+
+    def counting(x, t):
+        evaluated.append(x)
+        return phi_at(x, t)
+
+    monkeypatch.setattr(functors, "phi_at", counting)
+    n = len(real.corpus)
+    map_morphism_to_hom(real, approx)
+    assert evaluated == [approx.source] * n + [approx.target] * n
+    evaluated.clear()
+    phi_image_of_ar(real, ms)
+    assert evaluated == [ms.left] * n + [ms.middle] * n + [ms.right] * n
+    evaluated.clear()
+    assert hom_basis(approx.source.gamma, m.gamma)
+    reconstruct_maps_approx_from_phi(real, m, ec, approx.source, rho)
+    assert evaluated == [approx.source] * n + [m] * n
 
 
 def test_transport_rejects_a_non_approximation(real, mods, homs, corpora):

@@ -4,6 +4,7 @@ import pytest
 from dense_reference import reference_kernel
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
+from mapscat.ar import knit_ar_quiver
 from mapscat.modules import (
     compose,
     hom_basis,
@@ -99,13 +100,59 @@ def test_gamma_is_seeded_by_from_gamma_module_and_built_once(a2, a2_objects, mon
 def test_phi_dims(a2_objects):
     S1, S2, P1, x, x3 = a2_objects
     # x presents rad(-, S1); evaluations at (S2, P1, S1)
-    assert [M.phi_dim_at(x, t) for t in (S2, P1, S1)] == [0, 1, 0]
+    assert [M.phi_at(x, t).dim for t in (S2, P1, S1)] == [0, 1, 0]
     # (0, M, 0) presents Hom(-, M)
-    assert [M.phi_dim_at(M.target_only(P1), t) for t in (S2, P1, S1)] == [1, 1, 0]
+    assert [M.phi_at(M.target_only(P1), t).dim for t in (S2, P1, S1)] == [1, 1, 0]
     # contractible objects present the zero functor
-    assert all(M.phi_dim_at(M.identity_object(P1), t) == 0 for t in (S2, P1, S1))
+    assert all(M.phi_at(M.identity_object(P1), t).dim == 0 for t in (S2, P1, S1))
     # the dual construction on x
     assert [M.phi_op_dim_at(x, t) for t in (S2, P1, S1)] == [1, 0, 0]
+
+
+def _rank_phi_dim(x, t):
+    """dim coker(Hom(t, m1) -> Hom(t, m2)) as a rank count."""
+    into = hom_basis(t, x.m1)
+    target = hom_basis(t, x.m2)
+    if not target:
+        return 0
+    if not into:
+        return len(target)
+    cols = np.stack([vectorize_hom(compose(x.f, h)) for h in into], axis=1)
+    return len(target) - la.rank(cols, x.algebra.p)
+
+
+def _rank_phi_op_dim(x, t):
+    """dim coker(Hom(m2, t) -> Hom(m1, t)) as a rank count."""
+    frm = hom_basis(x.m2, t)
+    target = hom_basis(x.m1, t)
+    if not target:
+        return 0
+    if not frm:
+        return len(target)
+    cols = np.stack([vectorize_hom(compose(h, x.f)) for h in frm], axis=1)
+    return len(target) - la.rank(cols, x.algebra.p)
+
+
+@pytest.mark.parametrize(
+    "n_vertices, arrows, relations, p",
+    [
+        (2, [("a", 0, 1)], [], 2),
+        (2, [("a", 0, 1)], [], 101),
+        (3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]], 2),
+        (3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]], 101),
+    ],
+    ids=["a2-p2", "a2-p101", "a3_rel-p2", "a3_rel-p101"],
+)
+def test_phi_at_matches_rank_counts(n_vertices, arrows, relations, p):
+    """phi_at and its dual route against rank counts, on every indecomposable map object."""
+    alg = algebra_from_spec(p, n_vertices, arrows, relations)
+    lam = knit_ar_quiver(alg).vertices
+    tri = M.gamma_of(alg)
+    xs = [M.from_gamma_module(tri, g) for g in knit_ar_quiver(tri.algebra, dim_bound=80).vertices]
+    for x in xs:
+        for t in lam:
+            assert M.phi_at(x, t).dim == _rank_phi_dim(x, t)
+            assert M.phi_op_dim_at(x, t) == _rank_phi_op_dim(x, t)
 
 
 def test_homotopy_quotient_dims(a2_objects):
@@ -153,13 +200,6 @@ def test_f_cover_shapes(a2_objects):
     assert cov.tags == ["identity", "target"]
     cov3 = M.f_projective_cover(x3)  # ker f = S2 forces the extra piece
     assert cov3.tags == ["kernel", "identity", "target"]
-    # minimized covers of F-projectives are the objects themselves
-    for fp in (M.identity_object(P1), M.target_only(S2), M.source_only(S2)):
-        got = M.f_projective_cover(fp, minimize=True)
-        assert got.cover is fp
-    # x3 needs all three pieces even after trimming
-    min3 = M.f_projective_cover(x3, minimize=True)
-    assert sorted(min3.tags) == ["identity", "kernel", "target"]
 
 
 def test_f_resolution_stops_within_two_steps(a2_objects):
