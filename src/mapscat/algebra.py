@@ -128,12 +128,11 @@ class PathBasis:
         {monomial-index: coeff} describing (arrow a) o monomial.
     """
 
-    def __init__(self, monomials, index, reductions, left_action, max_len):
+    def __init__(self, monomials, index, reductions, left_action):
         self.monomials: List[Path] = monomials
         self.index: Dict[Path, int] = index
         self.reductions: Dict[Path, Dict[int, int]] = reductions
         self.left_action: List[Dict[int, Dict[int, int]]] = left_action
-        self.max_len = max_len
 
     @property
     def dim(self) -> int:
@@ -146,29 +145,6 @@ class PathBasis:
         if p in self.reductions:
             return dict(self.reductions[p])
         return {}
-
-    def multiply(self, later: Path, first: Path, q: Quiver, p: int) -> Dict[int, int]:
-        """Product (later) o (first) of two basis paths, reduced."""
-        if path_source(later) != path_target(q, first):
-            return {}
-        vec = self.reduce_path(first)
-        for a in later[1]:
-            nxt: Dict[int, int] = {}
-            for mi, c in vec.items():
-                for ti, c2 in self.left_action[a].get(mi, {}).items():
-                    nxt[ti] = (nxt.get(ti, 0) + c * c2) % p
-            vec = {k: v for k, v in nxt.items() if v}
-        return vec
-
-    def mult_table(self, q: Quiver, p: int) -> Dict[Tuple[int, int], Dict[int, int]]:
-        """Structure constants: (i, j) -> reduction of monomial_i o monomial_j."""
-        table = {}
-        for i, mi in enumerate(self.monomials):
-            for j, mj in enumerate(self.monomials):
-                prod = self.multiply(mi, mj, q, p)
-                if prod:
-                    table[(i, j)] = prod
-        return table
 
 
 class AlgebraPresentation:
@@ -301,7 +277,6 @@ class AlgebraPresentation:
             # so the lookup above never drops terms
             assert len(reductions[path]) == len(expr)
 
-        max_len = max((len(m[1]) for m in monomials), default=0)
         left_action: List[Dict[int, Dict[int, int]]] = []
         for a in range(len(q.arrows)):
             table: Dict[int, Dict[int, int]] = {}
@@ -316,7 +291,7 @@ class AlgebraPresentation:
                     if entry:
                         table[i] = entry
             left_action.append(table)
-        return PathBasis(monomials, index, reductions, left_action, max_len)
+        return PathBasis(monomials, index, reductions, left_action)
 
     # -- derived presentations ----------------------------------------------
 

@@ -24,6 +24,8 @@ from .modules import (
     decompose,
     direct_sum,
     dual_hom,
+    dual_module,
+    extension,
     end_radical,
     factor_past,
     factor_through,
@@ -35,7 +37,6 @@ from .modules import (
     hom_through_epi,
     identity_hom,
     indecomposable_projective,
-    injective_envelope,
     is_injective_indec,
     is_projective_indec,
     iso_between,
@@ -43,8 +44,6 @@ from .modules import (
     kernel,
     cokernel,
     minimal_projective_presentation,
-    projective_cover,
-    pushout,
     quotient,
     star_of_projective_hom,
     radical_submodule,
@@ -219,7 +218,7 @@ def _almost_split_with_presentation(m: Module) -> Tuple[ShortExactSeq, ProjPrese
     rad = end_radical(m)
     action_rows = []
     for r in rad:
-        r0 = _lift_along_epi(pres.eps, compose(r, pres.eps))
+        r0 = _lift_along_epi(pres.p0.epi, compose(r, pres.p0.epi))
         r1 = hom_into_sub(k_incl, compose(r0, k_incl))
         act = hom_coordinates([compose(c, r1) for c in cocycles], cocycles)
         action_rows.append(la.matmul(qmat, act, p))
@@ -235,9 +234,7 @@ def _almost_split_with_presentation(m: Module) -> Tuple[ShortExactSeq, ProjPrese
             break
     if pick is None:
         raise ArithmeticError("no nonzero socle class found in Ext^1(m, tau m)")
-    phi = combine(k_mod, tm, cocycles, pick)
-    _, leg_tm, _, sd, proj = pushout(phi, k_incl)
-    surj = hom_through_epi(proj, compose(pres.eps, sd.projections[1]))
+    _, leg_tm, surj = extension(combine(k_mod, tm, cocycles, pick), k_incl, pres.p0.epi)
     seq = seq_of_modules(leg_tm, surj, verified="socle class")
     if split_epi_section(surj) is not None:
         raise AssertionError("constructed sequence split; socle pick was wrong")
@@ -254,14 +251,26 @@ def _lift_along_epi(eps: ModuleHom, raw: ModuleHom) -> ModuleHom:
 
 def almost_split_starting_at(n: Module) -> ShortExactSeq:
     """The almost split sequence 0 -> n -> E -> tau^{-1} n -> 0."""
+    return _almost_split_starting_with_presentation(n)[0]
+
+
+def _almost_split_starting_with_presentation(n: Module) -> Tuple[ShortExactSeq, ProjPresentation]:
+    """almost_split_starting_at(n), with the minimal presentation of Dn behind it.
+
+    The dual of the almost split sequence 0 -> tau Dn -> E' -> Dn -> 0
+    over the opposite algebra: D tau Dn = Tr Dn is tau^{-1} n, read off
+    the one presentation of Dn.
+    """
     if is_injective_indec(n):
         raise ValueError("no almost split sequence starts at an injective")
-    ti = tau_inverse(n)
-    seq = almost_split_ending_at(ti)
-    u = iso_between(n, seq.left)
-    assert u is not None, "left term of the knitted sequence is not tau of the right"
-    inj = compose(seq.inj, u)
-    return ShortExactSeq(n, seq.middle, seq.right, inj, seq.surj, seq.verified)
+    dual, pres = _almost_split_with_presentation(dual_module(n))
+    middle = dual_module(dual.middle)
+    right = dual_module(dual.left)
+    right.name = f"tau^-({n.name})" if n.name else ""
+    # D of each hom, transposed vertexwise; D Dn is n again
+    inj = ModuleHom(n, middle, [x.T for x in dual.surj.mats], check=False)
+    surj = ModuleHom(middle, right, [x.T for x in dual.inj.mats], check=False)
+    return ShortExactSeq(n, middle, right, inj, surj, dual.verified), pres
 
 
 # -- the special families in the maps category ----------------------------------
@@ -308,8 +317,7 @@ def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None
     base, pres = _almost_split_with_presentation(m)
     alg = m.algebra
     p = alg.p
-    _, _, star_d, _, _ = star_of_projective_hom(pres.p1, pres.p0, pres.d)
-    g = dual_hom(star_d)  # D(P1*) -> D(P0*)
+    g = dual_hom(star_of_projective_hom(pres.p1, pres.p0, pres.d))  # D(P1*) -> D(P0*)
     dp1, dp0 = g.source, g.target
     k_mod, k_incl = kernel(g)
     u0 = iso_between(base.left, k_mod)
@@ -347,14 +355,12 @@ def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None)
     From the sequence 0 -> n -> E -> tau^{-1} n -> 0: the family ending
     at (0, tau^{-1}n, 0), the family ending at (tau^{-1}n, tau^{-1}n, 1),
     and the family starting at (0, n, 0) built from the minimal injective
-    copresentation of n.
+    copresentation I0 -> I1 of n, the dual of the minimal presentation
+    D(I1) -> D(I0) -> Dn behind that sequence.  Raises for an injective n.
     """
-    if is_injective_indec(n):
-        raise ValueError("the dual constructions need a non-injective module")
-    base = almost_split_starting_at(n)
+    base, pres = _almost_split_starting_with_presentation(n)
     ti = base.right
     alg = n.algebra
-    p = alg.p
 
     # (a)(1): 0 -> (n,n,1) -> (n,E,j) -> (0, ti, 0) -> 0
     seq1 = _seq_ending_at_target(base, test_set)
@@ -362,24 +368,10 @@ def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None)
     seq2 = _seq_ending_at_identity(base, test_set)
 
     # (b): 0 -> (0,n,0) -> (D(I0)*, D(I1)* (+) n) -> (D(I0)*, D(I1)*, D(q1)*) -> 0
-    i0, q0 = injective_envelope(n)
-    c_mod, c_proj = cokernel(q0)
-    i1, env1 = injective_envelope(c_mod)
-    q1 = compose(env1, c_proj)  # I0 -> I1, minimal copresentation
-    dq1 = dual_hom(q1)  # D(I1) -> D(I0), projective modules over the opposite
-    cov0 = projective_cover(dq1.target)
-    cov1 = projective_cover(dq1.source)
-    d_mats = []
-    for v in range(len(dq1.mats)):
-        inv = la.invert(cov0.epi.mats[v], p)
-        assert inv is not None, "cover of a projective must be an iso"
-        d_mats.append(la.matmul(inv, la.matmul(dq1.mats[v], cov1.epi.mats[v], p), p))
-    d_repr = ModuleHom(cov1.sum.module, cov0.sum.module, d_mats, check=True)
-    _, _, star_dq, _, _ = star_of_projective_hom(cov1, cov0, d_repr)  # D(I0)* -> D(I1)*
-    ti_real, c2 = cokernel(star_dq)
-    w = iso_between(ti_real, ti)
-    assert w is not None, "cokernel of D(q1)* is not tau^{-1} n"
-    c_to_ti = compose(w, c2)  # D(I1)* -> ti
+    star_dq = star_of_projective_hom(pres.p1, pres.p0, pres.d)  # D(I0)* -> D(I1)*
+    # coker D(q1)* is Tr Dn, built from this presentation exactly as ti was,
+    # so the cokernel map lands on ti as it stands; check=True proves it a hom
+    c_to_ti = ModuleHom(star_dq.target, ti, cokernel(star_dq)[1].mats)  # D(I1)* -> ti
     v_bar = _lift_along_epi(base.surj, c_to_ti)  # D(I1)* -> E with pi v_bar = c
     v_map = hom_into_sub(base.inj, compose(v_bar, star_dq))  # D(I0)* -> n
     sd = direct_sum(alg, [star_dq.target, n])

@@ -357,9 +357,6 @@ def map_morphism_to_hom(real: FunctorRealization, u: MapMorphism) -> ModuleHom:
 
 @dataclass
 class PhiArImage:
-    left: FpFunctor
-    middle: FpFunctor
-    right: FpFunctor
     realized: ShortExactSeq
     certificate: object
     corpus_complete: bool
@@ -389,14 +386,7 @@ def phi_image_of_ar(real: FunctorRealization, s: ShortExactSeq) -> PhiArImage:
     cert = is_almost_split(realized, dq.vertices)
     if not cert:
         raise CertificationError("realized sequence fails the almost-split test: " + "; ".join(cert.reasons))
-    return PhiArImage(
-        FpFunctor(s.left, name="Phi(left)"),
-        FpFunctor(s.middle, name="Phi(middle)"),
-        FpFunctor(s.right, name="Phi(right)"),
-        realized,
-        cert,
-        dq.complete,
-    )
+    return PhiArImage(realized, cert, dq.complete)
 
 
 # -- coresolutions and tilting reports ---------------------------------------------

@@ -3,7 +3,7 @@
 Objects are morphisms f: M1 -> M2 in mod Lambda, morphisms are commuting
 squares.  The category is equivalent to modules over the triangular matrix
 algebra Gamma of Lambda, and goes through Gamma: hom spaces, direct sums,
-kernels, images, cokernels, pushouts, decomposition and the Ext counts are
+kernels, images, cokernels, extensions, decomposition and the Ext counts are
 the module constructions on the Gamma side, split back into squares.  The
 category carries the exact structure S whose admissible sequences have
 split kernel-, source- and target-columns, and supports the relative
@@ -29,6 +29,7 @@ from .modules import (
     direct_sum,
     dual_hom,
     dual_module,
+    extension,
     factor_past,
     factor_through,
     hom_add,
@@ -36,13 +37,11 @@ from .modules import (
     hom_complex_dims,
     hom_coordinates,
     hom_scale,
-    hom_through_epi,
     hom_into_sub,
     identity_hom,
     image,
     iso_between,
     kernel,
-    pushout,
     vectorize_hom,
     zero_hom,
     zero_module,
@@ -666,9 +665,8 @@ def pushout_extension(data: Ext1Data, cocycle: MapMorphism) -> Tuple[MapObject, 
 
     The pushout of the cover sequence along the cocycle, taken on Gamma.
     """
-    e, leg_y, _, sd, proj = pushout(to_gamma_hom(cocycle), to_gamma_hom(data.syzygy_incl))
+    e, leg_y, onto = extension(to_gamma_hom(cocycle), to_gamma_hom(data.syzygy_incl), to_gamma_hom(data.cover.epi))
     e_obj = _fresh_map_object(gamma_of(data.x.algebra), e)
-    onto = hom_through_epi(proj, compose(to_gamma_hom(data.cover.epi), sd.projections[1]))
     return e_obj, from_gamma_hom(leg_y, data.y, e_obj), from_gamma_hom(onto, e_obj, data.x)
 
 

@@ -504,21 +504,22 @@ def cokernel(f: ModuleHom) -> Tuple[Module, ModuleHom]:
     return quotient(f.target, bases, name="coker")
 
 
-def pushout(phi: ModuleHom, incl: ModuleHom) -> Tuple[Module, ModuleHom, ModuleHom, SumData, ModuleHom]:
-    """The pushout of phi: K -> N along a mono incl: K -> P.
+def extension(cocycle: ModuleHom, incl: ModuleHom, epi: ModuleHom) -> Tuple[Module, ModuleHom, ModuleHom]:
+    """The extension 0 -> N -> E -> X -> 0 of a cocycle K -> N.
 
-    It is (N (+) P) / {(phi k, -k)}.  Returns the quotient, its two legs
-    from N and P, the sum N (+) P and the projection onto the quotient.
+    incl: K -> P and epi: P -> X form a short exact sequence, and E is
+    its pushout along the cocycle, (N (+) P) / {(cocycle k, -k)}.
+    Returns E, the leg N -> E and the epi E -> X induced by epi.
     """
-    alg = phi.source.algebra
+    alg = cocycle.source.algebra
     p = alg.p
-    sd = direct_sum(alg, [phi.target, incl.target])
+    sd = direct_sum(alg, [cocycle.target, incl.target])
     w_bases = [
-        la.column_space_basis(np.vstack([phi.mats[v], (-incl.mats[v]) % p]), p)
+        la.column_space_basis(np.vstack([cocycle.mats[v], (-incl.mats[v]) % p]), p)
         for v in range(alg.quiver.n_vertices)
     ]
-    quot, proj = quotient(sd.module, w_bases)
-    return quot, compose(proj, sd.inclusions[0]), compose(proj, sd.inclusions[1]), sd, proj
+    e, proj = quotient(sd.module, w_bases)
+    return e, compose(proj, sd.inclusions[0]), hom_through_epi(proj, compose(epi, sd.projections[1]))
 
 
 def hom_through_epi(proj: ModuleHom, raw: ModuleHom) -> ModuleHom:
@@ -663,8 +664,7 @@ class ProjPresentation:
 
     p1: ProjCover
     p0: ProjCover
-    d: ModuleHom  # P1 -> P0
-    eps: ModuleHom  # P0 -> m
+    d: ModuleHom  # P1 -> P0; p0.epi is P0 -> m
     syzygy: Module
     syzygy_incl: ModuleHom  # syzygy -> P0
 
@@ -674,7 +674,7 @@ def minimal_projective_presentation(m: Module) -> ProjPresentation:
     syz, incl = kernel(c0.epi)
     c1 = projective_cover(syz)
     d = compose(incl, c1.epi)
-    return ProjPresentation(c1, c0, d, c0.epi, syz, incl)
+    return ProjPresentation(c1, c0, d, syz, incl)
 
 
 def injective_envelope(m: Module) -> Tuple[Module, ModuleHom]:
@@ -708,12 +708,12 @@ def _op_element_of(algebra: AlgebraPresentation, vec: np.ndarray, src: int, tgt:
     return {k: v for k, v in out.items() if v}
 
 
-def star_of_projective_hom(cover_src: ProjCover, cover_tgt: ProjCover, h: ModuleHom) -> Tuple[SumData, SumData, ModuleHom, List[int], List[int]]:
+def star_of_projective_hom(cover_src: ProjCover, cover_tgt: ProjCover, h: ModuleHom) -> ModuleHom:
     """Apply Hom(-, A) to a hom between explicit projective sums.
 
-    h: cover_src.sum.module -> cover_tgt.sum.module.  Returns the opposite
-    projective sums (target-star, source-star), the starred hom between
-    them, and their vertex lists.
+    h: cover_src.sum.module -> cover_tgt.sum.module.  Returns the starred
+    hom between the opposite projective sums, from the one on
+    cover_tgt.vertices to the one on cover_src.vertices.
     """
     algebra = cover_src.sum.module.algebra
     op = opposite_of(algebra)
@@ -721,8 +721,6 @@ def star_of_projective_hom(cover_src: ProjCover, cover_tgt: ProjCover, h: Module
     src_vs, tgt_vs = cover_src.vertices, cover_tgt.vertices
     star_src = direct_sum(op, [indecomposable_projective(op, v) for v in tgt_vs])
     star_tgt = direct_sum(op, [indecomposable_projective(op, v) for v in src_vs])
-    b = algebra.basis
-    q = algebra.quiver
     images: List[np.ndarray] = []
     for j, w in enumerate(tgt_vs):
         img = np.zeros(star_tgt.module.dims[w], dtype=np.int64)
@@ -741,35 +739,22 @@ def star_of_projective_hom(cover_src: ProjCover, cover_tgt: ProjCover, h: Module
                 vec[local.index(oi)] = c
             img = (img + la.matmul(star_tgt.inclusions[i].mats[w], vec.reshape(-1, 1), p)[:, 0]) % p
         images.append(img)
-    star_h = hom_from_generator_images(star_src, tgt_vs, star_tgt.module, images)
-    return star_src, star_tgt, star_h, tgt_vs, src_vs
+    return hom_from_generator_images(star_src, tgt_vs, star_tgt.module, images)
 
 
-def transpose(m: Module, presentation: Optional[ProjPresentation] = None) -> Tuple[Module, List[Module]]:
-    """Tr(m) over the opposite algebra, after splitting off projectives.
+def transpose(m: Module, presentation: Optional[ProjPresentation] = None) -> Module:
+    """Tr(m) over the opposite algebra: the cokernel of d* for the minimal
+    presentation P1 -d-> P0 -> m.
 
-    Returns (Tr of the projective-free part, list of projective summands
-    that were split off).  presentation, when given, must be
-    minimal_projective_presentation(m), already built by the caller; it
-    is used when m is its own projective-free part, so no second
-    presentation of m is built.
+    A projective summand P of m contributes 0 -> P to the presentation,
+    so Tr of it is zero and Tr(m) is Tr of the projective-free part.
+    presentation, when given, must be minimal_projective_presentation(m),
+    already built by the caller.
     """
-    parts = decompose(m)
-    projectives = []
-    rest = []
-    for part, _, _ in parts:
-        if is_projective_indec(part):
-            projectives.append(part)
-        else:
-            rest.append(part)
-    if not rest:
-        return zero_module(opposite_of(m.algebra)), projectives
-    core = direct_sum(m.algebra, rest).module if len(rest) > 1 else rest[0]
-    pres = presentation if core is m and presentation is not None else minimal_projective_presentation(core)
-    _, _, star_d, _, _ = star_of_projective_hom(pres.p1, pres.p0, pres.d)
-    tr, _ = cokernel(star_d)
+    pres = presentation if presentation is not None else minimal_projective_presentation(m)
+    tr, _ = cokernel(star_of_projective_hom(pres.p1, pres.p0, pres.d))
     tr.name = f"Tr({m.name})" if m.name else "Tr"
-    return tr, projectives
+    return tr
 
 
 def is_projective_indec(m: Module) -> bool:
@@ -786,10 +771,9 @@ def tau(m: Module, presentation: Optional[ProjPresentation] = None) -> Module:
     """The Auslander-Reiten translate D Tr.
 
     Raises for a nonzero projective input; projective summands of a mixed
-    input are stripped (they contribute nothing).  presentation is passed
-    on to transpose.
+    input contribute nothing.  presentation is passed on to transpose.
     """
-    tr, stripped = transpose(m, presentation)
+    tr = transpose(m, presentation)
     if tr.is_zero() and not m.is_zero():
         raise ValueError("tau of a projective module is undefined here")
     out = dual_module(tr)
@@ -799,7 +783,7 @@ def tau(m: Module, presentation: Optional[ProjPresentation] = None) -> Module:
 
 def tau_inverse(m: Module) -> Module:
     """The inverse translate Tr D.  Raises for a nonzero injective input."""
-    tr, _ = transpose(dual_module(m))
+    tr = transpose(dual_module(m))
     if tr.is_zero() and not m.is_zero():
         raise ValueError("tau inverse of an injective module is undefined here")
     tr.name = f"tau^-({m.name})" if m.name else ""

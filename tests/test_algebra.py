@@ -95,20 +95,6 @@ def test_non_primes_are_rejected(p):
         AlgebraPresentation(p, Quiver(1, ()))
 
 
-def test_mult_table_a2():
-    alg = a2()
-    b = alg.basis
-    table = b.mult_table(alg.quiver, P)
-    e0 = b.index[(0, ())]
-    e1 = b.index[(1, ())]
-    a = b.index[(0, (0,))]
-    assert table[(e0, e0)] == {e0: 1}
-    assert table[(a, e0)] == {a: 1}  # a o e0 = a
-    assert table[(e1, a)] == {a: 1}  # e1 o a = a
-    assert (a, a) not in table  # not composable
-    assert (e0, e1) not in table
-
-
 def test_triangular_of_a2():
     tri = triangular_matrix_algebra(a2())
     g = tri.algebra

@@ -15,11 +15,11 @@ from mapscat.modules import (
     compose,
     direct_sum,
     end_radical,
+    extension,
     hom_add,
     hom_basis,
     hom_coordinates,
     hom_into_sub,
-    hom_through_epi,
     identity_hom,
     indecomposable_projective,
     is_injective_indec,
@@ -28,7 +28,6 @@ from mapscat.modules import (
     iso_index,
     minimal_projective_presentation,
     modules_isomorphic,
-    pushout,
     radical_submodule,
     decompose,
     simple_module,
@@ -255,12 +254,11 @@ def test_socle_criterion_rejects_a_class_outside_the_socle(knit):
     classes = la.kernel_basis(cob.T, P).T  # coordinates on Ext^1(C, tau C)
     rad = end_radical(c)
     assert classes.shape[0] == 2 and len(rad) == 1
-    r0 = ar._lift_along_epi(pres.eps, compose(rad[0], pres.eps))
+    r0 = ar._lift_along_epi(pres.p0.epi, compose(rad[0], pres.p0.epi))
     r1 = hom_into_sub(incl, compose(r0, incl))
     act = hom_coordinates([compose(z, r1) for z in cocycles], cocycles)
     j = next(j for j in range(len(cocycles)) if la.matmul(classes, act[:, j : j + 1], P).any())
-    _, leg, _, sd, proj = pushout(cocycles[j], incl)
-    surj = hom_through_epi(proj, compose(pres.eps, sd.projections[1]))
+    _, leg, surj = extension(cocycles[j], incl, pres.p0.epi)
     seq = seq_of_modules(leg, surj)
     assert tuple(seq.middle.dims) == (2, 2)
     assert split_epi_section(surj) is None
@@ -275,6 +273,25 @@ def test_tau_three_ways_gamma_a2(gamma_quiver):
     for i, j in q.tau_edges:
         assert iso_between(tau(q.vertices[i]), q.vertices[j]) is not None
         assert iso_between(tau_inverse(q.vertices[j]), q.vertices[i]) is not None
+
+
+@pytest.mark.parametrize("name", ["a3_rel", "a3_flip"])
+def test_translates_are_additive(knit, name):
+    # tau(x (+) y) = tau x (+) tau y, where a projective summand contributes
+    # nothing and a sum of projectives raises; dually for tau^-1 and injectives
+    q = knit(name, "lambda")
+    alg = q.algebra
+    for translate, ends in ((tau, q.projectives), (tau_inverse, q.injectives)):
+        for i, x in enumerate(q.vertices):
+            for j in range(i, len(q.vertices)):
+                total = direct_sum(alg, [x, q.vertices[j]]).module
+                kept = [q.vertices[k] for k in (i, j) if k not in ends]
+                if not kept:
+                    with pytest.raises(ValueError):
+                        translate(total)
+                    continue
+                expected = direct_sum(alg, [translate(m) for m in kept]).module
+                assert modules_isomorphic(translate(total), expected), (translate.__name__, i, j)
 
 
 def test_special_shapes_a2(a2_modules):
@@ -308,6 +325,50 @@ def test_special_seq_M_zero_builds_one_presentation(a2_modules, monkeypatch):
     s1 = a2_modules[0]
     special_seq_M_zero(s1)
     assert built == [s1]
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of modules.<name>, under every module that uses the name."""
+    calls = []
+    real = getattr(modules, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (modules, ar):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _non_injectives(knit):
+    for name in ("a2", "a3_rel", "a3_flip"):
+        q = knit(name, "lambda")
+        yield from (m for i, m in enumerate(q.vertices) if i not in q.injectives)
+
+
+def test_starting_at_reads_one_presentation_of_the_dual(knit, monkeypatch):
+    # the sequence is the dual of the one ending at Dn: one transpose, no tau^-1
+    for n in _non_injectives(knit):
+        with monkeypatch.context() as mp:
+            counts = {k: _count_calls(mp, k) for k in ("minimal_projective_presentation", "star_of_projective_hom", "tau_inverse")}
+            seq = almost_split_starting_at(n)
+        assert seq.left is n
+        assert {k: len(v) for k, v in counts.items()} == {
+            "minimal_projective_presentation": 1, "star_of_projective_hom": 1, "tau_inverse": 0
+        }
+
+
+def test_special_seq_duals_build_one_presentation(knit, monkeypatch):
+    # family (b) reads D(I0)* -> D(I1)* off the presentation of Dn behind
+    # the sequence starting at n: no injective envelopes, no further covers
+    for n in _non_injectives(knit):
+        with monkeypatch.context() as mp:
+            presented = _count_calls(mp, "minimal_projective_presentation")
+            covered = _count_calls(mp, "projective_cover")
+            special_seq_duals(n)
+        assert (len(presented), len(covered)) == (1, 2)
 
 
 def test_dual_shapes_a2(a2_modules):
