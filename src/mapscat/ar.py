@@ -31,6 +31,7 @@ from .modules import (
     factor_through,
     hom_add,
     hom_basis,
+    hom_basis_coordinates,
     hom_coordinates,
     hom_into_sub,
     hom_scale,
@@ -41,15 +42,12 @@ from .modules import (
     is_projective_indec,
     iso_between,
     iso_index,
-    kernel,
-    cokernel,
     minimal_projective_presentation,
     quotient,
-    star_of_projective_hom,
     radical_submodule,
     socle_submodule,
-    tau,
-    tau_inverse,
+    tau_inverse_maps,
+    transpose_maps,
     zero_hom,
 )
 from .maps import (
@@ -188,29 +186,43 @@ def almost_split_ending_at(m: Module) -> ShortExactSeq:
 
     Built from a class in Ext^1(m, tau m) annihilated by the radical of
     End(m); the result is verified exact and non-split.  Its left term is
-    tau(m) itself, computed here, so is_almost_split(seq, [m]) certifies
+    tau m itself, computed here, so is_almost_split(seq, [m]) certifies
     the sequence by the socle criterion without recomputing tau.  One
-    minimal presentation of m serves both tau and Ext^1(m, tau m).
+    minimal presentation of m serves both tau m and Ext^1(m, tau m).
     """
-    return _almost_split_with_presentation(m)[0]
+    return _almost_split_ending_with_transpose(m)[0]
 
 
-def _almost_split_with_presentation(m: Module) -> Tuple[ShortExactSeq, ProjPresentation]:
-    """almost_split_ending_at(m) with the minimal presentation of m it built."""
+def _almost_split_ending_with_transpose(m: Module) -> Tuple[ShortExactSeq, ModuleHom, ModuleHom]:
+    """almost_split_ending_at(m), with d*: P0* -> P1* for the minimal
+    presentation of m and its cokernel map P1* -> Tr m, whose dual
+    embeds the left end in D(P1*)."""
     if len(decompose(m)) != 1:
         raise ValueError("right end must be indecomposable")
     if is_projective_indec(m):
         raise ValueError("no almost split sequence ends at a projective")
-    alg = m.algebra
-    p = alg.p
     pres = minimal_projective_presentation(m)
-    tm = tau(m, pres)
+    star, coker = transpose_maps(pres)
+    return _almost_split_with_presentation(m, pres, coker), star, coker
+
+
+def _almost_split_with_presentation(m: Module, pres: ProjPresentation, coker: ModuleHom) -> ShortExactSeq:
+    """The almost split sequence ending at m, read from one minimal presentation.
+
+    m must be a non-projective indecomposable; callers check that, or
+    know it.  pres is minimal_projective_presentation(m) and coker the
+    cokernel map P1* -> Tr m from transpose_maps(pres): the left end is
+    tau m = D Tr m, and Ext^1(m, tau m) is read on the syzygy of pres.
+    """
+    p = m.algebra.p
+    tm = dual_module(coker.target)
+    tm.name = f"tau({m.name})" if m.name else ""
     k_mod, k_incl = pres.syzygy, pres.syzygy_incl
     cocycles = hom_basis(k_mod, tm)
     if not cocycles:
         raise ArithmeticError("Ext^1(m, tau m) came out zero; construction failed")
     from_p0 = hom_basis(pres.p0.sum.module, tm)
-    cob = hom_coordinates([compose(h, k_incl) for h in from_p0], cocycles)
+    cob = hom_basis_coordinates((compose(h, k_incl) for h in from_p0), cocycles)
     # quotient coordinates: rows annihilating the coboundary space
     qmat = la.kernel_basis(cob.T, p).T
     if qmat.shape[0] == 0:
@@ -220,7 +232,7 @@ def _almost_split_with_presentation(m: Module) -> Tuple[ShortExactSeq, ProjPrese
     for r in rad:
         r0 = _lift_along_epi(pres.p0.epi, compose(r, pres.p0.epi))
         r1 = hom_into_sub(k_incl, compose(r0, k_incl))
-        act = hom_coordinates([compose(c, r1) for c in cocycles], cocycles)
+        act = hom_basis_coordinates((compose(c, r1) for c in cocycles), cocycles)
         action_rows.append(la.matmul(qmat, act, p))
     if action_rows:
         socle_system = np.vstack(action_rows)
@@ -238,7 +250,7 @@ def _almost_split_with_presentation(m: Module) -> Tuple[ShortExactSeq, ProjPrese
     seq = seq_of_modules(leg_tm, surj, verified="socle class")
     if split_epi_section(surj) is not None:
         raise AssertionError("constructed sequence split; socle pick was wrong")
-    return seq, pres
+    return seq
 
 
 def _lift_along_epi(eps: ModuleHom, raw: ModuleHom) -> ModuleHom:
@@ -251,26 +263,34 @@ def _lift_along_epi(eps: ModuleHom, raw: ModuleHom) -> ModuleHom:
 
 def almost_split_starting_at(n: Module) -> ShortExactSeq:
     """The almost split sequence 0 -> n -> E -> tau^{-1} n -> 0."""
-    return _almost_split_starting_with_presentation(n)[0]
+    return _almost_split_starting_with_transpose(n)[0]
 
 
-def _almost_split_starting_with_presentation(n: Module) -> Tuple[ShortExactSeq, ProjPresentation]:
-    """almost_split_starting_at(n), with the minimal presentation of Dn behind it.
-
-    The dual of the almost split sequence 0 -> tau Dn -> E' -> Dn -> 0
-    over the opposite algebra: D tau Dn = Tr Dn is tau^{-1} n, read off
-    the one presentation of Dn.
-    """
+def _almost_split_starting_with_transpose(n: Module) -> Tuple[ShortExactSeq, ModuleHom, ModuleHom]:
+    """almost_split_starting_at(n), with d*: D(I0)* -> D(I1)* for the
+    minimal presentation of Dn and its cokernel map onto the right end."""
+    if len(decompose(n)) != 1:
+        raise ValueError("left end must be indecomposable")
     if is_injective_indec(n):
         raise ValueError("no almost split sequence starts at an injective")
-    dual, pres = _almost_split_with_presentation(dual_module(n))
+    pres, star, coker = tau_inverse_maps(n)
+    return _almost_split_from_dual(n, pres, coker), star, coker
+
+
+def _almost_split_from_dual(n: Module, pres: ProjPresentation, coker: ModuleHom) -> ShortExactSeq:
+    """0 -> n -> E -> Tr Dn -> 0 from tau_inverse_maps(n), for a
+    non-injective indecomposable n (not checked here).
+
+    The dual of the almost split sequence 0 -> tau Dn -> E' -> Dn -> 0
+    over the opposite algebra: D tau Dn is Tr Dn = coker.target, which
+    is the right end as it stands, and D Dn is n again.
+    """
+    dual = _almost_split_with_presentation(pres.p0.epi.target, pres, coker)
     middle = dual_module(dual.middle)
-    right = dual_module(dual.left)
-    right.name = f"tau^-({n.name})" if n.name else ""
-    # D of each hom, transposed vertexwise; D Dn is n again
+    # D of each hom, transposed vertexwise
     inj = ModuleHom(n, middle, [x.T for x in dual.surj.mats], check=False)
-    surj = ModuleHom(middle, right, [x.T for x in dual.inj.mats], check=False)
-    return ShortExactSeq(n, middle, right, inj, surj, dual.verified), pres
+    surj = ModuleHom(middle, coker.target, [x.T for x in dual.inj.mats], check=False)
+    return ShortExactSeq(n, middle, coker.target, inj, surj, dual.verified)
 
 
 # -- the special families in the maps category ----------------------------------
@@ -314,15 +334,13 @@ def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None
     found by lifting the kernel inclusion along the left almost split
     map of the module sequence.
     """
-    base, pres = _almost_split_with_presentation(m)
+    base, star, coker = _almost_split_ending_with_transpose(m)
     alg = m.algebra
     p = alg.p
-    g = dual_hom(star_of_projective_hom(pres.p1, pres.p0, pres.d))  # D(P1*) -> D(P0*)
+    g = dual_hom(star)  # D(P1*) -> D(P0*)
     dp1, dp0 = g.source, g.target
-    k_mod, k_incl = kernel(g)
-    u0 = iso_between(base.left, k_mod)
-    assert u0 is not None, "kernel of D(p1*) is not tau m"
-    u = compose(k_incl, u0)  # tau m -> D(P1*)
+    # D of the cokernel map P1* -> Tr m embeds tau m = D Tr m in D(P1*) as ker g
+    u = ModuleHom(base.left, dp1, [x.T for x in coker.mats], check=False)
     # t_bar o j = u exists: j is left almost split and u is not a split mono
     t_bar = factor_past(base.inj, u)
     if t_bar is None:
@@ -358,7 +376,7 @@ def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None)
     copresentation I0 -> I1 of n, the dual of the minimal presentation
     D(I1) -> D(I0) -> Dn behind that sequence.  Raises for an injective n.
     """
-    base, pres = _almost_split_starting_with_presentation(n)
+    base, star_dq, c_to_ti = _almost_split_starting_with_transpose(n)  # D(I0)* -> D(I1)* -> ti
     ti = base.right
     alg = n.algebra
 
@@ -368,10 +386,7 @@ def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None)
     seq2 = _seq_ending_at_identity(base, test_set)
 
     # (b): 0 -> (0,n,0) -> (D(I0)*, D(I1)* (+) n) -> (D(I0)*, D(I1)*, D(q1)*) -> 0
-    star_dq = star_of_projective_hom(pres.p1, pres.p0, pres.d)  # D(I0)* -> D(I1)*
-    # coker D(q1)* is Tr Dn, built from this presentation exactly as ti was,
-    # so the cokernel map lands on ti as it stands; check=True proves it a hom
-    c_to_ti = ModuleHom(star_dq.target, ti, cokernel(star_dq)[1].mats)  # D(I1)* -> ti
+    # ti is the cokernel of D(q1)*, so the cokernel map lands on it as it stands
     v_bar = _lift_along_epi(base.surj, c_to_ti)  # D(I1)* -> E with pi v_bar = c
     v_map = hom_into_sub(base.inj, compose(v_bar, star_dq))  # D(I0)* -> n
     sd = direct_sum(alg, [star_dq.target, n])
@@ -426,12 +441,20 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
     arrows into Z are read from the middle term of the sequence ending at
     Z, or from rad Z for projective Z (Auslander-Reiten-Smalo VII.1): a
     summand X occurring n times gives dim_K Irr(X, Z) = n * dim_K End(X)/rad End(X).
+    Each AR pair X = tau Z costs one transpose (Auslander-Reiten-Smalo
+    IV, VII): processing a non-injective X computes Tr DX = tau^{-1} X
+    from the minimal presentation of DX and, when Z is a vertex not yet
+    processed, builds 0 -> X -> E -> Tr DX -> 0 from that presentation
+    at once, kept until Z is processed.  A Z processed before X falls
+    back to almost_split_ending_at(Z), whose left end is X; X then
+    computes no transpose.  So a sequence's right end is Z up to
+    isomorphism, and Z itself when the transpose discovered it.
     Each module met is resolved to its vertex once, by iso_index: while
     the knit grows, through the add that also discovers it; once a bound
     is hit, against the final vertex list.  The arrows and tau edges are
     read from those indices after the vertices are sorted.
     A complete knit certifies each sequence from its right end alone,
-    by is_almost_split(seq, [m]), and marks it "corpus".
+    by is_almost_split(seq, [seq.right]), and marks it "corpus".
     Exceeding dim_bound (or a hard vertex cap) yields a partial quiver,
     with the arrows among the vertices found, and a warning, not an error;
     its sequences are marked "corpus-bounded" and not certified.
@@ -462,24 +485,39 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
     # projective), the vertices of the summands of the sink's source, the
     # vertex of the sequence's left end, and whether the vertex is injective
     found: List[Tuple[Optional[ShortExactSeq], List[Optional[int]], Optional[int], bool]] = []
+    # sequences built ahead of their right end, by the transpose that
+    # discovered it, with the vertex of their left end; and the vertices
+    # whose tau^{-1} is already a processed right end
+    ahead: Dict[int, Tuple[ShortExactSeq, int]] = {}
+    paired = set()
     for v in range(algebra.quiver.n_vertices):
         add(indecomposable_projective(algebra, v))
-    for m in reps:  # reps grows while it is walked, until a bound is hit
-        seq = None if is_projective_indec(m) else almost_split_ending_at(m)
+    for k, m in enumerate(reps):  # reps grows while it is walked, until a bound is hit
+        if k in ahead:
+            seq, at = ahead.pop(k)
+        else:
+            seq = None if is_projective_indec(m) else almost_split_ending_at(m)
+            at = None
         source = radical_submodule(m)[0] if seq is None else seq.middle
         mid_parts = [part for part, _, _ in decompose(source)]
         injective = is_injective_indec(m)
         if complete:
-            at = None if seq is None else add(seq.left)
-            if not injective:
-                add(tau_inverse(m))
+            if seq is not None and at is None:
+                at = add(seq.left)
+                paired.add(at)
+            if not injective and k not in paired:
+                pres, _, coker = tau_inverse_maps(m)
+                z = add(coker.target)
+                if z is not None and z > k:
+                    ahead[z] = (_almost_split_from_dual(m, pres, coker), k)
             mids = [add(part) for part in mid_parts]
             if injective:  # closure only
                 qt, _ = quotient(m, socle_submodule(m)[1].mats)
                 for part, _, _ in decompose(qt):
                     add(part)
         else:  # nothing is added once a bound is hit, so reps is final
-            at = None if seq is None else iso_index(seq.left, reps)
+            if seq is not None and at is None:
+                at = iso_index(seq.left, reps)
             mids = [iso_index(part, reps) for part in mid_parts]
         found.append((seq, mids, at, injective))
 
@@ -501,7 +539,7 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
                 arrows[(j, i)] = arrows.get((j, i), 0) + residue[j]
         if seq is None:
             continue
-        if complete and not (cert := is_almost_split(seq, [vertices[i]])):
+        if complete and not (cert := is_almost_split(seq, [seq.right])):
             raise AssertionError("; ".join(cert.reasons))
         seq.verified = "corpus" if complete else "corpus-bounded"
         sequences[i] = seq

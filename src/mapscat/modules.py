@@ -9,7 +9,7 @@ algebra over F_p on these matrices.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,6 +275,20 @@ def hom_coordinates(homs: Sequence[ModuleHom], basis: Sequence[ModuleHom]) -> Op
         return la.zeros(len(basis), 0)
     vecs = [vectorize_hom(h) for h in homs]
     return la.span_coordinates([vectorize_hom(b) for b in basis], vecs, homs[0].source.algebra.p)
+
+
+def hom_basis_coordinates(homs: Iterable[ModuleHom], basis: Sequence[ModuleHom]) -> np.ndarray:
+    """hom_coordinates(homs, basis) for basis = hom_basis(m, n) and homs m -> n.
+
+    The canonical kernel basis needs no solve: each vector is 1 at its
+    last nonzero entry (an RREF pivot row has its entries right of the
+    pivot) and the others vanish there, so a hom's coordinates are its
+    entries at those places.  The basis spans Hom(m, n), so every hom
+    m -> n has coordinates.  homs may be a generator, read one at a time.
+    """
+    lead = [int(np.flatnonzero(vectorize_hom(b))[-1]) for b in basis]
+    cols = [vectorize_hom(h)[lead] for h in homs]
+    return np.stack(cols, axis=1) if cols else la.zeros(len(basis), 0)
 
 
 def factor_through(q: ModuleHom, g: ModuleHom) -> Optional[ModuleHom]:
@@ -742,17 +756,21 @@ def star_of_projective_hom(cover_src: ProjCover, cover_tgt: ProjCover, h: Module
     return hom_from_generator_images(star_src, tgt_vs, star_tgt.module, images)
 
 
-def transpose(m: Module, presentation: Optional[ProjPresentation] = None) -> Module:
+def transpose_maps(pres: ProjPresentation) -> Tuple[ModuleHom, ModuleHom]:
+    """d*: P0* -> P1* for the minimal presentation P1 -d-> P0 -> m, and its
+    cokernel map P1* -> Tr(m), over the opposite algebra."""
+    star = star_of_projective_hom(pres.p1, pres.p0, pres.d)
+    return star, cokernel(star)[1]
+
+
+def transpose(m: Module) -> Module:
     """Tr(m) over the opposite algebra: the cokernel of d* for the minimal
     presentation P1 -d-> P0 -> m.
 
     A projective summand P of m contributes 0 -> P to the presentation,
     so Tr of it is zero and Tr(m) is Tr of the projective-free part.
-    presentation, when given, must be minimal_projective_presentation(m),
-    already built by the caller.
     """
-    pres = presentation if presentation is not None else minimal_projective_presentation(m)
-    tr, _ = cokernel(star_of_projective_hom(pres.p1, pres.p0, pres.d))
+    tr = transpose_maps(minimal_projective_presentation(m))[1].target
     tr.name = f"Tr({m.name})" if m.name else "Tr"
     return tr
 
@@ -767,13 +785,13 @@ def is_injective_indec(m: Module) -> bool:
     return iso_index(m, [indecomposable_injective(m.algebra, v) for v in range(n)]) is not None
 
 
-def tau(m: Module, presentation: Optional[ProjPresentation] = None) -> Module:
+def tau(m: Module) -> Module:
     """The Auslander-Reiten translate D Tr.
 
     Raises for a nonzero projective input; projective summands of a mixed
-    input contribute nothing.  presentation is passed on to transpose.
+    input contribute nothing.
     """
-    tr = transpose(m, presentation)
+    tr = transpose(m)
     if tr.is_zero() and not m.is_zero():
         raise ValueError("tau of a projective module is undefined here")
     out = dual_module(tr)
@@ -783,11 +801,19 @@ def tau(m: Module, presentation: Optional[ProjPresentation] = None) -> Module:
 
 def tau_inverse(m: Module) -> Module:
     """The inverse translate Tr D.  Raises for a nonzero injective input."""
-    tr = transpose(dual_module(m))
+    tr = tau_inverse_maps(m)[2].target
     if tr.is_zero() and not m.is_zero():
         raise ValueError("tau inverse of an injective module is undefined here")
-    tr.name = f"tau^-({m.name})" if m.name else ""
     return tr
+
+
+def tau_inverse_maps(m: Module) -> Tuple[ProjPresentation, ModuleHom, ModuleHom]:
+    """The minimal presentation of Dm, d* for it, and the cokernel map of
+    d* onto Tr Dm, which is tau^{-1} m and named so."""
+    pres = minimal_projective_presentation(dual_module(m))
+    star, coker = transpose_maps(pres)
+    coker.target.name = f"tau^-({m.name})" if m.name else ""
+    return pres, star, coker
 
 
 # -- endomorphism algebra: radical and decomposition --------------------------

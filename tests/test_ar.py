@@ -360,6 +360,50 @@ def test_starting_at_reads_one_presentation_of_the_dual(knit, monkeypatch):
         }
 
 
+def test_starting_at_checks_its_entry_once(knit, monkeypatch):
+    # n is tested for injectivity once; Dn is not tested for projectivity again
+    for n in _non_injectives(knit):
+        with monkeypatch.context() as mp:
+            counts = {k: _count_calls(mp, k) for k in ("is_injective_indec", "is_projective_indec")}
+            almost_split_starting_at(n)
+        assert {k: len(v) for k, v in counts.items()} == {"is_injective_indec": 1, "is_projective_indec": 0}
+
+
+def test_knit_runs_no_entry_check_on_the_sequences_it_builds_ahead(monkeypatch, gamma_a2):
+    # the knit knows each vertex's kind: it tests injectivity once per
+    # vertex, and projectivity only where no sequence was built ahead
+    injective = _count_calls(monkeypatch, "is_injective_indec")
+    projective = _count_calls(monkeypatch, "is_projective_indec")
+    ahead = []
+    build_ahead = ar._almost_split_from_dual
+
+    def counted(n, pres, coker):
+        ahead.append(n)
+        return build_ahead(n, pres, coker)
+
+    monkeypatch.setattr(ar, "_almost_split_from_dual", counted)
+    q = knit_ar_quiver(gamma_a2.algebra, dim_bound=80)
+    assert q.complete and ahead
+    assert len(injective) == len(q.vertices)
+    assert len(projective) == len(q.vertices) - len(ahead)
+
+
+def _non_projectives(knit):
+    for name in ("a2", "a3_rel", "a3_flip"):
+        q = knit(name, "lambda")
+        yield from (m for i, m in enumerate(q.vertices) if i not in q.projectives)
+
+
+def test_special_seq_M_zero_reads_the_star_behind_its_sequence(knit, monkeypatch):
+    # tau m -> D(P1*) is D of the cokernel map that gave tau m: one star,
+    # no kernel of D(p1*) to match with tau m
+    for m in _non_projectives(knit):
+        with monkeypatch.context() as mp:
+            counts = {k: _count_calls(mp, k) for k in ("star_of_projective_hom", "iso_between")}
+            special_seq_M_zero(m)
+        assert {k: len(v) for k, v in counts.items()} == {"star_of_projective_hom": 1, "iso_between": 0}
+
+
 def test_special_seq_duals_build_one_presentation(knit, monkeypatch):
     # family (b) reads D(I0)* -> D(I1)* off the presentation of Dn behind
     # the sequence starting at n: no injective envelopes, no further covers
@@ -448,16 +492,27 @@ def test_dim_bound_gives_partial_quiver(a2):
     assert "bound" in q.warning or "cap" in q.warning
 
 
-def _count_sequence_builds(monkeypatch):
-    calls = []
-    build = ar.almost_split_ending_at
+def _count_sequence_builds(monkeypatch, algebra):
+    """Record the right end over algebra of every almost split sequence built.
 
-    def counted(m):
-        calls.append(m)
-        return build(m)
+    Each one goes through _almost_split_with_presentation(m, pres, coker):
+    over algebra it ends at m; over the opposite algebra it is the dual
+    of a sequence ending at coker.target, the cokernel of d*.
+    """
+    right_ends = []
+    build = ar._almost_split_with_presentation
 
-    monkeypatch.setattr(ar, "almost_split_ending_at", counted)
-    return calls
+    def counted(m, pres, coker):
+        right_ends.append(m if m.algebra is algebra else coker.target)
+        return build(m, pres, coker)
+
+    monkeypatch.setattr(ar, "_almost_split_with_presentation", counted)
+    return right_ends
+
+
+def _built_once(right_ends, q):
+    """Whether the recorded builds are one per sequence of q."""
+    return sorted(m.dims for m in right_ends) == sorted(q.vertices[i].dims for i in q.sequences)
 
 
 def _record_certificates(monkeypatch):
@@ -473,24 +528,47 @@ def _record_certificates(monkeypatch):
 
 
 def test_bounded_kronecker_builds_each_sequence_once(monkeypatch):
-    calls = _count_sequence_builds(monkeypatch)
-    certified = _record_certificates(monkeypatch)
     alg = algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], [])
+    calls = _count_sequence_builds(monkeypatch, alg)
+    certified = _record_certificates(monkeypatch)
     q = knit_ar_quiver(alg, dim_bound=12)
     assert not q.complete and "exceeds bound 12" in q.warning
     assert [tuple(m.dims) for m in q.vertices] == [(k, k + 1) for k in range(6)]
     assert q.arrows == {(i, i + 1): 2 for i in range(5)}
     assert q.tau_edges == [(2, 0), (3, 1), (4, 2), (5, 3)]
     assert all(s.verified == "corpus-bounded" for s in q.sequences.values())
+    # nothing is built for a right end past the bound
     assert len(calls) == len(q.vertices) - len(q.projectives) == len(q.sequences)
+    assert _built_once(calls, q)
     assert not certified
 
 
 def test_complete_knit_builds_each_sequence_once(monkeypatch, gamma_a2):
-    calls = _count_sequence_builds(monkeypatch)
+    calls = _count_sequence_builds(monkeypatch, gamma_a2.algebra)
     q = knit_ar_quiver(gamma_a2.algebra, dim_bound=80)
     assert q.complete
     assert len(calls) == len(q.vertices) - len(q.projectives) == 7
+    assert _built_once(calls, q)
+
+
+@pytest.mark.parametrize("name", ["a2", "dual"])
+def test_complete_knit_transposes_once_per_ar_pair(monkeypatch, name):
+    # one presentation per sequence: of DX, whose transpose discovers
+    # tau^-1 X, or of the right end Z when Z was processed before X; the
+    # dual numbers take the second route too
+    fallbacks = []
+    fall_back = ar.almost_split_ending_at
+
+    def counted(m):
+        fallbacks.append(m)
+        return fall_back(m)
+
+    monkeypatch.setattr(ar, "almost_split_ending_at", counted)
+    presented = _count_calls(monkeypatch, "minimal_projective_presentation")
+    q = knit_ar_quiver(gamma_of(_algebra(name)).algebra, dim_bound=80)
+    assert q.complete
+    assert len(presented) == len(q.sequences)
+    assert (len(fallbacks) > 0) == (name == "dual")
 
 
 def test_complete_knit_certifies_from_the_right_end_alone(monkeypatch, gamma_a2):
@@ -542,25 +620,51 @@ def _arrows_and_tau_by_lookup(q):
     return arrows, tau_edges
 
 
-@pytest.mark.parametrize("case", ["gamma-a3-linear", "kronecker-30"])
+@pytest.mark.parametrize("case", ["gamma-a3-linear", "kronecker-30", "gamma-a4-8"])
 def test_knit_remaps_recorded_indices_after_sorting(knit, monkeypatch, case):
     if case == "gamma-a3-linear":
         q = knit("a3_linear", "gamma")
         assert q.complete
+    elif case == "gamma-a4-8":
+        # some right ends met after the bound had no sequence built ahead:
+        # their left ends are looked up in the final vertex list
+        q = knit_ar_quiver(gamma_of(_algebra("a4_linear")).algebra, dim_bound=8)
+        assert not q.complete and "exceeds bound 8" in q.warning
     else:
-        calls = _count_sequence_builds(monkeypatch)
-        q = knit_ar_quiver(algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], []), dim_bound=30)
+        alg = algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], [])
+        calls = _count_sequence_builds(monkeypatch, alg)
+        processed = _count_calls(monkeypatch, "is_injective_indec")  # once per vertex, in knit order
+        q = knit_ar_quiver(alg, dim_bound=30)
         assert not q.complete and "exceeds bound 30" in q.warning
+        assert _built_once(calls, q)
         # tau^-1 (13, 14) has dimension 31 and stops the knit before (12, 13)
         # is processed, so that vertex is resolved after the bound was hit
-        built = [m.dims for m in calls]
-        assert built.index((13, 14)) < built.index((12, 13))
+        order = [args[0].dims for args in processed]
+        assert order.index((13, 14)) < order.index((12, 13))
     arrows, tau_edges = _arrows_and_tau_by_lookup(q)
     assert q.arrows == arrows
     assert q.tau_edges == tau_edges
     assert q.projectives == [i for i, m in enumerate(q.vertices) if is_projective_indec(m)]
     assert q.injectives == [i for i, m in enumerate(q.vertices) if is_injective_indec(m)]
     assert sorted(q.sequences) == [i for i in range(len(q.vertices)) if i not in q.projectives]
+
+
+@pytest.mark.parametrize(
+    "name,side",
+    [*((name, side) for side in ("lambda", "gamma") for name in BUNDLED), ("kronecker-12", "lambda")],
+)
+def test_knitted_left_ends_are_the_translates_of_the_right_ends(knit, name, side):
+    # the knit builds a sequence from the transpose of its left end and
+    # never computes tau of the right end: tau is the oracle here
+    if name == "kronecker-12":
+        q = knit_ar_quiver(algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], []), dim_bound=12)
+        assert not q.complete
+    else:
+        q = knit(name, side)
+    assert q.sequences
+    for i, seq in q.sequences.items():
+        assert iso_between(seq.left, tau(seq.right)) is not None, i
+    assert q.tau_edges == _arrows_and_tau_by_lookup(q)[1]
 
 
 def test_knit_nakayama_with_relation():

@@ -64,6 +64,16 @@ def test_ar_quiver_a3_linear_golden_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ar_quiver_dual_numbers_gamma_golden_outputs(tmp_path, capsys):
+    # Gamma of K[x]/x^2 is not directed: two non-isomorphic indecomposables
+    # share the dims (2, 2), so the vertex order rests on discovery order
+    prefix = tmp_path / "q_gamma"
+    assert main(["ar-quiver", str(DATA / "dual_numbers.alg"), "--side", "gamma", "--out", str(prefix)]) == 0
+    assert Path(f"{prefix}.json").read_text() == golden_bytes("dual_numbers_ar_gamma.json")
+    assert Path(f"{prefix}.dot").read_text() == golden_bytes("dual_numbers_ar_gamma.dot")
+    capsys.readouterr()
+
+
 def test_verify_example_leaves_the_shared_projectives_unnamed(tmp_path, monkeypatch, capsys):
     parsed = []
 

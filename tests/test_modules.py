@@ -22,6 +22,8 @@ from mapscat.modules import (
     ext_dims,
     hom_add,
     hom_basis,
+    hom_basis_coordinates,
+    hom_coordinates,
     hom_equal,
     hom_scale,
     identity_hom,
@@ -432,3 +434,26 @@ def test_basis_homs_over_the_a3_gamma_corpus_are_reduced(p):
             _assert_reduced(incl, p)
             _assert_reduced(proj, p)
             _assert_reduced(compose(seq.surj, incl), p)
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_hom_basis_coordinates_match_the_solve(p):
+    # read off the canonical basis, the coordinates of every composite
+    # x -> z -> y are those the solve finds: over the Kronecker modules
+    # (k, k + 1), whose hom spaces have several basis vectors sharing
+    # support, and the Gamma(A2) corpus with a sum of three of its objects
+    kron = knit_ar_quiver(algebra_from_spec(p, 2, [("a", 0, 1), ("b", 0, 1)], []), dim_bound=9)
+    gam = knit_ar_quiver(gamma_of(linear_quiver_algebra(p, 2)).algebra)
+    corpus = kron.vertices + gam.vertices + [direct_sum(gam.algebra, gam.vertices[:3]).module]
+    checked = 0
+    for x in corpus:
+        same = [z for z in corpus if z.algebra is x.algebra]
+        for y in same:
+            basis = hom_basis(x, y)
+            homs = [compose(g, f) for z in same for f in hom_basis(x, z) for g in hom_basis(z, y)]
+            read = hom_basis_coordinates(iter(homs), basis)
+            assert read.shape == (len(basis), len(homs))
+            assert (read == hom_coordinates(homs, basis)).all()
+            checked += bool(homs)
+    assert checked > 50
+
