@@ -12,7 +12,7 @@ the command line shifts to 1-based labels at the boundary.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -316,6 +316,67 @@ class AlgebraPresentation:
         )
 
 
+class ChainAlgebra(NamedTuple):
+    """The algebra whose modules are complexes of modules over a base algebra.
+
+    Vertex v of copy j is j * n + v, for n base vertices.  copies[j][i]
+    is base arrow i in copy j, and joins[j][v] is the arrow from v in
+    copy j to v in copy j + 1.  It holds no reference to the base
+    algebra, so the base may cache it.
+    """
+
+    algebra: AlgebraPresentation
+    copies: List[List[int]]
+    joins: List[List[int]]
+
+
+def chain_algebra(a: AlgebraPresentation, terms: int) -> ChainAlgebra:
+    """Complexes M_0 -> M_1 -> ... of terms modules over a, as one quiver algebra.
+
+    The quiver is terms copies of a's quiver, with one joining arrow per
+    vertex from each copy to the next.  The relations are the base
+    relations on every copy, the commuting square c_t alpha = alpha' c_s
+    for every base arrow alpha: s -> t and every pair of neighbouring
+    copies, and c c = 0 for consecutive joins.  Arrows are listed copy by
+    copy and then join by join; copy j > 0 names its arrows with j primes
+    and joins after the first carry primes too, with an underscore in
+    front of any name already taken.  Its dimension is (2 terms - 1) dim a.
+    """
+    q = a.quiver
+    n = q.n_vertices
+    used = {name for name, _, _ in q.arrows}
+
+    def fresh(candidate: str) -> str:
+        while candidate in used:
+            candidate = "_" + candidate
+        used.add(candidate)
+        return candidate
+
+    arrows: List[Tuple[str, int, int]] = []
+    copies: List[List[int]] = []
+    for j in range(terms):
+        copies.append(list(range(len(arrows), len(arrows) + len(q.arrows))))
+        arrows += [(fresh(name + "'" * j) if j else name, s + j * n, t + j * n) for name, s, t in q.arrows]
+    joins: List[List[int]] = []
+    for j in range(terms - 1):
+        joins.append(list(range(len(arrows), len(arrows) + n)))
+        arrows += [(fresh(f"c{v + 1}" + "'" * j), v + j * n, v + (j + 1) * n) for v in range(n)]
+
+    rels: List[Relation] = []
+    for r in a.relations:
+        for j in range(terms):
+            rels.append(Relation(tuple((c, (v + j * n, tuple(copies[j][x] for x in pa))) for c, (v, pa) in r.terms)))
+    for j in range(terms - 1):
+        for i, (_, s, t) in enumerate(q.arrows):
+            # c_t o alpha = alpha' o c_s  (application order: first entry acts first)
+            lhs = (s + j * n, (copies[j][i], joins[j][t]))
+            rhs = (s + j * n, (joins[j][s], copies[j + 1][i]))
+            rels.append(Relation(((1, lhs), (-1, rhs))))
+    for j in range(terms - 2):
+        rels += [Relation(((1, (v + j * n, (joins[j][v], joins[j + 1][v]))),)) for v in range(n)]
+    return ChainAlgebra(AlgebraPresentation(a.p, Quiver(terms * n, tuple(arrows)), rels), copies, joins)
+
+
 @dataclass
 class TriangularAlgebra:
     """The triangular matrix algebra of ``base`` with translation tables.
@@ -336,50 +397,11 @@ class TriangularAlgebra:
 def triangular_matrix_algebra(a: AlgebraPresentation) -> TriangularAlgebra:
     """Build [[L, 0], [L, L]] for L = a as a quiver algebra.
 
-    The quiver is two copies of the base quiver joined by one connecting
-    arrow per vertex, with both copies of the base relations plus the
-    square-commutativity relation for every base arrow.  The dimension
-    always comes out to 3 * dim(a); this is asserted.
+    This is chain_algebra(a, 2): a map f: M1 -> M2 is the two-term complex
+    with M1 on the first copy and f on the connecting arrows.  The
+    dimension always comes out to 3 * dim(a); this is asserted.
     """
-    q = a.quiver
-    n = q.n_vertices
-    used = {name for name, _, _ in q.arrows}
-
-    def fresh(candidate: str) -> str:
-        while candidate in used:
-            candidate = "_" + candidate
-        used.add(candidate)
-        return candidate
-
-    arrows: List[Tuple[str, int, int]] = []
-    copy1 = []
-    for name, s, t in q.arrows:
-        copy1.append(len(arrows))
-        arrows.append((name, s, t))
-    copy2 = []
-    for name, s, t in q.arrows:
-        copy2.append(len(arrows))
-        arrows.append((fresh(name + "'"), s + n, t + n))
-    connecting = []
-    for v in range(n):
-        connecting.append(len(arrows))
-        arrows.append((fresh(f"c{v + 1}"), v, v + n))
-
-    gq = Quiver(2 * n, tuple(arrows))
-    rels: List[Relation] = []
-    for r in a.relations:
-        for table, shift in ((copy1, 0), (copy2, n)):
-            terms = []
-            for c, (v, pa) in r.terms:
-                terms.append((c, (v + shift, tuple(table[x] for x in pa))))
-            rels.append(Relation(tuple(terms)))
-    for i, (name, s, t) in enumerate(q.arrows):
-        # c_t o alpha = alpha' o c_s  (application order: first entry acts first)
-        lhs = (s, (copy1[i], connecting[t]))
-        rhs = (s, (connecting[s], copy2[i]))
-        rels.append(Relation(((1, lhs), (-1, rhs))))
-
-    gamma = AlgebraPresentation(a.p, gq, rels)
+    gamma, (copy1, copy2), (connecting,) = chain_algebra(a, 2)
     assert gamma.dim == 3 * a.dim, (gamma.dim, a.dim)
     return TriangularAlgebra(a, gamma, copy1, copy2, connecting)
 

@@ -108,8 +108,11 @@ def _split_assignments(rest: str, line: int) -> List[Tuple[str, str]]:
         if not _is_name(key):
             raise AlgFileError(line, f"bad key {key!r}")
         k = j + 1
+        while k < n and rest[k].isspace():
+            k += 1
+        # a bracketed value ends at its closing bracket, any other at whitespace
         depth = 0
-        while k < n:
+        while k < n and (depth > 0 or not rest[k].isspace()):
             if rest[k] == "[":
                 depth += 1
             elif rest[k] == "]":
@@ -117,8 +120,6 @@ def _split_assignments(rest: str, line: int) -> List[Tuple[str, str]]:
                 if depth == 0:
                     k += 1
                     break
-            elif depth == 0 and not rest[k].isspace():
-                pass
             k += 1
         value = rest[j + 1 : k].strip()
         if not value:

@@ -17,13 +17,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg as la
-from .algebra import AlgebraPresentation, TriangularAlgebra, triangular_matrix_algebra
+from .algebra import AlgebraPresentation, ChainAlgebra, TriangularAlgebra, chain_algebra, triangular_matrix_algebra
 from .modules import (
     Module,
     ModuleHom,
     cokernel,
     combine,
-    commuting_square_kernel,
     compose,
     decompose,
     direct_sum,
@@ -215,18 +214,27 @@ def gamma_of(algebra: AlgebraPresentation) -> TriangularAlgebra:
     return algebra._cache["gamma"]
 
 
+def chain_of(algebra: AlgebraPresentation, terms: int) -> ChainAlgebra:
+    """chain_algebra(algebra, terms), built once per algebra and term count."""
+    key = ("chain", terms)
+    if key not in algebra._cache:
+        algebra._cache[key] = chain_algebra(algebra, terms)
+    return algebra._cache[key]
+
+
+def _chain_module(algebra: AlgebraPresentation, copies, joins, modules, diffs, name: str = "") -> Module:
+    """The module of a chain algebra with modules[j] on copy j and diffs[j] on the joins from copy j."""
+    mats = [None] * len(algebra.quiver.arrows)
+    for arrows, x in zip(copies + joins, modules + diffs):
+        for a, mat in zip(arrows, x.mats):
+            mats[a] = mat
+    return Module(algebra, [d for m in modules for d in m.dims], mats, name=name)
+
+
 def to_gamma_module(x: MapObject) -> Module:
-    """Build the Gamma module of x; x.gamma keeps the result."""
+    """Build the Gamma module of x, the two-term complex m1 -> m2; x.gamma keeps the result."""
     tri = gamma_of(x.algebra)
-    n = x.algebra.quiver.n_vertices
-    dims = list(x.m1.dims) + list(x.m2.dims)
-    mats = [None] * len(tri.algebra.quiver.arrows)
-    for i in range(len(x.algebra.quiver.arrows)):
-        mats[tri.copy1_arrows[i]] = x.m1.mats[i]
-        mats[tri.copy2_arrows[i]] = x.m2.mats[i]
-    for v in range(n):
-        mats[tri.connecting[v]] = x.f.mats[v]
-    return Module(tri.algebra, dims, mats, name=x.name)
+    return _chain_module(tri.algebra, [tri.copy1_arrows, tri.copy2_arrows], [tri.connecting], [x.m1, x.m2], [x.f], x.name)
 
 
 def from_gamma_module(tri: TriangularAlgebra, g: Module) -> MapObject:
@@ -677,9 +685,11 @@ class ProjComplex:
     """A bounded complex A_n -> ... -> A_1 -> A_0 (degree 0 last).
 
     modules[k] is the degree-k term; diffs[k]: modules[k+1] -> modules[k].
-    Composites of consecutive differentials must vanish; the stronger
-    resolution invariant (exactness of Hom(X, -) in degrees > 0) is
-    checked against a corpus by validate_hom_exactness.
+    Composites of consecutive differentials must vanish.  complex_module
+    writes the complex as one module over chain_algebra, so chain maps are
+    hom_basis there; the stronger resolution invariant (exactness of
+    Hom(X, -) in degrees > 0) is checked against a corpus by
+    validate_hom_exactness.
     """
 
     def __init__(self, modules: Sequence[Module], diffs: Sequence[ModuleHom]):
@@ -699,30 +709,30 @@ class ProjComplex:
         return "ProjComplex " + " <- ".join(str(m.dims) for m in self.modules)
 
 
+def complex_module(cpx: ProjComplex) -> Module:
+    """cpx as a module over chain_algebra(base, length + 1), top degree first.
+
+    Degree k sits on copy n - k and d_k: A_(k+1) -> A_k on the joins from
+    copy n - k - 1, so a chain map cpx -> cpx' is a hom of these modules,
+    with the degree-k vertex matrices in block (n - k) * nv + v.  A map
+    object's Gamma module is the two-term case.
+    """
+    algebra, copies, joins = chain_of(cpx.modules[0].algebra, cpx.length + 1)
+    return _chain_module(algebra, copies, joins, cpx.modules[::-1], cpx.diffs[::-1])
+
+
 def validate_hom_exactness(cpx: ProjComplex, corpus: Sequence[Module]) -> bool:
-    """The resolution invariant: (X, cpx) exact in all degrees > 0."""
-    p = cpx.modules[0].algebra.p
+    """The resolution invariant: (X, cpx) exact in all degrees > 0.
+
+    Hom(X, A_k) = Hom(DA_k, DX), so this is the vanishing of the
+    cohomology of Hom(-, DX) on the dual complex DA_0 -> ... -> DA_n in
+    degrees 0 .. n - 1 (injectivity at A_n, exactness at A_(n-1) .. A_1),
+    counted by hom_complex_dims.
+    """
     n = cpx.length
-    if n == 0:
-        return True
-    for x in corpus:
-        prev_rank = None
-        for k in range(n, 0, -1):
-            basis_k = hom_basis(x, cpx.modules[k])
-            down = cpx.diffs[k - 1]
-            cols = [vectorize_hom(compose(down, h)) for h in basis_k]
-            mat = np.stack(cols, axis=1) if cols else la.zeros(0, 0)
-            rank_down = la.rank(mat, p) if mat.size else 0
-            ker_dim = len(basis_k) - rank_down
-            incoming = prev_rank if prev_rank is not None else 0
-            if k == n:
-                if ker_dim != 0:  # top differential must be injective on (X,-)
-                    return False
-            elif ker_dim != incoming:
-                return False
-            prev_rank = rank_down
-        # no condition at degree 0
-    return True
+    terms = [dual_module(m) for m in reversed(cpx.modules)]
+    diffs = [dual_hom(d) for d in reversed(cpx.diffs)]
+    return not any(any(hom_complex_dims(terms, diffs, dual_module(x), range(n))) for x in corpus)
 
 
 def theta_presentation(cpx: ProjComplex) -> MapObject:
@@ -771,66 +781,20 @@ def disk_cover(cpx: ProjComplex):
     return ProjComplex(q_modules, q_diffs), pis, sums
 
 
-def _chain_maps_basis(src: ProjComplex, tgt: ProjComplex) -> List[List[ModuleHom]]:
-    """Basis of chain maps src -> tgt (equal lengths assumed)."""
-    alg = src.modules[0].algebra
-    p = alg.p
-    q = alg.quiver
-    nv = q.n_vertices
-    n = src.length
-    assert tgt.length == n
-    # unknown (k, v) is sigma_k at vertex v, number k * nv + v
-    shapes = [
-        (tgt.modules[k].dims[v], src.modules[k].dims[v]) for k in range(n + 1) for v in range(nv)
-    ]
-    if not any(r * c for r, c in shapes):
-        return []
-    squares = []
-    for k in range(n + 1):
-        sm, tm = src.modules[k], tgt.modules[k]
-        squares += [(tm.mats[i], k * nv + s, k * nv + t, sm.mats[i]) for i, (_, s, t) in enumerate(q.arrows)]
-    for k in range(1, n + 1):
-        # tgt.diff sigma_k = sigma_{k-1} src.diff at every vertex
-        squares += [
-            (tgt.diffs[k - 1].mats[v], k * nv + v, (k - 1) * nv + v, src.diffs[k - 1].mats[v])
-            for v in range(nv)
-        ]
-    kern = commuting_square_kernel(shapes, squares, p)
-    out = []
-    for j in range(kern.shape[1]):
-        vec = kern[:, j]
-        sigma = []
-        off = 0
-        for k in range(n + 1):
-            mats = []
-            for v in range(nv):
-                r, c = shapes[k * nv + v]
-                mats.append(vec[off : off + r * c].reshape(r, c))
-                off += r * c
-            sigma.append(ModuleHom(src.modules[k], tgt.modules[k], mats, check=False))
-        out.append(sigma)
-    return out
-
-
 def _cover_splits(cpx: ProjComplex) -> bool:
     """Does the disk cover of cpx admit a chain section?"""
     qcpx, pis, _ = disk_cover(cpx)
-    if cpx.length == 0:
-        return True
-    p = cpx.modules[0].algebra.p
-    basis = _chain_maps_basis(cpx, qcpx)
-    if not basis:
-        return all(m.is_zero() for m in cpx.modules)
-    cols = []
-    for sigma in basis:
-        comp = [compose(pis[k], sigma[k]) for k in range(cpx.length + 1)]
-        cols.append(np.concatenate([vectorize_hom(h) for h in comp]))
-    target = np.concatenate([vectorize_hom(identity_hom(m)) for m in cpx.modules])
-    return la.solve(np.stack(cols, axis=1), target, p) is not None
+    cover = ModuleHom(complex_module(qcpx), complex_module(cpx), [m for h in reversed(pis) for m in h.mats], check=False)
+    return split_epi_section(cover) is not None
 
 
 def rpdim(cpx: ProjComplex) -> int:
-    """Relative projective dimension, by iterated syzygy truncation."""
+    """Relative projective dimension, by iterated syzygy truncation.
+
+    The first r for which the disk cover of the r-th truncation splits,
+    that is, has a section among the chain maps, hom_basis over
+    chain_algebra.
+    """
     cur = cpx
     r = 0
     while True:

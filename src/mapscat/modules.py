@@ -24,12 +24,12 @@ class Module:
     construction (only the report label name of a module nobody else
     holds yet may be set).  So a module keeps three of its own invariants
     once they are computed: the kernel of End(m) behind hom_basis(m, m),
-    the rad End(m) coordinates behind end_radical(m), and the summands of
-    decompose(m).  They are stored as read-only numpy arrays and part
-    modules, never as objects that refer back to the module, so a module
-    with filled caches is still freed by reference counting alone.  Every
-    call rebuilds its list of ModuleHoms from them, so a caller can
-    change that list without touching the cache.
+    the rad End(m) coordinates behind end_radical(m) and decompose(m), and
+    the summands of decompose(m).  They are stored as read-only numpy
+    arrays and part modules, never as objects that refer back to the
+    module, so a module with filled caches is still freed by reference
+    counting alone.  Every call rebuilds its list of ModuleHoms from them,
+    so a caller can change that list without touching the cache.
 
     Args:
         algebra: the AlgebraPresentation acted by.
@@ -204,40 +204,6 @@ def combine(m: Module, n: Module, basis: Sequence[ModuleHom], coords: np.ndarray
     return unvectorize_hom(m, n, coords @ flat % m.algebra.p)
 
 
-def commuting_square_kernel(shapes: Sequence[Tuple[int, int]], squares, p: int) -> np.ndarray:
-    """Kernel of the system A X_s - X_t B = 0 over a list of squares.
-
-    The unknowns are matrices X_0, X_1, ... of the given (rows, cols)
-    shapes, flattened row-major and concatenated in order.  Each square
-    (A, s, t, B), entries in [0, p), asks A @ X_s == X_t @ B: one sparse
-    row per entry (i, j), from the nonzeros A[i, k] at X_s[k, j] and
-    -B[l, j] at X_t[i, l]; terms meeting on one unknown (s == t) add up,
-    and a sum that cancels mod p is dropped.  Returns the canonical
-    kernel basis of la.sparse_kernel_basis, as columns.
-    """
-    offsets = [0]
-    for r, c in shapes:
-        offsets.append(offsets[-1] + r * c)
-    rows = []
-    for a, s, t, b in squares:
-        c, l = shapes[s][1], shapes[t][1]
-        a_rows = [[(k, v) for k, v in enumerate(line) if v] for line in a.tolist()]
-        b_cols = [[(x, p - v) for x, v in enumerate(line) if v] for line in b.T.tolist()]
-        for i, a_row in enumerate(a_rows):
-            xt = offsets[t] + i * l
-            for j, b_col in enumerate(b_cols):
-                row = {offsets[s] + k * c + j: v for k, v in a_row}
-                for x, v in b_col:
-                    v = (row.get(xt + x, 0) + v) % p
-                    if v:
-                        row[xt + x] = v
-                    else:
-                        del row[xt + x]
-                if row:
-                    rows.append(row)
-    return la.sparse_kernel_basis(rows, offsets[-1], p)
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     """a itself, made read-only: the memoised arrays of a Module."""
     a.flags.writeable = False
@@ -245,20 +211,48 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def hom_basis(m: Module, n: Module) -> List[ModuleHom]:
-    """Canonical basis of Hom(m, n), from the commuting-square kernel.
+    """Canonical basis of Hom(m, n), the kernel of the commuting squares.
 
-    The kernel of End(m) = Hom(m, m) is computed once and kept on m.
+    The one hom-space engine: chain maps of complexes and morphisms of
+    map objects are hom_basis over chain_algebra.  The unknowns are the
+    vertex matrices X_v of shape (n.dims[v], m.dims[v]), flattened
+    row-major and concatenated in vertex order.  Each arrow s -> t, with
+    matrices A of n and B of m, asks A X_s == X_t B: one sparse row per
+    entry (i, j), from the nonzeros A[i, k] at X_s[k, j] and -B[l, j] at
+    X_t[i, l]; terms meeting on one unknown (a loop, s == t) add up, and a
+    sum that cancels mod p is dropped.  The basis is the canonical kernel
+    of la.sparse_kernel_basis; that of End(m) = Hom(m, m) is computed
+    once and kept on m.
     """
     if m.algebra is not n.algebra and m.algebra.quiver != n.algebra.quiver:
         raise ValueError("modules over different algebras")
-    q = m.algebra.quiver
+    q, p = m.algebra.quiver, m.algebra.p
     shapes = [(n.dims[v], m.dims[v]) for v in range(q.n_vertices)]
     if not any(r * c for r, c in shapes):
         return []
     kern = m._end_kernel if m is n else None
     if kern is None:
-        squares = [(n.mats[i], s, t, m.mats[i]) for i, (_, s, t) in enumerate(q.arrows)]
-        kern = commuting_square_kernel(shapes, squares, m.algebra.p)
+        offsets = [0]
+        for r, c in shapes:
+            offsets.append(offsets[-1] + r * c)
+        rows = []
+        for (_, s, t), a, b in zip(q.arrows, n.mats, m.mats):
+            c, l = shapes[s][1], shapes[t][1]
+            a_rows = [[(k, v) for k, v in enumerate(line) if v] for line in a.tolist()]
+            b_cols = [[(x, p - v) for x, v in enumerate(line) if v] for line in b.T.tolist()]
+            for i, a_row in enumerate(a_rows):
+                xt = offsets[t] + i * l
+                for j, b_col in enumerate(b_cols):
+                    row = {offsets[s] + k * c + j: v for k, v in a_row}
+                    for x, v in b_col:
+                        v = (row.get(xt + x, 0) + v) % p
+                        if v:
+                            row[xt + x] = v
+                        else:
+                            del row[xt + x]
+                    if row:
+                        rows.append(row)
+        kern = la.sparse_kernel_basis(rows, offsets[-1], p)
         if m is n:
             m._end_kernel = _frozen(kern)
     return [unvectorize_hom(m, n, kern[:, j]) for j in range(kern.shape[1])]
@@ -980,12 +974,15 @@ def _splitting_endomorphism(m: Module, ends: List[ModuleHom]) -> Optional[Module
     then from F_p[b] for each basis element b, has a minimal polynomial
     with distinct roots in F_p; for a root c, lift(z) - c is neither
     invertible nor nilpotent.  Raises CertificationError when neither
-    applies.
+    applies.  ends is hom_basis(m, m), so the rad End(m) coordinates are
+    the ones end_radical keeps on m: read from there, or computed and kept.
     """
     p = m.algebra.p
     k = len(ends)
     T = _mult_coords(ends)
-    rr = la.row_space_basis(_radical_coords(m, ends, T).T, p)
+    if m._rad_coords is None:
+        m._rad_coords = _frozen(_radical_coords(m, ends, T))
+    rr = la.row_space_basis(m._rad_coords.T, p)
     pivots = [int(np.nonzero(row)[0][0]) for row in rr]
     free = [i for i in range(k) if i not in pivots]
     kq = len(free)

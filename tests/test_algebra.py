@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from mapscat.algebra import (
@@ -5,9 +7,11 @@ from mapscat.algebra import (
     Quiver,
     Relation,
     algebra_from_spec,
+    chain_algebra,
     linear_quiver_algebra,
     triangular_matrix_algebra,
 )
+from mapscat.algfile import parse_algebra_file
 
 P = 101
 
@@ -115,6 +119,52 @@ def test_triangular_dimension_scaling():
     for alg in (a3(), algebra_from_spec(P, 2, [("x", 0, 1), ("y", 0, 1)])):
         tri = triangular_matrix_algebra(alg)
         assert tri.algebra.dim == 3 * alg.dim
+
+
+# Gamma's quiver and relations as triangular_matrix_algebra built them by
+# hand before it became chain_algebra(a, 2): (arrows, relation terms)
+GAMMA = {
+    "a3_rel": (
+        (("a", 0, 1), ("b", 1, 2), ("a'", 3, 4), ("b'", 4, 5), ("c1", 0, 3), ("c2", 1, 4), ("c3", 2, 5)),
+        [((1, (0, (0, 1))),), ((1, (3, (2, 3))),), ((1, (0, (0, 5))), (100, (0, (4, 2)))), ((1, (1, (1, 6))), (100, (1, (5, 3))))],
+    ),
+    "dual_numbers": (
+        (("x", 0, 0), ("x'", 1, 1), ("c1", 0, 1)),
+        [((1, (0, (0, 0))),), ((1, (1, (1, 1))),), ((1, (0, (0, 2))), (100, (0, (2, 1))))],
+    ),
+    # names already taken in the base get an underscore in front
+    "taken_names": (
+        (("a", 0, 1), ("a'", 1, 2), ("c1", 0, 2), ("_a'", 3, 4), ("a''", 4, 5), ("c1'", 3, 5), ("_c1", 0, 3), ("c2", 1, 4), ("c3", 2, 5)),
+        [((1, (0, (0, 7))), (100, (0, (6, 3)))), ((1, (1, (1, 8))), (100, (1, (7, 4)))), ((1, (0, (2, 8))), (100, (0, (6, 5))))],
+    ),
+}
+
+
+def _bundled(name):
+    return parse_algebra_file(resources.files("mapscat").joinpath("data", f"{name}.alg").read_text()).algebra
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA))
+def test_two_term_chain_algebra_is_gamma(name):
+    if name == "taken_names":
+        alg = algebra_from_spec(P, 3, [("a", 0, 1), ("a'", 1, 2), ("c1", 0, 2)])
+    else:
+        alg = _bundled(name)
+    arrows, relations = GAMMA[name]
+    chain = chain_algebra(alg, 2)
+    assert chain.algebra.quiver.arrows == arrows
+    assert [r.terms for r in chain.algebra.relations] == relations
+    tri = triangular_matrix_algebra(alg)
+    assert (tri.algebra.quiver, tri.algebra.relations) == (chain.algebra.quiver, chain.algebra.relations)
+    assert [tri.copy1_arrows, tri.copy2_arrows] == chain.copies and [tri.connecting] == chain.joins
+
+
+@pytest.mark.parametrize("name", ["a2", "a3_flip", "a3_linear", "a3_rel", "dual_numbers"])
+def test_chain_algebra_dimension(name):
+    # complexes of length terms - 1: a on each copy and on each join
+    alg = _bundled(name)
+    for terms in range(1, 5):
+        assert chain_algebra(alg, terms).algebra.dim == (2 * terms - 1) * alg.dim
 
 
 def test_opposite_involution():

@@ -74,6 +74,16 @@ def test_ar_quiver_dual_numbers_gamma_golden_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["a3_flip", "a3_rel"])
+def test_ar_quiver_a3_gamma_golden_outputs(name, tmp_path, capsys):
+    # Gamma is the two-term chain algebra; these pin it beyond the linear quivers
+    prefix = tmp_path / "q_gamma"
+    assert main(["ar-quiver", str(DATA / f"{name}.alg"), "--side", "gamma", "--out", str(prefix)]) == 0
+    assert Path(f"{prefix}.json").read_text() == golden_bytes(f"{name}_ar_gamma.json")
+    assert Path(f"{prefix}.dot").read_text() == golden_bytes(f"{name}_ar_gamma.dot")
+    capsys.readouterr()
+
+
 def test_verify_example_leaves_the_shared_projectives_unnamed(tmp_path, monkeypatch, capsys):
     parsed = []
 
@@ -254,6 +264,13 @@ def test_corrupted_relation_is_an_input_error(tmp_path, capsys):
     assert main(["verify-example", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 4" in err
+
+
+def test_unbracketed_module_value_ends_at_whitespace(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("field p=101\nvertices 2\narrow a: 1 -> 2\narrow b: 1 -> 2\nmodule M dims=[1,1] a=1 b=[[1]]\n")
+    assert main(["ar-quiver", str(bad), "--out", str(tmp_path / "q")]) == 2
+    assert capsys.readouterr().err.strip() == "error: line 5: expected a bracketed list, got '1'"
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -1,11 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from dense_reference import reference_kernel
+from complex_reference import kron_chain_kernel, reference_hom_exact, reference_rpdim
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
 from mapscat.ar import knit_ar_quiver
 from mapscat.modules import (
+    Module,
     compose,
     hom_basis,
     identity_hom,
@@ -331,41 +335,11 @@ def test_disk_cover_is_relatively_projective(a3rel):
         assert all((a == b).all() for a, b in zip(lhs.mats, rhs.mats))
 
 
-def _kron_chain_kernel(src, tgt):
-    """Reference for _chain_maps_basis: one np.kron pair per square, the
-    arrow squares of every degree and the differential squares
-    tgt.d sigma_k = sigma_{k-1} src.d at every vertex, with the kernel taken
-    by the dense reference elimination."""
-    alg = src.modules[0].algebra
-    p, nv = alg.p, alg.quiver.n_vertices
-    n = src.length
-    sizes = [tgt.modules[k].dims[v] * src.modules[k].dims[v] for k in range(n + 1) for v in range(nv)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    squares = [
-        (tgt.modules[k].mats[i], k * nv + s, k * nv + t, src.modules[k].mats[i])
-        for k in range(n + 1)
-        for i, (_, s, t) in enumerate(alg.quiver.arrows)
-    ] + [
-        (tgt.diffs[k - 1].mats[v], k * nv + v, (k - 1) * nv + v, src.diffs[k - 1].mats[v])
-        for k in range(1, n + 1)
-        for v in range(nv)
-    ]
-    rows = []
-    for a, s, t, b in squares:
-        # A X_s = X_t B, row-major: vec(A X) = (A kron I) vec(X), vec(X B) = (I kron B^T) vec(X)
-        row = la.zeros(a.shape[0] * b.shape[1], total)
-        row[:, offsets[s] : offsets[s + 1]] = np.kron(a, la.eye(b.shape[1]))
-        row[:, offsets[t] : offsets[t + 1]] -= np.kron(la.eye(a.shape[0]), b.T)
-        rows.append(row)
-    return reference_kernel(np.vstack(rows), p)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
 def test_chain_maps_basis_matches_kron_reference(p):
-    """The chain-map caller of the assembler, whose differential squares link
-    the unknown blocks of neighbouring degrees, on the a3rel complexes that
-    rpdim and disk_cover build."""
+    """Chain maps are hom_basis of the complex modules over the chain
+    algebra, whose joining squares link the unknown blocks of neighbouring
+    degrees, on the a3rel complexes that rpdim and disk_cover build."""
     a3rel = algebra_from_spec(p, 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]])
     cpx = _s0_resolution_complex(a3rel)
     complexes = [cpx, M.disk_cover(cpx)[0]]
@@ -377,13 +351,76 @@ def test_chain_maps_basis_matches_kron_reference(p):
         for tgt in complexes:
             if src.length != tgt.length:
                 continue
-            ref = _kron_chain_kernel(src, tgt)
-            got = [np.concatenate([vectorize_hom(h) for h in sigma]) for sigma in M._chain_maps_basis(src, tgt)]
+            ref = kron_chain_kernel(src, tgt)
+            got = [vectorize_hom(h) for h in hom_basis(M.complex_module(src), M.complex_module(tgt))]
             got = np.stack(got, axis=1) if got else la.zeros(ref.shape[0], 0)
             assert got.shape == ref.shape and (got == ref).all()
             degreewise = sum(len(hom_basis(x, y)) for x, y in zip(src.modules, tgt.modules))
             cut += 0 < ref.shape[1] < degreewise
     assert cut  # the differential squares cut some nonzero space of chain maps
+
+
+def _oracle_complexes(alg):
+    """Two- and three-term complexes over the indecomposables of alg: the
+    first basis map f: a -> b alone, completed by its kernel when that is
+    nonzero, with a zero second differential, and with every g: c -> a
+    such that f g = 0."""
+    indecs = knit_ar_quiver(alg).vertices
+    for a in indecs:
+        for b in indecs:
+            for f in hom_basis(a, b)[:1]:
+                yield M.ProjComplex([b, a], [f])
+                k, incl = kernel(f)
+                if not k.is_zero():
+                    yield M.ProjComplex([b, a, k], [f, incl])
+                for c in indecs:
+                    yield M.ProjComplex([b, a, c], [f, zero_hom(c, a)])
+                    for g in hom_basis(c, a):
+                        if compose(f, g).is_zero():
+                            yield M.ProjComplex([b, a, c], [f, g])
+
+
+def test_hom_exactness_and_rpdim_match_degreewise_references():
+    """validate_hom_exactness (hom_complex_dims on the dual complex) and
+    rpdim (split_epi_section over the chain algebra) against the covariant
+    rank loop and a chain section solved in the kron chain-map basis."""
+    algebras = [
+        algebra_from_spec(3, 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]]),
+        algebra_from_spec(3, 3, [("a", 0, 1), ("b", 2, 1)]),
+    ]
+    exact, dims = set(), set()
+    for alg in algebras:
+        corpus = knit_ar_quiver(alg).vertices
+        for cpx in _oracle_complexes(alg):
+            verdict = M.validate_hom_exactness(cpx, corpus)
+            assert verdict == reference_hom_exact(cpx, corpus), cpx
+            r = M.rpdim(cpx)
+            assert r == reference_rpdim(cpx), cpx
+            exact.add(verdict)
+            dims.add(r)
+    assert exact == {True, False}
+    assert dims == {0, 1, 2}
+
+
+def test_complex_modules_leave_no_reference_cycle():
+    # the chain algebra cached on the base holds no reference back to it, so
+    # the base and the complex modules are freed by reference counting alone
+    alg = algebra_from_spec(P, 2, [("a", 0, 1)])
+    p1 = Module(alg, [1, 1], [[[1]]])
+    p2 = Module(alg, [0, 1], [la.zeros(1, 0)])
+    gc.collect()
+    gc.disable()
+    try:
+        cpx = M.ProjComplex([p1, p2], [hom_basis(p2, p1)[0]])
+        assert M.rpdim(cpx) == 1
+        assert ("chain", 2) in alg._cache and ("chain", 1) in alg._cache
+        module = M.complex_module(cpx)
+        assert len(hom_basis(module, module)) == 1
+        refs = [weakref.ref(x) for x in (alg, module)]
+        del alg, p1, p2, cpx, module
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_minimize_presentation_drops_invisible_summands(a2, a2_objects):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapscat import linalg as la
+from mapscat import modules
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
 from mapscat.ar import knit_ar_quiver
 from mapscat.maps import gamma_of
@@ -407,6 +408,30 @@ def test_memoised_decompose_returns_the_same_parts():
     assert [part for part, _, _ in decompose(m)] == first
     s = simple_module(alg, 1)
     assert [part for part, _, _ in decompose(s)] == [s]
+
+
+def _dual_numbers_projectives():
+    """P of K[x]/x^2 and the two indecomposable projectives of its Gamma, each with End != K."""
+    alg = algebra_from_spec(P, 1, [("x", 0, 0)], [[(1, ["x", "x"])]])
+    gamma = gamma_of(alg).algebra
+    return [indecomposable_projective(alg, 0)] + [indecomposable_projective(gamma, v) for v in range(2)]
+
+
+@pytest.mark.parametrize("order", [("decompose", "end_radical"), ("end_radical", "decompose")], ids=["decompose", "end_radical"])
+def test_radical_coordinates_are_computed_once_for_decompose_and_end_radical(order, monkeypatch):
+    # decompose certifies an indecomposable with End != K through rad End,
+    # so it keeps the coordinates that end_radical reads, and the other way round
+    calls = []
+    inner = modules._radical_coords
+    monkeypatch.setattr(modules, "_radical_coords", lambda *args: calls.append(1) or inner(*args))
+    for proj in _dual_numbers_projectives():
+        m = Module(proj.algebra, proj.dims, proj.mats)  # fresh, with nothing kept yet
+        assert len(hom_basis(m, m)) > 1
+        calls.clear()
+        results = {name: INVARIANTS[name](m) for name in order}
+        assert len(calls) == 1, m
+        assert [part for part, _, _ in results["decompose"]] == [m]
+        assert _plain(results["end_radical"]) == _plain(end_radical(proj))
 
 
 def _assert_reduced(h, p):
