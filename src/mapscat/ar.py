@@ -46,6 +46,7 @@ from .modules import (
     quotient,
     radical_submodule,
     socle_submodule,
+    summand_multiplicity,
     tau_inverse_maps,
     transpose_maps,
     zero_hom,
@@ -451,8 +452,17 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
     isomorphism, and Z itself when the transpose discovered it.
     Each module met is resolved to its vertex once, by iso_index: while
     the knit grows, through the add that also discovers it; once a bound
-    is hit, against the final vertex list.  The arrows and tau edges are
-    read from those indices after the vertices are sorted.
+    is hit, against the final vertex list.  A middle term whose left end
+    X is processed is resolved without decomposing it when every summand
+    W -> X recorded for X has its tau^{-1} vertex known or is injective:
+    _paired_summands counts its candidates, tau^{-1} W and the
+    projectives whose radical parts include X, by the composition
+    pairing, and a dimension count proves the split.  Its summands are
+    vertices already, so skipping their look-up discovers nothing less
+    and the vertex order stays the same.  Otherwise, or when the count
+    falls short, the middle term is decomposed and each part looked up
+    as above.  The arrows and tau edges are read from those indices
+    after the vertices are sorted.
     A complete knit certifies each sequence from its right end alone,
     by is_almost_split(seq, [seq.right]), and marks it "corpus".
     Exceeding dim_bound (or a hard vertex cap) yields a partial quiver,
@@ -486,10 +496,12 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
     # vertex of the sequence's left end, and whether the vertex is injective
     found: List[Tuple[Optional[ShortExactSeq], List[Optional[int]], Optional[int], bool]] = []
     # sequences built ahead of their right end, by the transpose that
-    # discovered it, with the vertex of their left end; and the vertices
-    # whose tau^{-1} is already a processed right end
+    # discovered it, with the vertex of their left end
     ahead: Dict[int, Tuple[ShortExactSeq, int]] = {}
-    paired = set()
+    # the vertex of tau^{-1} of each vertex where it is known, None at a
+    # processed injective: a vertex already here needs no transpose, and
+    # these name the candidates of the pairing
+    tau_inv: Dict[int, Optional[int]] = {}
     for v in range(algebra.quiver.n_vertices):
         add(indecomposable_projective(algebra, v))
     for k, m in enumerate(reps):  # reps grows while it is walked, until a bound is hit
@@ -498,27 +510,30 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
         else:
             seq = None if is_projective_indec(m) else almost_split_ending_at(m)
             at = None
-        source = radical_submodule(m)[0] if seq is None else seq.middle
-        mid_parts = [part for part, _, _ in decompose(source)]
         injective = is_injective_indec(m)
-        if complete:
-            if seq is not None and at is None:
-                at = add(seq.left)
-                paired.add(at)
-            if not injective and k not in paired:
-                pres, _, coker = tau_inverse_maps(m)
-                z = add(coker.target)
-                if z is not None and z > k:
+        if injective:
+            tau_inv[k] = None
+        grow = complete  # nothing is added once a bound is hit, so reps is final
+        if seq is not None and at is None:
+            at = add(seq.left) if grow else iso_index(seq.left, reps)
+            if at is not None:
+                tau_inv[at] = k
+        if grow and not injective and k not in tau_inv:
+            pres, _, coker = tau_inverse_maps(m)
+            z = add(coker.target)
+            if z is not None:
+                tau_inv[k] = z
+                if z > k:
                     ahead[z] = (_almost_split_from_dual(m, pres, coker), k)
-            mids = [add(part) for part in mid_parts]
-            if injective:  # closure only
-                qt, _ = quotient(m, socle_submodule(m)[1].mats)
-                for part, _, _ in decompose(qt):
-                    add(part)
-        else:  # nothing is added once a bound is hit, so reps is final
-            if seq is not None and at is None:
-                at = iso_index(seq.left, reps)
-            mids = [iso_index(part, reps) for part in mid_parts]
+        mids = None if seq is None else _paired_summands(seq.middle, at, k, found, tau_inv, reps)
+        if mids is None:
+            source = radical_submodule(m)[0] if seq is None else seq.middle
+            mid_parts = [part for part, _, _ in decompose(source)]
+            mids = [add(part) for part in mid_parts] if grow else [iso_index(part, reps) for part in mid_parts]
+        if grow and injective:  # closure only
+            qt, _ = quotient(m, socle_submodule(m)[1].mats)
+            for part, _, _ in decompose(qt):
+                add(part)
         found.append((seq, mids, at, injective))
 
     order = sorted(range(len(reps)), key=lambda k: _vertex_key(reps[k]))  # stable: discovery breaks ties
@@ -549,6 +564,31 @@ def knit_ar_quiver(algebra: AlgebraPresentation, dim_bound: int = 40) -> ArQuive
     return ArQuiver(
         algebra, vertices, arrows, tau_edges, sequences, projectives, injectives, complete, warning
     )
+
+
+def _paired_summands(middle: Module, at: Optional[int], k: int, found, tau_inv, reps) -> Optional[List[int]]:
+    """The vertices of the summands of the middle term of 0 -> X -> middle -> Z -> 0
+    at vertex k, one per copy, by the composition pairing; None when it does
+    not certify them.
+
+    X is the vertex at, and must be processed (at < k).  An irreducible
+    map out of X ends at tau^{-1} W for a summand W -> X of X's recorded
+    middle term (of rad X when X is projective), or at a projective whose
+    recorded radical parts include X (Auslander-Reiten-Smalo VII, VIII).
+    The pairing runs only when every such W has its tau^{-1} vertex known,
+    or is a processed injective, so the candidates are complete; it then
+    counts each candidate Y by summand_multiplicity, and
+    sum n_Y dim Y = dim middle proves middle = (+) Y^n_Y by Krull-Schmidt.
+    """
+    if at is None or at >= k or any(w is None or w not in tau_inv for w in found[at][1]):
+        return None
+    cands = [tau_inv[w] for w in found[at][1] if tau_inv[w] is not None]
+    cands += [j for j, (seq, parts, _, _) in enumerate(found) if seq is None and at in parts]
+    cands = list(dict.fromkeys(cands))
+    mults = [summand_multiplicity(reps[y], middle) for y in cands]
+    if sum(n * reps[y].total_dim for y, n in zip(cands, mults)) != middle.total_dim:
+        return None
+    return [y for y, n in zip(cands, mults) for _ in range(n)]
 
 
 def ar_quiver_dot(q: ArQuiver) -> str:

@@ -899,17 +899,63 @@ def _radical_coords(m: Module, ends: List[ModuleHom], T: np.ndarray) -> np.ndarr
     return cand
 
 
+def _kept_radical(m: Module, ends: List[ModuleHom]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """rad End(m) as coordinate columns over ends = hom_basis(m, m), kept on
+    m, with the structure constants _mult_coords(ends) when this call built
+    them to find the radical, else None."""
+    if len(ends) <= 1:
+        return la.zeros(len(ends), 0), None  # End(m) is 0 or F_p
+    if m._rad_coords is not None:
+        return m._rad_coords, None
+    T = _mult_coords(ends)
+    m._rad_coords = _frozen(_radical_coords(m, ends, T))
+    return m._rad_coords, T
+
+
+def _residue_reduction(rad: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:
+    """The RREF rows of rad (coordinate columns over a basis of End(m)), their
+    pivots and the other places: x maps to x[free] - x[pivots] @ rows[:, free]
+    in End(m)/rad, of dimension len(free)."""
+    rr = la.row_space_basis(rad.T, p)
+    pivots = [int(np.nonzero(row)[0][0]) for row in rr]
+    return rr, pivots, [i for i in range(rad.shape[0]) if i not in pivots]
+
+
 def end_radical(m: Module) -> List[ModuleHom]:
     """Basis of rad End(m), from the certified chain of _radical_coords.
 
     The coordinates over hom_basis(m, m) are computed once and kept on m.
     """
     ends = hom_basis(m, m)
-    if len(ends) <= 1:
-        return []  # End(m) is 0 or F_p
-    if m._rad_coords is None:
-        m._rad_coords = _frozen(_radical_coords(m, ends, _mult_coords(ends)))
-    return _from_coords(m, ends, m._rad_coords)
+    return _from_coords(m, ends, _kept_radical(m, ends)[0])
+
+
+def summand_multiplicity(y: Module, b: Module) -> int:
+    """How often the indecomposable y occurs as a summand of b, without decomposing b.
+
+    A hom f: y -> b lies in rad(y, b) exactly when g f lies in rad End(y)
+    for every g: b -> y, and Hom(y, b)/rad(y, b) has F_p-dimension n d,
+    with n the multiplicity of y in b and d = dim End(y)/rad End(y) the
+    residue degree (Auslander-Reiten-Smalo VIII; Assem-Simson-Skowronski
+    IV.4).  So n is the F_p-rank of the composition pairing
+    Hom(y, b) x Hom(b, y) -> End(y)/rad End(y), divided by d.  Each g f
+    is read off the canonical basis of End(y) by hom_basis_coordinates
+    and reduced modulo the rad End(y) that y keeps.
+    """
+    p = y.algebra.p
+    into = hom_basis(y, b)
+    out = hom_basis(b, y) if into else []
+    if not out:
+        return 0
+    ends = hom_basis(y, y)
+    rr, pivots, free = _residue_reduction(_kept_radical(y, ends)[0], p)
+    coords = hom_basis_coordinates((compose(g, f) for f in into for g in out), ends)
+    residues = (coords[free] - rr[:, free].T @ coords[pivots]) % p
+    d = len(free)
+    pairing = residues.reshape(d, len(into), len(out)).transpose(1, 2, 0).reshape(len(into), -1)
+    rank = la.rank(pairing, p)
+    assert rank % d == 0, "the pairing rank is not a multiple of the residue degree"
+    return rank // d
 
 
 def _split_by_endo(m: Module, f: ModuleHom) -> Optional[Tuple[Tuple[Module, ModuleHom, ModuleHom], Tuple[Module, ModuleHom, ModuleHom]]]:
@@ -976,18 +1022,18 @@ def _splitting_endomorphism(m: Module, ends: List[ModuleHom]) -> Optional[Module
     invertible nor nilpotent.  Raises CertificationError when neither
     applies.  ends is hom_basis(m, m), so the rad End(m) coordinates are
     the ones end_radical keeps on m: read from there, or computed and kept.
+    The structure constants are built once, and only when the radical is
+    computed here or B is larger than F_p.
     """
     p = m.algebra.p
     k = len(ends)
-    T = _mult_coords(ends)
-    if m._rad_coords is None:
-        m._rad_coords = _frozen(_radical_coords(m, ends, T))
-    rr = la.row_space_basis(m._rad_coords.T, p)
-    pivots = [int(np.nonzero(row)[0][0]) for row in rr]
-    free = [i for i in range(k) if i not in pivots]
+    rad, T = _kept_radical(m, ends)
+    rr, pivots, free = _residue_reduction(rad, p)
     kq = len(free)
     if kq == 1:
         return None  # B = F_p: End(m) is local
+    if T is None:
+        T = _mult_coords(ends)
     # B on the images of ends[free]; the RREF rows of the radical reduce the rest
     sub = T[np.ix_(free, free)]
     tq = (sub[..., free] - np.einsum("ijr,rk->ijk", sub[..., pivots], rr[:, free])) % p

@@ -571,6 +571,19 @@ def test_complete_knit_transposes_once_per_ar_pair(monkeypatch, name):
     assert (len(fallbacks) > 0) == (name == "dual")
 
 
+@pytest.mark.parametrize("name", ["a2", "a3_linear"])
+def test_every_pairing_attempt_certifies(monkeypatch, name):
+    # the pairing runs only when its candidates are complete, so no middle
+    # term it reads is decomposed after all
+    paired = _count_calls(monkeypatch, "summand_multiplicity")
+    decomposed = _count_calls(monkeypatch, "decompose")
+    q = knit_ar_quiver(gamma_of(_algebra(name)).algebra, dim_bound=80)
+    assert q.complete
+    read = {id(args[1]) for args in paired}
+    assert read
+    assert not read & {id(args[0]) for args in decomposed}
+
+
 def test_complete_knit_certifies_from_the_right_end_alone(monkeypatch, gamma_a2):
     certified = _record_certificates(monkeypatch)
     q = knit_ar_quiver(gamma_a2.algebra, dim_bound=80)
@@ -634,9 +647,13 @@ def test_knit_remaps_recorded_indices_after_sorting(knit, monkeypatch, case):
         alg = algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], [])
         calls = _count_sequence_builds(monkeypatch, alg)
         processed = _count_calls(monkeypatch, "is_injective_indec")  # once per vertex, in knit order
+        decomposed = _count_calls(monkeypatch, "decompose")
         q = knit_ar_quiver(alg, dim_bound=30)
         assert not q.complete and "exceeds bound 30" in q.warning
         assert _built_once(calls, q)
+        # the composition pairing reads every middle term (k - 1, k)^2, so
+        # only rad P1 = P2^2 and rad P2 = 0 are decomposed
+        assert [args[0].dims for args in decomposed] == [(0, 2), (0, 0)]
         # tau^-1 (13, 14) has dimension 31 and stops the knit before (12, 13)
         # is processed, so that vertex is resolved after the bound was hit
         order = [args[0].dims for args in processed]

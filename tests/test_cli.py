@@ -84,6 +84,17 @@ def test_ar_quiver_a3_gamma_golden_outputs(name, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ar_quiver_kronecker_bounded_golden_outputs(tmp_path, capsys):
+    # the Kronecker quiver has infinite type: the knit stops at the bound
+    # with exit 3, and the partial quiver it reports is pinned
+    prefix = tmp_path / "q_lambda"
+    alg = str(DATA / "kronecker.alg")
+    assert main(["ar-quiver", alg, "--side", "lambda", "--dim-bound", "30", "--out", str(prefix)]) == 3
+    assert Path(f"{prefix}.json").read_text() == golden_bytes("kronecker_ar_lambda.json")
+    assert Path(f"{prefix}.dot").read_text() == golden_bytes("kronecker_ar_lambda.dot")
+    capsys.readouterr()
+
+
 def test_verify_example_leaves_the_shared_projectives_unnamed(tmp_path, monkeypatch, capsys):
     parsed = []
 

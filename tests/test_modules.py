@@ -41,6 +41,7 @@ from mapscat.modules import (
     radical_submodule,
     simple_module,
     socle_submodule,
+    summand_multiplicity,
     tau,
     tau_inverse,
     top_quotient,
@@ -432,6 +433,61 @@ def test_radical_coordinates_are_computed_once_for_decompose_and_end_radical(ord
         assert len(calls) == 1, m
         assert [part for part, _, _ in results["decompose"]] == [m]
         assert _plain(results["end_radical"]) == _plain(end_radical(proj))
+
+
+
+@pytest.mark.parametrize("order", [("decompose", "end_radical"), ("end_radical", "decompose")], ids=["decompose", "end_radical"])
+def test_structure_constants_are_built_once_for_decompose_and_end_radical(order, monkeypatch):
+    # with rad End kept and End/rad = K, decompose needs no structure
+    # constants of its own: one _mult_coords call in either order
+    calls = []
+    inner = modules._mult_coords
+    monkeypatch.setattr(modules, "_mult_coords", lambda *args: calls.append(1) or inner(*args))
+    for proj in _dual_numbers_projectives():
+        m = Module(proj.algebra, proj.dims, proj.mats)  # fresh, with nothing kept yet
+        calls.clear()
+        for name in order:
+            INVARIANTS[name](m)
+        assert len(calls) == 1, m
+
+
+def _knitted_sums(alg):
+    """The knitted indecomposables of alg and some sums of two or three of them."""
+    q = knit_ar_quiver(alg)
+    assert q.complete
+    vs = q.vertices
+    n = len(vs)
+    picks = [(i, (i + 1) % n, i) for i in range(0, n, 3)] + [(i, (i + 2) % n) for i in range(1, n, 3)]
+    return vs, [direct_sum(alg, [vs[i] for i in pick]).module for pick in picks]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_summand_multiplicity_matches_decomposition(p):
+    # the oracle: decompose the sum and match its parts to the corpus
+    a3_rel = algebra_from_spec(p, 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]])
+    dual = algebra_from_spec(p, 1, [("x", 0, 0)], [[(1, ["x", "x"])]])
+    gamma_a2 = gamma_of(linear_quiver_algebra(p, 2)).algebra
+    for alg in (a3_rel, gamma_a2, dual):
+        vs, sums = _knitted_sums(alg)
+        for b in sums:
+            expected = [0] * len(vs)
+            for part, mult in decomposition(b).summands:
+                expected[modules.iso_index(part, vs)] = mult
+            assert [summand_multiplicity(y, b) for y in vs] == expected, b
+
+
+def test_summand_multiplicity_divides_by_the_residue_degree():
+    # over the Kronecker quiver at p = 2, b = [[0, 1], [1, 1]] has the
+    # irreducible characteristic polynomial x^2 + x + 1, so End(y) = F_4:
+    # each copy of y adds 2 to the pairing rank
+    alg = algebra_from_spec(2, 2, [("a", 0, 1), ("b", 0, 1)], [])
+    y = Module(alg, [2, 2], [la.eye(2), np.array([[0, 1], [1, 1]])])
+    s1 = simple_module(alg, 0)
+    assert len(hom_basis(y, y)) == 2 and not end_radical(y)
+    b = direct_sum(alg, [y, s1, y]).module
+    assert summand_multiplicity(y, b) == 2
+    assert summand_multiplicity(s1, b) == 1
+    assert summand_multiplicity(y, s1) == 0
 
 
 def _assert_reduced(h, p):
