@@ -435,7 +435,6 @@ def test_radical_coordinates_are_computed_once_for_decompose_and_end_radical(ord
         assert _plain(results["end_radical"]) == _plain(end_radical(proj))
 
 
-
 @pytest.mark.parametrize("order", [("decompose", "end_radical"), ("end_radical", "decompose")], ids=["decompose", "end_radical"])
 def test_structure_constants_are_built_once_for_decompose_and_end_radical(order, monkeypatch):
     # with rad End kept and End/rad = K, decompose needs no structure
