@@ -185,8 +185,8 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
 def almost_split_ending_at(m: Module) -> ShortExactSeq:
     """The almost split sequence 0 -> tau m -> E -> m -> 0.
 
-    Built from a class in Ext^1(m, tau m) annihilated by the radical of
-    End(m); the result is verified exact and non-split.  Its left term is
+    Built from a nonzero class in Ext^1(m, tau m) annihilated by the
+    radical of End(m), so the sequence does not split.  Its left term is
     tau m itself, computed here, so is_almost_split(seq, [m]) certifies
     the sequence by the socle criterion without recomputing tau.  One
     minimal presentation of m serves both tau m and Ext^1(m, tau m).
@@ -213,7 +213,14 @@ def _almost_split_with_presentation(m: Module, pres: ProjPresentation, coker: Mo
     m must be a non-projective indecomposable; callers check that, or
     know it.  pres is minimal_projective_presentation(m) and coker the
     cokernel map P1* -> Tr m from transpose_maps(pres): the left end is
-    tau m = D Tr m, and Ext^1(m, tau m) is read on the syzygy of pres.
+    tau m = D Tr m, and Ext^1(m, tau m) is read on the syzygy K of pres,
+    as Hom(K, tau m) modulo the coboundaries h o (K -> P0).
+
+    The sequence is non-split without a search for a section: the pick
+    has qmat . pick != 0, so its class in Ext^1(m, tau m) is nonzero, and
+    an extension splits exactly when its class is zero.  is_almost_split
+    keeps its own split test, so a complete knit still checks this
+    independently.
     """
     p = m.algebra.p
     tm = dual_module(coker.target)
@@ -240,18 +247,20 @@ def _almost_split_with_presentation(m: Module, pres: ProjPresentation, coker: Mo
         candidates = la.kernel_basis(socle_system, p)
     else:
         candidates = la.eye(len(cocycles))
-    pick = None
-    for j in range(candidates.shape[1]):
-        if la.matmul(qmat, candidates[:, j : j + 1], p).any():
-            pick = candidates[:, j]
-            break
+    pick = _nonzero_class(qmat, candidates, p)
     if pick is None:
         raise ArithmeticError("no nonzero socle class found in Ext^1(m, tau m)")
     _, leg_tm, surj = extension(combine(k_mod, tm, cocycles, pick), k_incl, pres.p0.epi)
-    seq = seq_of_modules(leg_tm, surj, verified="socle class")
-    if split_epi_section(surj) is not None:
-        raise AssertionError("constructed sequence split; socle pick was wrong")
-    return seq
+    return seq_of_modules(leg_tm, surj, verified="socle class")
+
+
+def _nonzero_class(qmat: np.ndarray, candidates: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """The first candidate cocycle column whose class qmat . c in Ext^1 is
+    nonzero, or None: a coboundary is never picked."""
+    for j in range(candidates.shape[1]):
+        if la.matmul(qmat, candidates[:, j : j + 1], p).any():
+            return candidates[:, j]
+    return None
 
 
 def _lift_along_epi(eps: ModuleHom, raw: ModuleHom) -> ModuleHom:

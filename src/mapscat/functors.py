@@ -31,6 +31,7 @@ from .modules import (
     direct_sum,
     end_radical,
     ext_dims,
+    factor_each,
     factor_through,
     hom_add,
     hom_basis,
@@ -61,18 +62,16 @@ from .maps import (
     from_gamma_hom,
     from_gamma_module,
     gamma_of,
-    hom_maps,
     identity_object,
     is_S_exact,
     map_identity,
-    maps_solve_past,
-    maps_solve_through,
     minimal_presentation_with_summands,
     phi_at,
     relative_ext_dims,
     source_only,
     target_only,
     theta_presentation,
+    to_gamma_hom,
     zero_map_object,
 )
 from .ar import (
@@ -645,30 +644,49 @@ class ApproxCertificate:
 
 
 def certify_right_approx(approx: MapMorphism, corpus: Sequence[MapObject]) -> ApproxCertificate:
-    """Factor every corpus hom into the target through the approximation."""
-    found = []
-    failures = []
-    for k, c in enumerate(corpus):
-        for i, g in enumerate(hom_maps(c, approx.target)):
-            h = maps_solve_through(approx, g)
-            if h is None:
-                failures.append((k, i))
-            else:
-                found.append((k, i, h))
-    return ApproxCertificate("right", found, failures)
+    """Factor every corpus hom into the target through the approximation.
+
+    For corpus object k, the i-th hom of the canonical basis of
+    Hom(c, approx.target) is recorded with its factor h: c -> approx.source,
+    or as a failure (k, i).  See _certify_approx.
+    """
+    return _certify_approx("right", approx, corpus)
 
 
 def certify_left_approx(approx: MapMorphism, corpus: Sequence[MapObject]) -> ApproxCertificate:
+    """Extend every corpus hom out of the source along the approximation.
+
+    For corpus object k, the i-th hom of the canonical basis of
+    Hom(approx.source, c) is recorded with its extension h:
+    approx.target -> c, or as a failure (k, i).  See _certify_approx.
+    """
+    return _certify_approx("left", approx, corpus)
+
+
+def _certify_approx(side: str, approx: MapMorphism, corpus: Sequence[MapObject]) -> ApproxCertificate:
+    """The certificate of a right or left approximation, worked on Gamma.
+
+    The approximation becomes one Gamma hom q, and each corpus object with
+    a nonzero hom space costs one hom_basis for the homs to factor and one
+    factor_each over all of them; only the factors found go back to map
+    morphisms.  An identity approximation factors each hom as itself,
+    with no further hom space (see factor_each).
+    """
+    left = side == "left"
+    q = to_gamma_hom(approx)
+    meets, far = (approx.source, approx.target) if left else (approx.target, approx.source)
     found = []
     failures = []
     for k, c in enumerate(corpus):
-        for i, g in enumerate(hom_maps(approx.source, c)):
-            h = maps_solve_past(approx, g)
+        gs = hom_basis(meets.gamma, c.gamma) if left else hom_basis(c.gamma, meets.gamma)
+        if not gs:
+            continue
+        for i, h in enumerate(factor_each(q, gs, past=left)):
             if h is None:
                 failures.append((k, i))
             else:
-                found.append((k, i, h))
-    return ApproxCertificate("left", found, failures)
+                found.append((k, i, from_gamma_hom(h, far, c) if left else from_gamma_hom(h, c, far)))
+    return ApproxCertificate(side, found, failures)
 
 
 def _is_epimap(x: MapObject) -> bool:
@@ -811,6 +829,6 @@ def reconstruct_maps_approx_from_phi(
     r = from_gamma_hom(combine(z.gamma, m.gamma, basis, sol[:, 0]), z, m)
 
     legs = [("approx", z, r)] + [piece for piece in _structural_pieces(m, k_mod, k_incl) if piece[0] != "target"]
-    n = _epi_from_pieces(m, legs, name=f"w({m.name})" if m.name else "")
+    n, _ = _epi_from_pieces(m, legs, name=f"w({m.name})" if m.name else "")
     n = MapMorphism(n.source, m, n.h1, n.h2)
     return n, certify_right_approx(n, corpus)

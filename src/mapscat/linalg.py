@@ -159,25 +159,47 @@ def kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     return sparse_kernel_basis(_sparse_rows(normalize(a, p)), a.shape[1], p)
 
 
+def solve_each(a: np.ndarray, b: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve a x = b column by column, with one elimination for all columns.
+
+    Returns (x, ok): ok[j] says whether column j of the matrix b is
+    consistent, and then x[:, j] is its solution with zeros in all free
+    coordinates.  The RREF of [a | b] has the pivots of a in its first
+    rank(a) rows; a column is consistent exactly when it vanishes in the
+    rows below, and the particular solution does not depend on the other
+    columns.  Both are read off the sparse pivot rows of _eliminate.
+    """
+    m = normalize(a, p)
+    rhs = normalize(b, p)
+    if m.shape[0] != rhs.shape[0]:
+        raise ValueError(f"solve: {m.shape} vs rhs {rhs.shape}")
+    ncols = m.shape[1]
+    pivots, pivot_rows = _eliminate(_sparse_rows(np.hstack([m, rhs])), ncols + rhs.shape[1], p)
+    x = zeros(ncols, rhs.shape[1])
+    ok = np.ones(rhs.shape[1], dtype=bool)
+    for c, row in zip(pivots, pivot_rows):
+        for k, v in row.items():
+            if k < ncols:
+                continue
+            if c < ncols:
+                x[c, k - ncols] = v
+            else:
+                ok[k - ncols] = False
+    return x, ok
+
+
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     """One solution x of a x = b, or None when the system is inconsistent.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    result matches its shape.  The particular solution is the one with
-    zeros in all free coordinates.
+    result matches its shape, and is None when any column is
+    inconsistent.  The particular solution is the one with zeros in all
+    free coordinates (see solve_each).
     """
-    m = normalize(a, p)
     vec = b.ndim == 1
-    rhs = normalize(b.reshape(-1, 1) if vec else b, p)
-    if m.shape[0] != rhs.shape[0]:
-        raise ValueError(f"solve: {m.shape} vs rhs {rhs.shape}")
-    aug, pivots = rref(np.hstack([m, rhs]), p)
-    ncols = m.shape[1]
-    if any(c >= ncols for c in pivots):
+    x, ok = solve_each(a, b.reshape(-1, 1) if vec else b, p)
+    if not ok.all():
         return None
-    x = zeros(ncols, rhs.shape[1])
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, ncols:]
     return x[:, 0] if vec else x
 
 

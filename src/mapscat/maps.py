@@ -35,6 +35,7 @@ from .modules import (
     hom_basis,
     hom_complex_dims,
     hom_coordinates,
+    hom_equal,
     hom_scale,
     hom_into_sub,
     identity_hom,
@@ -260,15 +261,20 @@ def _fresh_map_object(tri: TriangularAlgebra, g: Module, name: str = "") -> MapO
 
 
 def to_gamma_hom(mor: MapMorphism) -> ModuleHom:
-    """A morphism of map objects as a hom of their Gamma modules."""
-    return ModuleHom(mor.source.gamma, mor.target.gamma, mor.h1.mats + mor.h2.mats, check=False)
+    """A morphism of map objects as a hom of their Gamma modules.
+
+    The level matrices are reduced ModuleHom matrices already, so the
+    Gamma hom shares them.
+    """
+    return ModuleHom(mor.source.gamma, mor.target.gamma, mor.h1.mats + mor.h2.mats, check=False, reduced=True)
 
 
 def from_gamma_hom(h: ModuleHom, x: MapObject, y: MapObject) -> MapMorphism:
-    """The morphism x -> y of a hom x.gamma -> y.gamma: the two levels of its matrices."""
+    """The morphism x -> y of a hom x.gamma -> y.gamma: the two levels of its
+    matrices, shared as they are reduced."""
     n = x.algebra.quiver.n_vertices
-    h1 = ModuleHom(x.m1, y.m1, h.mats[:n], check=False)
-    h2 = ModuleHom(x.m2, y.m2, h.mats[n:], check=False)
+    h1 = ModuleHom(x.m1, y.m1, h.mats[:n], check=False, reduced=True)
+    h2 = ModuleHom(x.m2, y.m2, h.mats[n:], check=False, reduced=True)
     return MapMorphism(x, y, h1, h2, check=False)
 
 
@@ -459,11 +465,26 @@ def induced_kernel_hom(mor: MapMorphism, src_ker: Tuple[Module, ModuleHom], tgt_
     return hom_into_sub(incl_tgt, compose(mor.h1, incl_src))
 
 
-def is_S_exact(u: MapMorphism, v: MapMorphism) -> SExactness:
+def _is_split_epi(v: ModuleHom, section: Optional[ModuleHom]) -> bool:
+    """Whether v is a split epi.  A candidate section is checked by
+    composition, v o section = 1; split_epi_section searches Hom only when
+    there is no candidate or it fails."""
+    if section is not None and hom_equal(compose(v, section), identity_hom(v.target)):
+        return True
+    return split_epi_section(v) is not None
+
+
+def is_S_exact(
+    u: MapMorphism, v: MapMorphism, _sections: Tuple[Optional[ModuleHom], Optional[ModuleHom]] = (None, None)
+) -> SExactness:
     """Test a short exact pair of map-object morphisms for membership in S.
 
     Raises when the two level rows are not short exact (precondition);
-    everything else is reported in the verdict.
+    everything else is reported in the verdict.  _sections may hold
+    candidate sections of v.h1 and v.h2, such as the ones an F-projective
+    cover builds: each is checked by composition before any search, and a
+    candidate that fails only sends its level to the search, so the
+    verdict is the same with or without them.
     """
     if not (is_short_exact(u.h1, v.h1) and is_short_exact(u.h2, v.h2)):
         raise ValueError("the given pair is not a short exact sequence")
@@ -475,8 +496,8 @@ def is_S_exact(u: MapMorphism, v: MapMorphism) -> SExactness:
     kernel_exact = is_short_exact(k_in, k_out)
     splits = (
         kernel_exact and split_epi_section(k_out) is not None,
-        split_epi_section(v.h1) is not None,
-        split_epi_section(v.h2) is not None,
+        _is_split_epi(v.h1, _sections[0]),
+        _is_split_epi(v.h2, _sections[1]),
     )
     verdict = kernel_exact and all(splits)
     return SExactness(True, kernel_exact, splits, verdict)
@@ -496,22 +517,39 @@ class FCover:
     cover: MapObject
     epi: MapMorphism
     tags: List[str]  # one per retained structural summand
+    kernel: Tuple[MapObject, MapMorphism]  # morphism_kernel(epi)
 
 
 def f_projective_cover(x: MapObject) -> FCover:
-    """An S-admissible epi onto x from an F-projective.
+    """An S-admissible epi onto x from an F-projective, with its kernel.
 
     Built from three structural summands: (ker f, 0, 0), (m1, m1, 1) and
-    (0, m2, 0); zero summands are dropped.
+    (0, m2, 0); zero summands are dropped.  The epi is checked to be
+    S-admissible at run time.  Its level sections are the sum inclusions
+    of the (m1, m1, 1) and (0, m2, 0) summands, on which epi.h1 and
+    epi.h2 restrict to the identity, so is_S_exact checks them by
+    composition instead of searching for sections.  The kernel that check
+    computes is kept for f_resolution.
     """
+    tags, epi, sections = _cover_epi(x)
+    return FCover(epi.source, epi, tags, _admissible_kernel(epi, sections))
+
+
+def _cover_epi(x: MapObject) -> Tuple[List[str], MapMorphism, Tuple[ModuleHom, ModuleHom]]:
+    """The epi of f_projective_cover(x) before its check, with the tags of
+    its summands and the candidate sections of epi.h1 and epi.h2."""
     pieces = _structural_pieces(x, *kernel(x.f))
-    if not pieces:
-        z = zero_map_object(x.algebra)
-        return FCover(z, map_zero(z, x), [])
-    epi = _epi_from_pieces(x, pieces)
-    epi = MapMorphism(epi.source, x, epi.h1, epi.h2, check=True)
-    _assert_admissible_epi(epi)
-    return FCover(epi.source, epi, [tag for tag, _, _ in pieces])
+    if pieces:
+        epi, inclusions = _epi_from_pieces(x, pieces)
+        epi = MapMorphism(epi.source, x, epi.h1, epi.h2, check=True)
+    else:
+        epi, inclusions = map_zero(zero_map_object(x.algebra), x), []
+    legs = {tag: incl for (tag, _, _), incl in zip(pieces, inclusions)}
+    sections = (
+        legs["identity"].h1 if "identity" in legs else zero_hom(x.m1, epi.source.m1),  # x.m1 = 0
+        legs["target"].h2 if "target" in legs else zero_hom(x.m2, epi.source.m2),  # x.m2 = 0
+    )
+    return [tag for tag, _, _ in pieces], epi, sections
 
 
 def _structural_pieces(x: MapObject, k: Module, k_incl: ModuleHom) -> List[Tuple[str, MapObject, MapMorphism]]:
@@ -532,30 +570,26 @@ def _structural_pieces(x: MapObject, k: Module, k_incl: ModuleHom) -> List[Tuple
     return pieces
 
 
-def _epi_from_pieces(x: MapObject, pieces, name: str = "") -> MapMorphism:
-    """The map onto x from the sum of the pieces' objects, one leg per piece."""
+def _epi_from_pieces(x: MapObject, pieces, name: str = "") -> Tuple[MapMorphism, List[MapMorphism]]:
+    """The map onto x from the sum of the pieces' objects, one leg per
+    piece, with the inclusions of the pieces into that sum."""
     sum_data = direct_sum_maps(x.algebra, [obj for _, obj, _ in pieces], name=name)
     epi = None
     for (_, _, comp), proj in zip(pieces, sum_data.projections):
         term = map_compose(comp, proj)
         epi = term if epi is None else map_add(epi, term)
-    return epi
+    return epi, sum_data.inclusions
 
 
-def _epi_is_admissible(epi: MapMorphism) -> bool:
+def _admissible_kernel(epi: MapMorphism, sections: Tuple[ModuleHom, ModuleHom]) -> Tuple[MapObject, MapMorphism]:
+    """morphism_kernel(epi), once epi is checked to be an S-admissible epi
+    (is_S_exact with the candidate level sections); AssertionError if not."""
     p = epi.source.algebra.p
-    for h in (epi.h1, epi.h2):
-        for v in range(len(h.mats)):
-            if la.rank(h.mats[v], p) != h.target.dims[v]:
-                return False
-    ker_obj, ker_incl = morphism_kernel(epi)
-    verdict = is_S_exact(ker_incl, epi)
-    return verdict.verdict
-
-
-def _assert_admissible_epi(epi: MapMorphism):
-    if not _epi_is_admissible(epi):
+    onto = all(la.rank(m, p) == h.target.dims[v] for h in (epi.h1, epi.h2) for v, m in enumerate(h.mats))
+    ker = morphism_kernel(epi) if onto else None
+    if ker is None or not is_S_exact(ker[1], epi, sections).verdict:
         raise AssertionError("constructed cover epi is not S-admissible")
+    return ker
 
 
 def morphism_kernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:
@@ -595,7 +629,7 @@ def f_resolution(x: MapObject) -> FResolution:
     cover = f_projective_cover(cur)
     covers.append(cover)
     for _ in range(3):
-        ker_obj, ker_incl = morphism_kernel(covers[-1].epi)
+        ker_obj, ker_incl = covers[-1].kernel
         if ker_obj.is_zero():
             break
         nxt = f_projective_cover(ker_obj)

@@ -92,8 +92,9 @@ class ModuleHom:
     entries in [0, p).  Those are kept as given, without a copy.  The
     trusted callers are unvectorize_hom (the kernel columns of hom_basis
     and the summand homs of decompose, views of arrays a Module keeps
-    read-only), identity_hom, zero_hom, and the products of compose,
-    hom_add and hom_scale.
+    read-only), identity_hom, zero_hom, the products of compose, hom_add
+    and hom_scale, and maps.to_gamma_hom and maps.from_gamma_hom, which
+    share the matrices of a hom they convert.
     """
 
     def __init__(self, source: Module, target: Module, mats, check: bool = True, reduced: bool = False):
@@ -272,36 +273,67 @@ def hom_coordinates(homs: Sequence[ModuleHom], basis: Sequence[ModuleHom]) -> Op
 
 
 def hom_basis_coordinates(homs: Iterable[ModuleHom], basis: Sequence[ModuleHom]) -> np.ndarray:
-    """hom_coordinates(homs, basis) for basis = hom_basis(m, n) and homs m -> n.
+    """hom_coordinates(homs, basis) for a basis of Hom(m, n) and homs m -> n.
 
-    The canonical kernel basis needs no solve: each vector is 1 at its
-    last nonzero entry (an RREF pivot row has its entries right of the
-    pivot) and the others vanish there, so a hom's coordinates are its
-    entries at those places.  The basis spans Hom(m, n), so every hom
-    m -> n has coordinates.  homs may be a generator, read one at a time.
+    The canonical kernel basis of hom_basis(m, n) needs no solve: each
+    vector is 1 at its last nonzero entry (an RREF pivot row has its
+    entries right of the pivot) and the others vanish there, so a hom's
+    coordinates are its entries at those places.  Coordinates over a basis
+    are unique, so they equal the solved ones.  A basis without that unit
+    pattern, such as a hand-picked one, is solved against instead.  The
+    basis spans Hom(m, n), so every hom m -> n has coordinates.  homs may
+    be a generator, read one at a time.
     """
-    lead = [int(np.flatnonzero(vectorize_hom(b))[-1]) for b in basis]
+    vecs = [vectorize_hom(b) for b in basis]
+    lead = _last_nonzero(vecs)
+    if vecs and not (np.stack(vecs)[:, lead] == la.eye(len(vecs))).all():
+        return hom_coordinates(list(homs), basis)
     cols = [vectorize_hom(h)[lead] for h in homs]
     return np.stack(cols, axis=1) if cols else la.zeros(len(basis), 0)
 
 
-def factor_through(q: ModuleHom, g: ModuleHom) -> Optional[ModuleHom]:
-    """h with q o h = g, for g landing where q lands; None if there is none.
+def _last_nonzero(vecs: Iterable[np.ndarray]) -> List[int]:
+    """The place of each vector's last nonzero entry: where a canonical
+    kernel vector is 1 and the other vectors of its basis vanish."""
+    return [int(np.flatnonzero(v)[-1]) for v in vecs]
 
-    The one factorization of the package, with factor_past: g is solved
-    against the images of the canonical basis of Hom(g.source, q.source),
-    and h is the solution with zeros in its free coordinates.
+
+def factor_each(q: ModuleHom, gs: Sequence[ModuleHom], past: bool = False) -> List[Optional[ModuleHom]]:
+    """For each g of gs, h with q o h = g (past: h o q = g), or None.
+
+    The one factorization of the package.  The homs of gs share their
+    source (past: their target) and land where q lands (past: start where
+    q starts).  One canonical basis of Hom(g.source, q.source) (past:
+    Hom(q.target, g.target)) and one image per basis element serve the
+    whole list, and la.solve_each eliminates [images | gs] once.  Each h
+    is the solution with zeros in its free coordinates, the same as a
+    separate solve for its g alone would give.  When q is an identity,
+    each g is its own and only factor, and no basis is built.
     """
-    basis = hom_basis(g.source, q.source)
-    coords = hom_coordinates([g], [compose(q, b) for b in basis])
-    return None if coords is None else combine(g.source, q.source, basis, coords[:, 0])
+    if not gs:
+        return []
+    if q.source is q.target and all(np.array_equal(mat, la.eye(len(mat))) for mat in q.mats):
+        return list(gs)
+    src, tgt = (q.target, gs[0].target) if past else (gs[0].source, q.source)
+    basis = hom_basis(src, tgt)
+    p = src.algebra.p
+    rhs = np.stack([vectorize_hom(g) for g in gs], axis=1)
+    images = [vectorize_hom(compose(b, q) if past else compose(q, b)) for b in basis]
+    a = np.stack(images, axis=1) if images else la.zeros(rhs.shape[0], 0)
+    x, ok = la.solve_each(a, rhs, p)
+    flat = np.stack([vectorize_hom(b) for b in basis]) if basis else la.zeros(0, sum(d * e for d, e in zip(src.dims, tgt.dims)))
+    hs = x.T @ flat % p  # row j: the combination of the basis with coordinates x[:, j]
+    return [unvectorize_hom(src, tgt, hs[j]) if ok[j] else None for j in range(len(gs))]
+
+
+def factor_through(q: ModuleHom, g: ModuleHom) -> Optional[ModuleHom]:
+    """h with q o h = g, for g landing where q lands; None if there is none."""
+    return factor_each(q, [g])[0]
 
 
 def factor_past(u: ModuleHom, g: ModuleHom) -> Optional[ModuleHom]:
     """h with h o u = g, extending g along u; None if there is none."""
-    basis = hom_basis(u.target, g.target)
-    coords = hom_coordinates([g], [compose(b, u) for b in basis])
-    return None if coords is None else combine(u.target, g.target, basis, coords[:, 0])
+    return factor_each(u, [g], past=True)[0]
 
 
 # -- canonical modules --------------------------------------------------------
@@ -488,9 +520,20 @@ def quotient(m: Module, bases: List[np.ndarray], name: str = "") -> Tuple[Module
 
 
 def kernel(f: ModuleHom) -> Tuple[Module, ModuleHom]:
-    p = f.source.algebra.p
-    bases = [la.kernel_basis(f.mats[v], p) for v in range(len(f.source.dims))]
-    return submodule(f.source, bases, name="ker")
+    """ker f, spanned by the canonical kernel basis at each vertex, with its inclusion.
+
+    submodule(f.source, bases) without its solves: each canonical kernel
+    column is 1 at its last nonzero entry, its free coordinate, where the
+    other columns vanish, so the coordinates of an arrow's image of the
+    basis are its entries at those places (the image lies in ker f, as f
+    commutes with the arrows).
+    """
+    m, p = f.source, f.source.algebra.p
+    bases = [la.kernel_basis(f.mats[v], p) for v in range(len(m.dims))]
+    lead = [_last_nonzero(b.T) for b in bases]
+    mats = [la.matmul(m.mats[a], bases[s], p)[lead[t]] for a, (_, s, t) in enumerate(m.algebra.quiver.arrows)]
+    sub = Module(m.algebra, [b.shape[1] for b in bases], mats, name="ker")
+    return sub, ModuleHom(sub, m, bases, check=False)
 
 
 def image(f: ModuleHom) -> Tuple[Module, ModuleHom, ModuleHom]:
@@ -818,9 +861,10 @@ class CertificationError(RuntimeError):
 
 
 def _mult_coords(basis_homs: List[ModuleHom]) -> np.ndarray:
-    """Structure constants: T[i, j] holds the coordinates of b_i o b_j."""
+    """Structure constants: T[i, j] holds the coordinates of b_i o b_j over
+    the basis of End(m), read by hom_basis_coordinates."""
     k = len(basis_homs)
-    coords = hom_coordinates([compose(a, b) for a in basis_homs for b in basis_homs], basis_homs)
+    coords = hom_basis_coordinates([compose(a, b) for a in basis_homs for b in basis_homs], basis_homs)
     assert coords is not None, "endomorphism product left the span"
     return coords.T.reshape(k, k, k)
 
@@ -1037,7 +1081,7 @@ def _splitting_endomorphism(m: Module, ends: List[ModuleHom]) -> Optional[Module
     # B on the images of ends[free]; the RREF rows of the radical reduce the rest
     sub = T[np.ix_(free, free)]
     tq = (sub[..., free] - np.einsum("ijr,rk->ijk", sub[..., pivots], rr[:, free])) % p
-    one = hom_coordinates([identity_hom(m)], ends)[:, 0]
+    one = hom_basis_coordinates([identity_hom(m)], ends)[:, 0]
     one = (one[free] - one[pivots] @ rr[:, free]) % p
 
     def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -1218,11 +1262,11 @@ def _summands_match(ms: Sequence[Module], ns: Sequence[Module]) -> bool:
 def hom_space_matrix(d: ModuleHom, source_basis: List[ModuleHom], target_basis: List[ModuleHom]) -> np.ndarray:
     """Matrix of Hom(d, N): h |-> h o d, in the given hom bases.
 
-    source_basis spans Hom(d.target, N), target_basis spans Hom(d.source, N).
+    source_basis spans Hom(d.target, N).  target_basis is the canonical
+    hom_basis(d.source, N), so the coordinates are read off it by
+    hom_basis_coordinates without a solve.
     """
-    coords = hom_coordinates([compose(b, d) for b in source_basis], target_basis)
-    assert coords is not None
-    return coords
+    return hom_basis_coordinates((compose(b, d) for b in source_basis), target_basis)
 
 
 def projective_resolution(m: Module, length: int) -> Tuple[List[ProjCover], List[ModuleHom]]:

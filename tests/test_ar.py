@@ -12,6 +12,7 @@ from mapscat.algfile import parse_algebra_file
 from mapscat.maps import gamma_of, split_epi_section, to_gamma_module
 from mapscat.modules import (
     Module,
+    combine,
     compose,
     direct_sum,
     end_radical,
@@ -266,6 +267,31 @@ def test_socle_criterion_rejects_a_class_outside_the_socle(knit):
         cert = is_almost_split(seq, test_set)
         assert not cert
         assert any("radical endomorphisms do not all factor" in r for r in cert.reasons)
+
+
+@pytest.mark.parametrize("name, side", [("a3_rel", "lambda"), ("dual", "gamma")])
+def test_coboundary_classes_split_and_are_never_picked(knit, name, side):
+    # a cocycle h o (K -> P0) with h: P0 -> tau m has class zero in
+    # Ext^1(m, tau m): its extension splits, and the pick passes over it to
+    # a class whose extension does not, which is why the construction of
+    # almost split sequences needs no search for a section
+    q = knit(name, side)
+    for i, m in enumerate(q.vertices):
+        if i in q.projectives:
+            continue
+        tm, pres = tau(m), minimal_projective_presentation(m)
+        incl = pres.syzygy_incl
+        cocycles = hom_basis(pres.syzygy, tm)
+        from_p0 = hom_basis(pres.p0.sum.module, tm)
+        cob = hom_coordinates([compose(h, incl) for h in from_p0], cocycles)
+        classes = la.kernel_basis(cob.T, P).T
+        assert ar._nonzero_class(classes, cob, P) is None
+        for h in from_p0:
+            assert split_epi_section(extension(compose(h, incl), incl, pres.p0.epi)[2]) is not None
+        pick = ar._nonzero_class(classes, np.hstack([cob, la.eye(len(cocycles))]), P)
+        assert pick is not None
+        surj = extension(combine(pres.syzygy, tm, cocycles, pick), incl, pres.p0.epi)[2]
+        assert split_epi_section(surj) is None
 
 
 def test_tau_three_ways_gamma_a2(gamma_quiver):

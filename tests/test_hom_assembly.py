@@ -22,10 +22,19 @@ from hypothesis import strategies as st
 from dense_reference import reference_kernel
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
-from mapscat.ar import knit_ar_quiver, maps_seq_from_gamma
+from mapscat.ar import almost_split_ending_at, knit_ar_quiver, maps_seq_from_gamma
+from mapscat.functors import (
+    _is_epimap,
+    _is_monomap,
+    left_approx_epimaps,
+    left_approx_monomaps,
+    right_approx_epimaps,
+    right_approx_monomaps,
+)
 from mapscat.maps import (
     MapObject,
     direct_sum_maps,
+    from_gamma_hom,
     from_gamma_module,
     gamma_of,
     hom_maps,
@@ -46,6 +55,8 @@ from mapscat.modules import (
     Module,
     compose,
     direct_sum,
+    end_radical,
+    factor_each,
     factor_past,
     factor_through,
     hom_add,
@@ -55,6 +66,7 @@ from mapscat.modules import (
     hom_scale,
     identity_hom,
     indecomposable_projective,
+    is_projective_indec,
     simple_module,
     unvectorize_hom,
     vectorize_hom,
@@ -373,6 +385,54 @@ def test_factor_through_and_past_match_solve_and_recombine(p, which, i, j, k, se
             assert hom_equal(compose(h, u), g)
 
 
+@settings(max_examples=12, deadline=None)
+@given(**{**CORPUS_DRAW, "p": st.sampled_from([2, 3, 101])})
+def test_factor_each_matches_one_factorization_per_hom(p, which, i, j, k, seed):
+    # a batch mixes homs that factor by construction with random ones that
+    # may not; each column is decided on its own, as a call per hom would
+    m, n = _corpus_pair(p, which, i, j, k, seed)
+    rng = np.random.default_rng(seed + 4)
+    q, u = _random_hom(m, n, rng), _random_hom(n, m, rng)
+    through = [compose(q, _random_hom(n, m, rng)), _random_hom(n, n, rng), zero_hom(n, n), _random_hom(n, n, rng)]
+    for h, g in zip(factor_each(q, through), through):
+        _assert_same_factor(h, factor_through(q, g), hom_equal)
+    past = [compose(_random_hom(m, n, rng), u), _random_hom(n, n, rng), zero_hom(n, n), _random_hom(n, n, rng)]
+    for h, g in zip(factor_each(u, past, past=True), past):
+        _assert_same_factor(h, factor_past(u, g), hom_equal)
+    assert factor_each(q, []) == []
+    # through the identity every hom is its own factor, as the solve gives
+    # it; any other endomorphism is solved
+    ends = hom_basis(n, n)
+    for e in (identity_hom(n), _random_hom(n, n, rng)):
+        for mode in (False, True):
+            images = [compose(b, e) if mode else compose(e, b) for b in ends]
+            for h, g in zip(factor_each(e, through, past=mode), through):
+                want = _solve_and_recombine(ends, images, g, zero_hom(n, n), hom_add, hom_scale, vectorize_hom, p)
+                _assert_same_factor(h, want, hom_equal)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_factor_each_decides_each_endomorphism_against_an_almost_split_sequence(p):
+    # Gamma of K[x]/x^2: an endomorphism of the right end factors through the
+    # surjection exactly when it is not invertible, of the left end through
+    # the injection likewise; the identity fails, the radical maps factor
+    radical_maps = 0
+    for m in _corpus(p)[3][1]:
+        if not end_radical(m) or is_projective_indec(m):
+            continue
+        s = almost_split_ending_at(m)
+        for mor, end, past in ((s.surj, s.right, False), (s.inj, s.left, True)):
+            rad = end_radical(end)
+            gs = [identity_hom(end), *rad, *hom_basis(end, end)]
+            got = factor_each(mor, gs, past=past)
+            want = [factor_past(mor, g) if past else factor_through(mor, g) for g in gs]
+            for h, w in zip(got, want):
+                _assert_same_factor(h, w, hom_equal)
+            assert got[0] is None and all(h is not None for h in got[1 : 1 + len(rad)])
+            radical_maps += len(rad)
+    assert radical_maps
+
+
 def test_split_section_and_retraction_exist_exactly_for_split_maps():
     alg = linear_quiver_algebra(5, 2)
     s1, s2 = simple_module(alg, 0), simple_module(alg, 1)
@@ -430,6 +490,27 @@ def test_maps_solve_through_and_past_on_gamma_a2(p, i, j, k, seed):
         _assert_same_factor(h, want, map_equal)
         if h is not None:
             assert map_equal(map_compose(h, u), g)
+
+
+def test_approximation_certificates_compose_back_on_gamma_a2():
+    # every factor a certificate stores, in all four modes, composes with the
+    # approximation to the corpus hom it was recorded for
+    _, _, xs = _gamma_a2(101)
+    epis, monos = [x for x in xs if _is_epimap(x)], [x for x in xs if _is_monomap(x)]
+    modes = [(right_approx_epimaps, epis, "right"), (left_approx_epimaps, epis, "left"),
+             (right_approx_monomaps, monos, "right"), (left_approx_monomaps, monos, "left")]
+    for x in xs:
+        for approx_of, corpus, side in modes:
+            approx, cert = approx_of(x, corpus)
+            assert cert and cert.side == side
+            for k, i, h in cert.test_factorizations:
+                c = corpus[k]
+                if side == "right":
+                    g = from_gamma_hom(hom_basis(c.gamma, approx.target.gamma)[i], c, approx.target)
+                    assert map_equal(map_compose(approx, h), g)
+                else:
+                    g = from_gamma_hom(hom_basis(approx.source.gamma, c.gamma)[i], approx.source, c)
+                    assert map_equal(map_compose(h, approx), g)
 
 
 @pytest.mark.parametrize("p", PRIMES)

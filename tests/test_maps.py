@@ -1,5 +1,7 @@
 import gc
 import weakref
+from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ import pytest
 from complex_reference import kron_chain_kernel, reference_hom_exact, reference_rpdim
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
-from mapscat.ar import knit_ar_quiver
+from mapscat.algfile import parse_algebra_file
+from mapscat.ar import knit_ar_quiver, maps_seq_from_gamma
 from mapscat.modules import (
     Module,
     compose,
     hom_basis,
+    hom_equal,
     identity_hom,
     indecomposable_projective,
     iso_between,
@@ -204,6 +208,70 @@ def test_f_cover_shapes(a2_objects):
     assert cov.tags == ["identity", "target"]
     cov3 = M.f_projective_cover(x3)  # ker f = S2 forces the extra piece
     assert cov3.tags == ["kernel", "identity", "target"]
+
+
+@lru_cache(maxsize=None)
+def _witness_corpus():
+    """The Gamma(A2) corpus and its almost split sequences as map sequences,
+    and for the bundled A3 algebras the map objects of the canonical homs
+    between two different indecomposables."""
+    tri = M.gamma_of(linear_quiver_algebra(P, 2))
+    q = knit_ar_quiver(tri.algebra)
+    a2 = [M.from_gamma_module(tri, g) for g in q.vertices]
+    seqs = [maps_seq_from_gamma(tri, s) for s in q.sequences.values()]
+    a3 = []
+    for name in ("a3_linear", "a3_flip", "a3_rel"):
+        text = resources.files("mapscat").joinpath("data", f"{name}.alg").read_text(encoding="utf-8")
+        mods = knit_ar_quiver(parse_algebra_file(text).algebra).vertices
+        a3 += [M.MapObject(h) for m in mods for n in mods if n is not m for h in hom_basis(m, n)]
+    return a2, a3, seqs
+
+
+def _covers_with_sections(x):
+    """(epi, kernel inclusion, the epi's own level sections) for the
+    F-cover of x and for the cover of each of its syzygies."""
+    out = []
+    while True:
+        tags, epi, sections = M._cover_epi(x)
+        if not tags:
+            return out
+        x, incl = M.morphism_kernel(epi)
+        out.append((epi, incl, sections))
+
+
+def _zero_sections(epi):
+    return zero_hom(epi.target.m1, epi.source.m1), zero_hom(epi.target.m2, epi.source.m2)
+
+
+def test_f_cover_sections_give_the_searched_verdict():
+    # the sum inclusions of the cover's (m1, m1, 1) and (0, m2, 0) summands
+    # are sections of its levels, so the verdict needs no search, and it is
+    # the one the search gives
+    a2, a3, _ = _witness_corpus()
+    objs = a2 + a3
+    covers = [c for x in objs for c in _covers_with_sections(x)]
+    assert len(covers) > len(objs)  # syzygies are covered too
+    for epi, incl, (s1, s2) in covers:
+        assert hom_equal(compose(epi.h1, s1), identity_hom(epi.target.m1))
+        assert hom_equal(compose(epi.h2, s2), identity_hom(epi.target.m2))
+        got = M.is_S_exact(incl, epi, _sections=(s1, s2))
+        assert got.verdict and got == M.is_S_exact(incl, epi)
+
+
+def test_a_wrong_section_never_reports_a_split():
+    # a zero section onto a nonzero level fails its composition check and
+    # sends the level to the search: the F-covers of Gamma(A2) keep their
+    # verdict, and levels of almost split sequences that do not split are
+    # still reported as not split
+    a2, _, seqs = _witness_corpus()
+    for epi, incl, _ in (c for x in a2 for c in _covers_with_sections(x)):
+        assert M.is_S_exact(incl, epi, _sections=_zero_sections(epi)) == M.is_S_exact(incl, epi)
+    unsplit = 0
+    for s in seqs:
+        want = M.is_S_exact(s.inj, s.surj)
+        assert M.is_S_exact(s.inj, s.surj, _sections=_zero_sections(s.surj)) == want
+        unsplit += want.columns_split[1:].count(False)
+    assert unsplit
 
 
 def test_f_resolution_stops_within_two_steps(a2_objects):
