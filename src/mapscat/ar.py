@@ -27,18 +27,20 @@ from .modules import (
     dual_module,
     extension,
     end_radical,
+    factor_each,
     factor_past,
     factor_through,
-    hom_add,
     hom_basis,
     hom_basis_coordinates,
-    hom_coordinates,
     hom_into_sub,
+    hom_into_sum,
+    hom_out_of_sum,
     hom_scale,
     hom_through_epi,
     identity_hom,
     indecomposable_projective,
     is_injective_indec,
+    is_mono,
     is_projective_indec,
     iso_between,
     iso_index,
@@ -110,15 +112,15 @@ def _to_module_seq(s: ShortExactSeq) -> Tuple[Module, Module, Module, ModuleHom,
 class AlmostSplitCertificate:
     """Outcome of the definition-chasing check, with the factorization data.
 
-    factorizations maps a test-object index to the matrix whose column j
-    solves surj o (combination) = (j-th required hom): for objects not
-    isomorphic to the right end the requirements are all basis homs, for
-    the right end itself they span the radical endomorphisms.
+    factorizations maps a test-object index to the factors h: X -> middle
+    with surj o h = (j-th required hom): for objects not isomorphic to the
+    right end the requirements are all basis homs, for the right end
+    itself they span the radical endomorphisms.
     """
 
     verdict: bool
     reasons: List[str] = field(default_factory=list)
-    factorizations: Dict[int, np.ndarray] = field(default_factory=dict)
+    factorizations: Dict[int, List[ModuleHom]] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -130,12 +132,12 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
     Checks that the sequence is exact and non-split with indecomposable
     ends, then that every required hom from each test object X into the
     right end factors through surj.  Factorization is a linear
-    condition, so instead of sampling homs the verifier compares
-    subspaces: for X not isomorphic to the right end, all of Hom(X, right)
-    must be hit; for X isomorphic to the right end, the radical of its
-    endomorphism space must be.  The right end itself is compared
-    through its identity: rad End is a two-sided ideal, so every
-    isomorphism gives the same required space.
+    condition, so instead of sampling homs the verifier factors a basis
+    of the required space with one factor_each: for X not isomorphic to
+    the right end, all of Hom(X, right) must be hit; for X isomorphic to
+    the right end, the radical of its endomorphism space must be.  The
+    right end itself is compared through its identity: rad End is a
+    two-sided ideal, so every isomorphism gives the same required space.
 
     Against a complete corpus of indecomposables this is the definition
     of an almost split sequence, and the tests use it as the oracle.
@@ -145,7 +147,7 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
     over End(C), made of the classes that rad End(C) kills, and r kills
     the class exactly when r factors through surj.
     """
-    left, middle, right, inj, surj = _to_module_seq(s)
+    left, _, right, inj, surj = _to_module_seq(s)
     cert = AlmostSplitCertificate(True)
     if not is_short_exact(inj, surj):
         return AlmostSplitCertificate(False, ["not a short exact sequence"])
@@ -160,7 +162,6 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
         into_right = hom_basis(x, right)
         if not into_right:
             continue
-        through = [compose(surj, h) for h in hom_basis(x, middle)]
         u = identity_hom(x) if x is right else iso_between(x, right)
         if u is None:
             required = into_right
@@ -170,12 +171,12 @@ def is_almost_split(s: ShortExactSeq, test_set: Sequence[SeqTerm]) -> AlmostSpli
             label = "radical endomorphisms"
         if not required:
             continue
-        sols = hom_coordinates(required, through)
-        if sols is None:
+        factors = factor_each(surj, required)
+        if any(h is None for h in factors):
             cert.verdict = False
             cert.reasons.append(f"test object {idx}: {label} do not all factor")
         else:
-            cert.factorizations[idx] = sols
+            cert.factorizations[idx] = factors
     return cert
 
 
@@ -357,7 +358,7 @@ def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None
         raise ArithmeticError("could not extend the kernel inclusion along the almost split mono")
     t = hom_through_epi(base.surj, compose(g, t_bar))
     sd = direct_sum(alg, [dp1, m])
-    h = hom_add(compose(g, sd.projections[0]), compose(t, sd.projections[1]))
+    h = hom_out_of_sum(sd, [g, t])
     left = MapObject(g)
     middle = MapObject(h)
     right = source_only(m)
@@ -366,14 +367,12 @@ def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None
         middle, right, hom_scale(p - 1, sd.projections[1]), zero_hom(middle.m2, right.m2)
     )
     # pullback identity: E embeds in D(P1*) (+) m as the kernel of h
-    emb_mats = [np.vstack([t_bar.mats[v], (-base.surj.mats[v]) % p]) for v in range(len(h.mats))]
-    emb = ModuleHom(base.middle, sd.module, emb_mats, check=True)
+    emb = hom_into_sum(sd, [t_bar, hom_scale(p - 1, base.surj)])
     assert compose(h, emb).is_zero()
-    for v in range(len(h.mats)):
-        if la.rank(emb.mats[v], p) != base.middle.dims[v]:
-            raise AssertionError("pullback embedding is not injective")
-        if base.middle.dims[v] != sd.module.dims[v] - la.rank(h.mats[v], p):
-            raise AssertionError("middle term is not the pullback")
+    if not is_mono(emb):
+        raise AssertionError("pullback embedding is not injective")
+    if any(e != d - la.rank(x, p) for e, d, x in zip(base.middle.dims, sd.module.dims, h.mats)):
+        raise AssertionError("middle term is not the pullback")
     return _finish_special(inj, surj, test_set)
 
 
@@ -400,7 +399,7 @@ def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None)
     v_bar = _lift_along_epi(base.surj, c_to_ti)  # D(I1)* -> E with pi v_bar = c
     v_map = hom_into_sub(base.inj, compose(v_bar, star_dq))  # D(I0)* -> n
     sd = direct_sum(alg, [star_dq.target, n])
-    h = hom_add(compose(sd.inclusions[0], star_dq), compose(sd.inclusions[1], v_map))
+    h = hom_into_sum(sd, [star_dq, v_map])
     left3 = target_only(n)
     middle3 = MapObject(h)
     right3 = MapObject(star_dq)

@@ -32,14 +32,17 @@ from .modules import (
     end_radical,
     ext_dims,
     factor_each,
-    factor_through,
-    hom_add,
     hom_basis,
+    hom_basis_coordinates,
     hom_coordinates,
+    hom_into_sum,
+    hom_out_of_sum,
     identity_hom,
     image,
     indecomposable_projective,
     injective_envelope,
+    is_epi,
+    is_mono,
     is_projective_indec,
     iso_index,
     kernel,
@@ -160,8 +163,7 @@ def pdim(f: FpFunctor) -> int:
     q = f.presentation
     if q.m1.is_zero():
         return 0
-    k, _ = kernel(q.f)
-    return 1 if k.is_zero() else 2
+    return 1 if is_mono(q.f) else 2
 
 
 def torsion_radical(f: FpFunctor) -> FpFunctor:
@@ -181,8 +183,7 @@ def is_torsion_free(f: FpFunctor) -> bool:
     """Three independent tests, asserted to agree."""
     by_radical = functor_is_zero(torsion_radical(f))
     by_pdim = pdim(f) <= 1
-    q = f.presentation
-    by_mono = q.m1.is_zero() or kernel(q.f)[0].is_zero()
+    by_mono = is_mono(f.presentation.f)
     if not (by_radical == by_pdim == by_mono):
         raise AssertionError(
             f"torsion-free tests disagree: radical {by_radical}, pdim {by_pdim}, mono {by_mono}"
@@ -322,14 +323,15 @@ Realized = Tuple[Module, List[EvalData]]
 
 
 def _realize(real: FunctorRealization, x: MapObject) -> Realized:
-    """Phi(x) over real.delta, with its evaluation at each corpus object."""
+    """Phi(x) over real.delta, with its evaluation at each corpus object;
+    coordinates are read off the canonical bases of phi_at."""
     evs = [phi_at(x, t) for t in real.corpus]
     p = real.delta.p
     mats = []
     for k, r in enumerate(real.arrow_homs):
         src = real.delta.quiver.source(k)
         tgt = real.delta.quiver.target(k)
-        pre = hom_coordinates([compose(b, r) for b in evs[src].into_target], evs[tgt].into_target)
+        pre = hom_basis_coordinates((compose(b, r) for b in evs[src].into_target), evs[tgt].into_target)
         mats.append(la.matmul(evs[tgt].proj, la.matmul(pre, evs[src].section, p), p))
     return Module(real.delta, [e.dim for e in evs], mats, name=f"Phi({x.name})" if x.name else ""), evs
 
@@ -340,11 +342,12 @@ def realize_map_object(real: FunctorRealization, x: MapObject) -> Module:
 
 
 def _phi_hom(real: FunctorRealization, u: MapMorphism, src: Realized, tgt: Realized) -> ModuleHom:
-    """Phi(u): src -> tgt, for the realizations src of u.source and tgt of u.target."""
+    """Phi(u): src -> tgt, for the realizations src of u.source and tgt of
+    u.target, reading coordinates as _realize does."""
     p = real.delta.p
     mats = []
     for ex, ey in zip(src[1], tgt[1]):
-        post = hom_coordinates([compose(u.h2, b) for b in ex.into_target], ey.into_target)
+        post = hom_basis_coordinates((compose(u.h2, b) for b in ex.into_target), ey.into_target)
         mats.append(la.matmul(ey.proj, la.matmul(post, ex.section, p), p))
     return ModuleHom(src[0], tgt[0], mats)
 
@@ -455,12 +458,7 @@ def _left_add_approx_modules(w: Module, reps: List[Module]) -> Optional[ModuleHo
     pieces = [(r, b) for r in reps for b in hom_basis(w, r)]
     if not pieces:
         return None
-    sm = direct_sum(w.algebra, [r for r, _ in pieces])
-    u = None
-    for k, (_, b) in enumerate(pieces):
-        leg = compose(sm.inclusions[k], b)
-        u = leg if u is None else hom_add(u, leg)
-    return u
+    return hom_into_sum(direct_sum(w.algebra, [r for r, _ in pieces]), [b for _, b in pieces])
 
 
 def _coresolve(w: Module, reps: List[Module], max_len: int, not_mono: str, in_s: Optional[Callable[[ModuleHom, ModuleHom], bool]] = None) -> Coresolution:
@@ -469,7 +467,6 @@ def _coresolve(w: Module, reps: List[Module], max_len: int, not_mono: str, in_s:
     A step whose approximation u is not mono fails with reason not_mono;
     in_s, when given, must also accept u with its cokernel projection.
     """
-    p = w.algebra.p
     terms: List[Module] = []
     cur = w
     while not _in_add_modules(cur, reps):
@@ -479,7 +476,7 @@ def _coresolve(w: Module, reps: List[Module], max_len: int, not_mono: str, in_s:
         u = _left_add_approx_modules(cur, reps)
         if u is None:
             return Coresolution(terms, "fail", {"reason": "no maps into the category", "step": step})
-        if any(la.rank(m, p) != d for m, d in zip(u.mats, cur.dims)):
+        if not is_mono(u):
             return Coresolution(terms, "fail", {"reason": not_mono, "step": step})
         coker, proj = cokernel(u)
         if in_s is not None and not in_s(u, proj):
@@ -621,7 +618,7 @@ def check_generalized_tilting(
     tmods: List[Module] = []
     for t in reps:
         m = realize_map_object(real, t)
-        if not m.is_zero() and not any(modules_isomorphic(m, s) for s in tmods):
+        if not m.is_zero() and iso_index(m, tmods) is None:
             tmods.append(m)
     maps_side = _aggregate([c.status for c in checks.values()])
     mod_side, wit = _module_tilting_status(tmods, real.delta, [1, 2], 2)
@@ -690,11 +687,11 @@ def _certify_approx(side: str, approx: MapMorphism, corpus: Sequence[MapObject])
 
 
 def _is_epimap(x: MapObject) -> bool:
-    return all(la.rank(m, x.algebra.p) == x.m2.dims[v] for v, m in enumerate(x.f.mats))
+    return is_epi(x.f)
 
 
 def _is_monomap(x: MapObject) -> bool:
-    return kernel(x.f)[0].is_zero()
+    return is_mono(x.f)
 
 
 def _gamma_corpus(algebra: AlgebraPresentation, keep: Callable[[MapObject], bool], family: str) -> List[MapObject]:
@@ -734,11 +731,7 @@ def left_approx_epimaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = No
     else:
         pc = projective_cover(x.m2)
         sm = direct_sum(x.algebra, [x.m1, pc.sum.module])
-        h = hom_add(
-            compose(x.f, sm.projections[0]),
-            compose(pc.epi, sm.projections[1]),
-        )
-        z = MapObject(h, name=f"{x.name}-epi" if x.name else "")
+        z = MapObject(hom_out_of_sum(sm, [x.f, pc.epi]), name=f"{x.name}-epi" if x.name else "")
         approx = MapMorphism(x, z, sm.inclusions[0], identity_hom(x.m2))
     return approx, certify_left_approx(approx, corpus)
 
@@ -752,11 +745,7 @@ def right_approx_monomaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = 
     else:
         env, mono = injective_envelope(x.m1)
         sm = direct_sum(x.algebra, [x.m2, env])
-        h = hom_add(
-            compose(sm.inclusions[0], x.f),
-            compose(sm.inclusions[1], mono),
-        )
-        z = MapObject(h, name=f"{x.name}-mono" if x.name else "")
+        z = MapObject(hom_into_sum(sm, [x.f, mono]), name=f"{x.name}-mono" if x.name else "")
         approx = MapMorphism(z, x, identity_hom(x.m1), sm.projections[0])
     return approx, certify_right_approx(approx, corpus)
 
@@ -777,7 +766,8 @@ def left_approx_monomaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = N
 def transport_approx_via_phi(
     real: FunctorRealization, approx: MapMorphism, corpus: Sequence[MapObject]
 ) -> Tuple[ModuleHom, ApproxCertificate]:
-    """Phi of a right approximation, certified against Phi of the corpus.
+    """Phi of a right approximation, certified against Phi of the corpus
+    with one factor_each per corpus object.
 
     Raises when some realized corpus hom fails to factor, naming it.
     """
@@ -785,8 +775,7 @@ def transport_approx_via_phi(
     found = []
     for k, c in enumerate(corpus):
         fc = realize_map_object(real, c)
-        for i, h in enumerate(hom_basis(fc, rho.target)):
-            lift = factor_through(rho, h)
+        for i, lift in enumerate(factor_each(rho, hom_basis(fc, rho.target))):
             if lift is None:
                 raise CertificationError(
                     f"hom {i} from corpus object {k} does not factor through the transported approximation"

@@ -203,18 +203,6 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     return x[:, 0] if vec else x
 
 
-def span_coordinates(basis: List[np.ndarray], vecs: List[np.ndarray], p: int) -> Optional[np.ndarray]:
-    """Coordinates of each vector of vecs over the list basis, as columns.
-
-    One solve with every vector as a right-hand side; None if any of them
-    leaves the span.  An empty basis spans only zero.
-    """
-    rhs = np.stack(vecs, axis=1)
-    if not basis:
-        return None if rhs.any() else zeros(0, len(vecs))
-    return solve(np.stack(basis, axis=1), rhs, p)
-
-
 def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Columns of ``a`` restricted to a basis of the column space.
 

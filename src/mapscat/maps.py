@@ -33,13 +33,16 @@ from .modules import (
     factor_through,
     hom_add,
     hom_basis,
+    hom_basis_coordinates,
     hom_complex_dims,
-    hom_coordinates,
     hom_equal,
+    hom_out_of_sum,
     hom_scale,
     hom_into_sub,
     identity_hom,
     image,
+    is_epi,
+    is_mono,
     iso_between,
     kernel,
     vectorize_hom,
@@ -185,15 +188,6 @@ def hom_maps(x: MapObject, y: MapObject) -> List[MapMorphism]:
     return [from_gamma_hom(h, x, y) for h in hom_basis(x.gamma, y.gamma)]
 
 
-def map_hom_coordinates(mors: Sequence[MapMorphism], basis: Sequence[MapMorphism]) -> Optional[np.ndarray]:
-    """Coordinates of each morphism in the basis, one column per morphism;
-    None if any lies outside the span (see hom_coordinates)."""
-    if not mors:
-        return la.zeros(len(basis), 0)
-    vecs = [vectorize_map_morphism(m) for m in mors]
-    return la.span_coordinates([vectorize_map_morphism(b) for b in basis], vecs, mors[0].source.algebra.p)
-
-
 def maps_solve_through(q: MapMorphism, g: MapMorphism) -> Optional[MapMorphism]:
     """h with q o h = g, for g landing where q lands; None if impossible."""
     h = factor_through(to_gamma_hom(q), to_gamma_hom(g))
@@ -305,12 +299,11 @@ def indec_map_kind(x: MapObject) -> str:
     'target_only' for (0,M,0)-type, 'generic' otherwise.  Only the first
     two are killed by the cokernel functor.
     """
-    p = x.algebra.p
     if x.m2.is_zero():
         return "source_only" if not x.m1.is_zero() else "zero"
     if x.m1.is_zero():
         return "target_only"
-    if x.m1.dims == x.m2.dims and all(la.invert(m, p) is not None for m in x.f.mats):
+    if x.m1.dims == x.m2.dims and is_mono(x.f):
         return "contractible"
     return "generic"
 
@@ -393,11 +386,15 @@ class EvalData:
 
 
 def phi_at(x: MapObject, t: Module) -> EvalData:
-    """The cokernel functor of x evaluated at t."""
+    """The cokernel functor of x evaluated at t.
+
+    The action of x.f is read off the canonical basis of Hom(t, x.m2) by
+    hom_basis_coordinates.
+    """
     p = x.algebra.p
     b1 = hom_basis(t, x.m1)
     b2 = hom_basis(t, x.m2)
-    action = hom_coordinates([compose(x.f, b) for b in b1], b2)
+    action = hom_basis_coordinates((compose(x.f, b) for b in b1), b2)
     proj = la.kernel_basis(action.T, p).T
     dim = proj.shape[0]
     section = la.solve(proj, la.eye(dim), p)
@@ -428,19 +425,9 @@ def split_mono_retraction(u: ModuleHom) -> Optional[ModuleHom]:
 
 def is_short_exact(u: ModuleHom, v: ModuleHom) -> bool:
     """Exactness of 0 -> A -u-> B -v-> C -> 0 over the algebra."""
-    p = u.source.algebra.p
-    for x in range(len(u.mats)):
-        if la.rank(u.mats[x], p) != u.source.dims[x]:
-            return False
-        if la.rank(v.mats[x], p) != v.target.dims[x]:
-            return False
-    comp = compose(v, u)
-    if not comp.is_zero():
+    if not (is_mono(u) and is_epi(v) and compose(v, u).is_zero()):
         return False
-    return all(
-        u.source.dims[x] + v.target.dims[x] == u.target.dims[x]
-        for x in range(len(u.mats))
-    )
+    return all(a + c == b for a, b, c in zip(u.source.dims, u.target.dims, v.target.dims))
 
 
 @dataclass
@@ -458,11 +445,9 @@ class SExactness:
     verdict: bool
 
 
-def induced_kernel_hom(mor: MapMorphism, src_ker: Tuple[Module, ModuleHom], tgt_ker: Tuple[Module, ModuleHom]) -> ModuleHom:
-    """Restriction of mor.h1 to the structure kernels."""
-    k_src, incl_src = src_ker
-    _, incl_tgt = tgt_ker
-    return hom_into_sub(incl_tgt, compose(mor.h1, incl_src))
+def induced_kernel_hom(mor: MapMorphism, src_incl: ModuleHom, tgt_incl: ModuleHom) -> ModuleHom:
+    """Restriction of mor.h1 to the structure kernels, given by their inclusions."""
+    return hom_into_sub(tgt_incl, compose(mor.h1, src_incl))
 
 
 def _is_split_epi(v: ModuleHom, section: Optional[ModuleHom]) -> bool:
@@ -485,17 +470,23 @@ def is_S_exact(
     cover builds: each is checked by composition before any search, and a
     candidate that fails only sends its level to the search, so the
     verdict is the same with or without them.
+
+    The kernel column is decided by ranks.  With x, e, y the three
+    objects, the level rows are exact, so by the snake lemma
+    0 -> ker x.f -> ker e.f -> ker y.f is exact everywhere but possibly
+    at its right end.  It is short exact exactly when the nullities of
+    the three structure maps add up, nullity(e.f) = nullity(x.f) +
+    nullity(y.f), at every vertex.  Only then are ker e.f, ker y.f and
+    the induced map built, for the split test.
     """
     if not (is_short_exact(u.h1, v.h1) and is_short_exact(u.h2, v.h2)):
         raise ValueError("the given pair is not a short exact sequence")
-    kn = kernel(u.source.f)
-    ke = kernel(v.source.f)
-    km = kernel(v.target.f)
-    k_in = induced_kernel_hom(u, kn, ke)
-    k_out = induced_kernel_hom(v, ke, km)
-    kernel_exact = is_short_exact(k_in, k_out)
+    p = u.source.algebra.p
+    nullity = [[d - la.rank(m, p) for d, m in zip(x.m1.dims, x.f.mats)] for x in (u.source, v.source, v.target)]
+    kernel_exact = all(a + c == b for a, b, c in zip(*nullity))
     splits = (
-        kernel_exact and split_epi_section(k_out) is not None,
+        kernel_exact
+        and split_epi_section(induced_kernel_hom(v, kernel(v.source.f)[1], kernel(v.target.f)[1])) is not None,
         _is_split_epi(v.h1, _sections[0]),
         _is_split_epi(v.h2, _sections[1]),
     )
@@ -572,21 +563,19 @@ def _structural_pieces(x: MapObject, k: Module, k_incl: ModuleHom) -> List[Tuple
 
 def _epi_from_pieces(x: MapObject, pieces, name: str = "") -> Tuple[MapMorphism, List[MapMorphism]]:
     """The map onto x from the sum of the pieces' objects, one leg per
-    piece, with the inclusions of the pieces into that sum."""
-    sum_data = direct_sum_maps(x.algebra, [obj for _, obj, _ in pieces], name=name)
-    epi = None
-    for (_, _, comp), proj in zip(pieces, sum_data.projections):
-        term = map_compose(comp, proj)
-        epi = term if epi is None else map_add(epi, term)
-    return epi, sum_data.inclusions
+    piece, with the inclusions of the pieces into that sum: one block hom
+    out of the sum on Gamma, split back."""
+    tri = gamma_of(x.algebra)
+    s = direct_sum(tri.algebra, [obj.gamma for _, obj, _ in pieces])
+    total = _fresh_map_object(tri, s.module, name)
+    epi = from_gamma_hom(hom_out_of_sum(s, [to_gamma_hom(leg) for _, _, leg in pieces]), total, x)
+    return epi, [from_gamma_hom(i, obj, total) for i, (_, obj, _) in zip(s.inclusions, pieces)]
 
 
 def _admissible_kernel(epi: MapMorphism, sections: Tuple[ModuleHom, ModuleHom]) -> Tuple[MapObject, MapMorphism]:
     """morphism_kernel(epi), once epi is checked to be an S-admissible epi
     (is_S_exact with the candidate level sections); AssertionError if not."""
-    p = epi.source.algebra.p
-    onto = all(la.rank(m, p) == h.target.dims[v] for h in (epi.h1, epi.h2) for v, m in enumerate(h.mats))
-    ker = morphism_kernel(epi) if onto else None
+    ker = morphism_kernel(epi) if is_epi(epi.h1) and is_epi(epi.h2) else None
     if ker is None or not is_S_exact(ker[1], epi, sections).verdict:
         raise AssertionError("constructed cover epi is not S-admissible")
     return ker
@@ -684,22 +673,22 @@ class Ext1Data:
         return len(self.cocycles) - la.rank(self.coboundary_matrix, p)
 
     def class_is_zero(self, cocycle: MapMorphism) -> bool:
-        coords = map_hom_coordinates([cocycle], self.cocycles)
-        assert coords is not None
-        coords = coords[:, 0]
+        coords = hom_basis_coordinates([to_gamma_hom(cocycle)], [to_gamma_hom(c) for c in self.cocycles])[:, 0]
         if self.coboundary_matrix.shape[1] == 0:
             return not coords.any()
         return la.solve(self.coboundary_matrix, coords, self.x.algebra.p) is not None
 
 
 def ext1_data(x: MapObject, y: MapObject) -> Ext1Data:
+    """The cocycles and coboundaries of Ext_F^1(x, y), from the kernel the
+    cover keeps.  The cocycles are hom_maps(n0, y), so the coboundaries'
+    coordinates are read off the canonical Gamma basis behind them."""
     cover = f_projective_cover(x)
-    n0, incl = morphism_kernel(cover.epi)
-    cocycles = hom_maps(n0, y)
-    from_q0 = hom_maps(cover.cover, y)
-    mat = map_hom_coordinates([map_compose(h, incl) for h in from_q0], cocycles)
-    assert mat is not None
-    return Ext1Data(x, y, cover, n0, incl, cocycles, mat)
+    n0, incl = cover.kernel
+    basis = hom_basis(n0.gamma, y.gamma)
+    g_incl = to_gamma_hom(incl)
+    mat = hom_basis_coordinates((compose(h, g_incl) for h in hom_basis(cover.cover.gamma, y.gamma)), basis)
+    return Ext1Data(x, y, cover, n0, incl, [from_gamma_hom(h, n0, y) for h in basis], mat)
 
 
 def pushout_extension(data: Ext1Data, cocycle: MapMorphism) -> Tuple[MapObject, MapMorphism, MapMorphism]:
@@ -805,12 +794,7 @@ def disk_cover(cpx: ProjComplex):
         # (a_{k+1}, a_k) |-> (a_k, 0)
         q_diffs.append(compose(sums[k - 1].inclusions[0], sums[k].projections[1]))
     q_diffs.append(sums[n - 1].inclusions[0])
-    pis = []
-    for k in range(n):
-        pi = hom_add(
-            compose(cpx.diffs[k], sums[k].projections[0]), sums[k].projections[1]
-        )
-        pis.append(pi)
+    pis = [hom_out_of_sum(sums[k], [cpx.diffs[k], identity_hom(cpx.modules[k])]) for k in range(n)]
     pis.append(identity_hom(cpx.modules[n]))
     return ProjComplex(q_modules, q_diffs), pis, sums
 

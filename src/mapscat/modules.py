@@ -264,12 +264,16 @@ def hom_coordinates(homs: Sequence[ModuleHom], basis: Sequence[ModuleHom]) -> Op
 
     One solve for all of them; None if any hom lies outside the span.  A
     spanning list that is not independent gets the solution with zeros
-    in its free coordinates.
+    in its free coordinates.  An empty basis spans only zero.  Over a
+    canonical hom_basis, hom_basis_coordinates reads the same coordinates
+    without a solve.
     """
     if not homs:
         return la.zeros(len(basis), 0)
-    vecs = [vectorize_hom(h) for h in homs]
-    return la.span_coordinates([vectorize_hom(b) for b in basis], vecs, homs[0].source.algebra.p)
+    rhs = np.stack([vectorize_hom(h) for h in homs], axis=1)
+    if not basis:
+        return None if rhs.any() else la.zeros(0, len(homs))
+    return la.solve(np.stack([vectorize_hom(b) for b in basis], axis=1), rhs, homs[0].source.algebra.p)
 
 
 def hom_basis_coordinates(homs: Iterable[ModuleHom], basis: Sequence[ModuleHom]) -> np.ndarray:
@@ -290,6 +294,19 @@ def hom_basis_coordinates(homs: Iterable[ModuleHom], basis: Sequence[ModuleHom])
         return hom_coordinates(list(homs), basis)
     cols = [vectorize_hom(h)[lead] for h in homs]
     return np.stack(cols, axis=1) if cols else la.zeros(len(basis), 0)
+
+
+def is_mono(f: ModuleHom) -> bool:
+    """Whether f is mono: full column rank at every vertex.  Between
+    modules of one dimension vector a mono is an isomorphism."""
+    p = f.source.algebra.p
+    return all(la.rank(m, p) == d for m, d in zip(f.mats, f.source.dims))
+
+
+def is_epi(f: ModuleHom) -> bool:
+    """Whether f is epi: full row rank at every vertex."""
+    p = f.source.algebra.p
+    return all(la.rank(m, p) == d for m, d in zip(f.mats, f.target.dims))
 
 
 def _last_nonzero(vecs: Iterable[np.ndarray]) -> List[int]:
@@ -458,6 +475,24 @@ def direct_sum(algebra: AlgebraPresentation, parts: Sequence[Module], name: str 
     return SumData(total, list(parts), incls, projs)
 
 
+def hom_out_of_sum(sd: SumData, legs: Sequence[ModuleHom]) -> ModuleHom:
+    """The hom out of sd.module that is legs[i] on sd.parts[i], for legs
+    with one target: the legs side by side, [f g], at each vertex, which
+    is entry for entry the sum of the legs[i] o sd.projections[i]."""
+    target = legs[0].target
+    mats = [np.hstack([f.mats[v] for f in legs]) for v in range(len(target.dims))]
+    return ModuleHom(sd.module, target, mats, check=False, reduced=True)
+
+
+def hom_into_sum(sd: SumData, legs: Sequence[ModuleHom]) -> ModuleHom:
+    """The hom into sd.module with legs[i] as its sd.parts[i] component, for
+    legs with one source: the legs stacked, [f; g], at each vertex, which
+    is entry for entry the sum of the sd.inclusions[i] o legs[i]."""
+    source = legs[0].source
+    mats = [np.vstack([g.mats[v] for g in legs]) for v in range(len(source.dims))]
+    return ModuleHom(source, sd.module, mats, check=False, reduced=True)
+
+
 # -- submodules and quotients -------------------------------------------------
 
 
@@ -563,13 +598,9 @@ def extension(cocycle: ModuleHom, incl: ModuleHom, epi: ModuleHom) -> Tuple[Modu
     Returns E, the leg N -> E and the epi E -> X induced by epi.
     """
     alg = cocycle.source.algebra
-    p = alg.p
     sd = direct_sum(alg, [cocycle.target, incl.target])
-    w_bases = [
-        la.column_space_basis(np.vstack([cocycle.mats[v], (-incl.mats[v]) % p]), p)
-        for v in range(alg.quiver.n_vertices)
-    ]
-    e, proj = quotient(sd.module, w_bases)
+    w = hom_into_sum(sd, [cocycle, hom_scale(alg.p - 1, incl)])
+    e, proj = quotient(sd.module, [la.column_space_basis(x, alg.p) for x in w.mats])
     return e, compose(proj, sd.inclusions[0]), hom_through_epi(proj, compose(epi, sd.projections[1]))
 
 
@@ -703,9 +734,8 @@ def projective_cover(m: Module) -> ProjCover:
     parts = [indecomposable_projective(m.algebra, v) for v in vertices]
     psum = direct_sum(m.algebra, parts, name=f"P({m.name})")
     epi = hom_from_generator_images(psum, vertices, m, gen_images)
-    for v in range(q.n_vertices):
-        if la.rank(epi.mats[v], p) != m.dims[v]:
-            raise AssertionError("projective cover failed to surject")
+    if not is_epi(epi):
+        raise AssertionError("projective cover failed to surject")
     return ProjCover(psum, vertices, epi)
 
 
@@ -1193,10 +1223,12 @@ def decomposition(m: Module) -> Decomposition:
 def iso_between(m: Module, n: Module) -> Optional[ModuleHom]:
     """The first element of the basis of Hom(m, n) that is an isomorphism, or None.
 
-    Complete whenever m or n is indecomposable: if f = sum c_i h_i is an
-    isomorphism with inverse g, then sum c_i g h_i = 1 in the local ring
-    End(m), so some g h_i is a unit and h_i is itself an isomorphism (the
-    same argument runs through End(n) when n is the indecomposable side).
+    m and n share their dimension vector, so a basis element is an
+    isomorphism exactly when it is mono.  Complete whenever m or n is
+    indecomposable: if f = sum c_i h_i is an isomorphism with inverse g,
+    then sum c_i g h_i = 1 in the local ring End(m), so some g h_i is a
+    unit and h_i is itself an isomorphism (the same argument runs through
+    End(n) when n is the indecomposable side).
     For two decomposable modules None proves nothing; use
     modules_isomorphic.
     """
@@ -1204,11 +1236,7 @@ def iso_between(m: Module, n: Module) -> Optional[ModuleHom]:
         return None
     if m.total_dim == 0:
         return zero_hom(m, n)
-    p = m.algebra.p
-    for h in hom_basis(m, n):
-        if all(la.invert(x, p) is not None for x in h.mats):
-            return h
-    return None
+    return next((h for h in hom_basis(m, n) if is_mono(h)), None)
 
 
 def iso_index(m: Module, reps: Sequence[Module]) -> Optional[int]:
@@ -1259,26 +1287,15 @@ def _summands_match(ms: Sequence[Module], ns: Sequence[Module]) -> bool:
 # -- Ext groups ---------------------------------------------------------------
 
 
-def hom_space_matrix(d: ModuleHom, source_basis: List[ModuleHom], target_basis: List[ModuleHom]) -> np.ndarray:
-    """Matrix of Hom(d, N): h |-> h o d, in the given hom bases.
-
-    source_basis spans Hom(d.target, N).  target_basis is the canonical
-    hom_basis(d.source, N), so the coordinates are read off it by
-    hom_basis_coordinates without a solve.
-    """
-    return hom_basis_coordinates((compose(b, d) for b in source_basis), target_basis)
-
-
 def projective_resolution(m: Module, length: int) -> Tuple[List[ProjCover], List[ModuleHom]]:
     """Covers P_0 .. P_length and differentials d_i: P_i -> P_{i-1}."""
     covers = [projective_cover(m)]
     diffs: List[ModuleHom] = []
-    cur_ker, cur_incl = kernel(covers[0].epi)
     for _ in range(length):
-        c = projective_cover(cur_ker)
+        syz, incl = kernel(covers[-1].epi)
+        c = projective_cover(syz)
         covers.append(c)
-        diffs.append(compose(cur_incl, c.epi))
-        cur_ker, cur_incl = kernel(c.epi)
+        diffs.append(compose(incl, c.epi))
     return covers, diffs
 
 
@@ -1287,7 +1304,8 @@ def hom_complex_dims(terms: Sequence[Module], diffs: Sequence[ModuleHom], n: Mod
 
     diffs[i]: terms[i + 1] -> terms[i], and terms past the end count as
     zero.  Hom(C_i, n) is computed once per needed term and the rank r_i
-    of Hom(d_i, n): Hom(C_i, n) -> Hom(C_{i+1}, n) once per needed
+    of Hom(d_i, n): h |-> h o d_i, read off the canonical basis of
+    Hom(C_{i+1}, n) by hom_basis_coordinates, once per needed
     differential, so every degree reads dim Hom(C_k, n) - r_k - r_{k-1}.
     """
     if not degrees:
@@ -1295,7 +1313,10 @@ def hom_complex_dims(terms: Sequence[Module], diffs: Sequence[ModuleHom], n: Mod
     p = n.algebra.p
     lo, hi = max(min(degrees) - 1, 0), min(max(degrees) + 1, len(terms) - 1)
     bases = {i: hom_basis(terms[i], n) for i in range(lo, hi + 1)}
-    ranks = {i: la.rank(hom_space_matrix(diffs[i], bases[i], bases[i + 1]), p) for i in range(lo, hi)}
+    ranks = {
+        i: la.rank(hom_basis_coordinates((compose(b, diffs[i]) for b in bases[i]), bases[i + 1]), p)
+        for i in range(lo, hi)
+    }
     return [len(bases.get(k, ())) - ranks.get(k, 0) - ranks.get(k - 1, 0) for k in degrees]
 
 

@@ -3,12 +3,14 @@
 The former dense rref and the kernel read off it, kept independent of
 mapscat.linalg's elimination loop so that tests of rref, kernel_basis and
 the hom-space assemblers compare against a second implementation rather
-than against the code under test.
+than against the code under test.  The former isomorphism test, which
+inverts every vertex matrix, runs on the dense rref too.
 """
 
 import numpy as np
 
 from mapscat import linalg as la
+from mapscat.modules import hom_basis, zero_hom
 
 
 def reference_rref(a, p):
@@ -49,3 +51,17 @@ def reference_kernel(a, p):
         for i, pc in enumerate(pivots):
             basis[pc, j] = (-r[i, fc]) % p
     return basis
+
+
+def reference_iso_between(m, n):
+    """The former iso_between: the first element of hom_basis(m, n) whose
+    vertex matrices are all invertible, or None."""
+    if m.dims != n.dims:
+        return None
+    if m.total_dim == 0:
+        return zero_hom(m, n)
+    p = m.algebra.p
+    for h in hom_basis(m, n):
+        if all(len(reference_rref(x, p)[1]) == x.shape[0] for x in h.mats):
+            return h
+    return None

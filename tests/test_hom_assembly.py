@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import reference_kernel
+from dense_reference import reference_iso_between, reference_kernel
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
-from mapscat.ar import almost_split_ending_at, knit_ar_quiver, maps_seq_from_gamma
+from mapscat.ar import almost_split_ending_at, is_almost_split, knit_ar_quiver, maps_seq_from_gamma, seq_of_modules
 from mapscat.functors import (
     _is_epimap,
     _is_monomap,
@@ -41,7 +41,6 @@ from mapscat.maps import (
     map_add,
     map_compose,
     map_equal,
-    map_hom_coordinates,
     map_identity,
     map_scale,
     map_zero,
@@ -53,6 +52,7 @@ from mapscat.maps import (
 )
 from mapscat.modules import (
     Module,
+    cokernel,
     compose,
     direct_sum,
     end_radical,
@@ -63,10 +63,16 @@ from mapscat.modules import (
     hom_basis,
     hom_coordinates,
     hom_equal,
+    hom_into_sum,
+    hom_out_of_sum,
     hom_scale,
     identity_hom,
     indecomposable_projective,
+    is_epi,
+    is_mono,
     is_projective_indec,
+    iso_between,
+    kernel,
     simple_module,
     unvectorize_hom,
     vectorize_hom,
@@ -310,15 +316,6 @@ def test_batched_coordinates_equal_columnwise_solves(p, which, i, j, k, seed, ke
     if count and keep >= len(full):
         assert got is not None  # the whole basis spans every hom
 
-    x = MapObject(_random_hom(m, n, rng))
-    mbasis = hom_maps(x, x)  # holds the identity, so it is never empty
-    mors = [mbasis[int(rng.integers(0, len(mbasis)))] for _ in range(count)]
-    mgot = map_hom_coordinates(mors, mbasis[:keep])
-    mwant = _columnwise(mors, mbasis[:keep], vectorize_map_morphism, p)
-    assert (mgot is None) == (mwant is None)
-    if mwant is not None:
-        assert mgot.shape == mwant.shape and (mgot == mwant).all()
-
 
 def test_coordinates_none_when_one_column_leaves_the_span():
     alg = linear_quiver_algebra(5, 2)
@@ -331,6 +328,95 @@ def test_coordinates_none_when_one_column_leaves_the_span():
     assert hom_coordinates([second, first], [first, second]).tolist() == [[0, 1], [1, 0]]
     assert hom_coordinates([], [first]).shape == (1, 0)
     assert hom_coordinates([first], []) is None
+
+
+# -- elementary hom questions: block sum maps, mono, epi, iso ----------------------
+
+PRIMES_BATCH = [2, 3, 101]
+
+
+def _same_hom(got, want):
+    assert got.source is want.source and got.target is want.target
+    for a, b in zip(got.mats, want.mats):
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and (a == b).all()
+
+
+@settings(max_examples=10, deadline=None)
+@given(**{**CORPUS_DRAW, "p": st.sampled_from(PRIMES_BATCH)})
+def test_block_sum_maps_equal_the_sums_of_composites(p, which, i, j, k, seed):
+    m, n = _corpus_pair(p, which, i, j, k, seed)
+    rng = np.random.default_rng(seed + 5)
+    sd = direct_sum(m.algebra, [m, n, m])
+    outs = [_random_hom(m, n, rng), _random_hom(n, n, rng), _random_hom(m, n, rng)]
+    want = compose(outs[0], sd.projections[0])
+    for leg, proj in zip(outs[1:], sd.projections[1:]):
+        want = hom_add(want, compose(leg, proj))
+    _same_hom(hom_out_of_sum(sd, outs), want)
+    ins = [_random_hom(n, m, rng), _random_hom(n, n, rng), _random_hom(n, m, rng)]
+    want = compose(sd.inclusions[0], ins[0])
+    for leg, incl in zip(ins[1:], sd.inclusions[1:]):
+        want = hom_add(want, compose(incl, leg))
+    _same_hom(hom_into_sum(sd, ins), want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**{**CORPUS_DRAW, "p": st.sampled_from(PRIMES_BATCH)})
+def test_rank_tests_agree_with_kernel_and_cokernel(p, which, i, j, k, seed):
+    m, n = _corpus_pair(p, which, i, j, k, seed)
+    rng = np.random.default_rng(seed + 6)
+    sd = direct_sum(m.algebra, [m, n])
+    homs = [_random_hom(m, n, rng), _random_hom(n, m, rng), _random_hom(m, m, rng), identity_hom(n),
+            zero_hom(m, n), sd.inclusions[1], sd.projections[0]]
+    for f in homs:
+        assert is_mono(f) == kernel(f)[0].is_zero()
+        assert is_epi(f) == cokernel(f)[0].is_zero()
+
+
+@settings(max_examples=10, deadline=None)
+@given(**{**CORPUS_DRAW, "p": st.sampled_from(PRIMES_BATCH)})
+def test_iso_between_matches_the_invert_every_vertex_reference(p, which, i, j, k, seed):
+    # hits: base changes of one module; mostly misses: corpus modules of one dimension vector
+    m, n = _corpus_pair(p, which, i, j, k, seed)
+    rng = np.random.default_rng(seed + 7)
+    _, mods = _corpus(p)[which]
+    pairs = [(m, _base_change(m, rng)), (n, _base_change(n, rng)), (m, n)]
+    pairs += [(a, b) for a in mods for b in mods if a.dims == n.dims == b.dims]
+    for a, b in pairs:
+        got, want = iso_between(a, b), reference_iso_between(a, b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            _same_hom(got, want)
+    assert iso_between(n, _base_change(n, rng)) is not None  # n is indecomposable
+
+
+@pytest.mark.parametrize("p", PRIMES_BATCH)
+def test_almost_split_factors_compose_back_on_gamma_a2(p):
+    # each stored factor h of a required hom g satisfies surj o h = g; a
+    # split sequence fails before any factor is stored
+    _, q, _ = _gamma_a2(p)
+    corpus, stored = q.vertices, 0
+    for s in q.sequences.values():
+        cert = is_almost_split(s, corpus)
+        assert cert and cert.factorizations
+        for idx, factors in cert.factorizations.items():
+            x = corpus[idx]
+            u = identity_hom(x) if x is s.right else iso_between(x, s.right)
+            required = hom_basis(x, s.right) if u is None else [compose(u, r) for r in end_radical(x)]
+            assert len(factors) == len(required)
+            for h, g in zip(factors, required):
+                assert h.source is x and h.target is s.middle and hom_equal(compose(s.surj, h), g)
+            stored += len(factors)
+    assert stored
+    s = q.sequences[min(q.sequences)]
+    sd = direct_sum(s.left.algebra, [s.left, s.right])
+    cert = is_almost_split(seq_of_modules(sd.inclusions[0], sd.projections[1]), corpus)
+    assert not cert and cert.reasons == ["the sequence splits"] and not cert.factorizations
+    # 0 -> S3 -> P1 -> P1/S3 -> 0 over linear A3 does not split, but S2 -> P1/S3 does not factor
+    a3 = linear_quiver_algebra(p, 3)
+    p1, s2, s3 = indecomposable_projective(a3, 0), simple_module(a3, 1), simple_module(a3, 2)
+    incl = hom_basis(s3, p1)[0]
+    cert = is_almost_split(seq_of_modules(incl, cokernel(incl)[1]), [s2])
+    assert not cert and cert.reasons == ["test object 0: all homs do not all factor"] and not cert.factorizations
 
 
 # -- the one factorization --------------------------------------------------------

@@ -262,6 +262,19 @@ def test_ext_square_with_relation(a3rel):
     assert ext_dim(s0, s2, 1) == 0
 
 
+def test_projective_resolution_takes_one_kernel_per_step(a3rel, monkeypatch):
+    # the syzygy after the last cover is never read, so it is never built
+    calls = []
+    counted = modules.kernel
+    monkeypatch.setattr(modules, "kernel", lambda f: calls.append(f) or counted(f))
+    s0 = simple_module(a3rel, 0)
+    for length in (0, 1, 3):
+        calls.clear()
+        covers, diffs = projective_resolution(s0, length)
+        assert len(covers) == length + 1 and len(diffs) == length
+        assert len(calls) == length
+
+
 def test_kronecker_local_endos():
     alg = algebra_from_spec(P, 2, [("a", 0, 1), ("b", 0, 1)], [])
     # the regular representation: End is local of dimension 2
