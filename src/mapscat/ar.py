@@ -66,7 +66,6 @@ from .maps import (
     split_epi_section,
     split_mono_retraction,
     target_only,
-    to_gamma_hom,
 )
 
 SeqTerm = Union[Module, MapObject]
@@ -94,7 +93,7 @@ def seq_of_modules(inj: ModuleHom, surj: ModuleHom, verified: str = "") -> Short
 
 
 def seq_of_maps(inj: MapMorphism, surj: MapMorphism, verified: str = "") -> ShortExactSeq:
-    if not (is_short_exact(inj.h1, surj.h1) and is_short_exact(inj.h2, surj.h2)):
+    if not is_short_exact(inj.gamma, surj.gamma):
         raise ValueError("the level rows are not short exact")
     return ShortExactSeq(inj.source, inj.target, surj.target, inj, surj, verified)
 
@@ -102,7 +101,7 @@ def seq_of_maps(inj: MapMorphism, surj: MapMorphism, verified: str = "") -> Shor
 def _to_module_seq(s: ShortExactSeq) -> Tuple[Module, Module, Module, ModuleHom, ModuleHom]:
     if not s.is_maps_level():
         return s.left, s.middle, s.right, s.inj, s.surj
-    return s.left.gamma, s.middle.gamma, s.right.gamma, to_gamma_hom(s.inj), to_gamma_hom(s.surj)
+    return s.left.gamma, s.middle.gamma, s.right.gamma, s.inj.gamma, s.surj.gamma
 
 
 # -- the verifier ---------------------------------------------------------------

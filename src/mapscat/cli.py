@@ -85,6 +85,13 @@ def _read(path: Optional[str]) -> Tuple[str, str]:
         raise InputError(f"cannot read {path}: {e.strerror}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}")
+
+
 def _canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -92,7 +99,7 @@ def _canonical_json(obj) -> str:
 def _emit(report: dict, out: Optional[str]) -> None:
     text = _canonical_json(report)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -125,8 +132,8 @@ def cmd_ar_quiver(args) -> int:
         "ar-quiver", fname, text, ar_quiver_json(q),
         side=args.side, dim_bound=args.dim_bound,
     )
-    Path(prefix + ".json").write_text(_canonical_json(blob), encoding="utf-8")
-    Path(prefix + ".dot").write_text(ar_quiver_dot(q), encoding="utf-8")
+    _write(prefix + ".json", _canonical_json(blob))
+    _write(prefix + ".dot", ar_quiver_dot(q))
     print(
         f"side={args.side} vertices={len(q.vertices)} "
         f"projectives={len(q.projectives)} sequences={len(q.sequences)} "
@@ -270,7 +277,7 @@ def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str
 def cmd_verify_example(args) -> int:
     fname, text = _read(args.file)
     try:
-        primes = [int(p) for p in args.primes.split(",")] if args.primes else [101, 5]
+        primes = [int(p) for p in args.primes.split(",")] if args.primes is not None else [101, 5]
     except ValueError:
         raise InputError(f"--primes must be comma-separated integers, got {args.primes!r}") from None
     t0 = time.perf_counter()

@@ -1,8 +1,8 @@
 """Finitely presented functors on mod Lambda.
 
 A functor F is presented by a map object f: M1 -> M2; its value at X is
-coker(Hom(X, M1) -> Hom(X, M2)), evaluated by maps.phi_at.  Three layers
-live here:
+coker(Hom(X, M1) -> Hom(X, M2)), whose dimension is maps.phi_at.  Three
+layers live here:
 
 * presented functors and their invariants (syzygy, torsion, pdim),
 * a realization of the functor category as modules over the endomorphism
@@ -37,6 +37,7 @@ from .modules import (
     hom_coordinates,
     hom_into_sum,
     hom_out_of_sum,
+    hom_through_epi,
     identity_hom,
     image,
     indecomposable_projective,
@@ -49,11 +50,11 @@ from .modules import (
     modules_isomorphic,
     projective_cover,
     projective_resolution,
+    quotient,
     radical_submodule,
     vectorize_hom,
 )
 from .maps import (
-    EvalData,
     MapMorphism,
     MapObject,
     ProjComplex,
@@ -74,7 +75,6 @@ from .maps import (
     source_only,
     target_only,
     theta_presentation,
-    to_gamma_hom,
     zero_map_object,
 )
 from .ar import (
@@ -110,7 +110,7 @@ class FpFunctor:
 
 
 def evaluate(f: FpFunctor, x: Module) -> int:
-    return phi_at(f.presentation, x).dim
+    return phi_at(f.presentation, x)
 
 
 def functor_is_zero(f: FpFunctor) -> bool:
@@ -254,15 +254,13 @@ def functor_realization(algebra: AlgebraPresentation, dim_bound: int = 40) -> Fu
         for j in range(n):
             picked = []
             if rad[i][j]:
-                acc = [vectorize_hom(compose(v, u)) for z in range(n) for u in rad[i][z] for v in rad[z][j]]
-                rank = la.rank(np.stack(acc, axis=1), p) if acc else 0
-                for b in rad[i][j]:
-                    trial = acc + [vectorize_hom(b)]
-                    r2 = la.rank(np.stack(trial, axis=1), p)
-                    if r2 > rank:
-                        picked.append(b)
-                        acc = trial
-                        rank = r2
+                # the greedy pick of homs independent modulo rad^2: the pivot
+                # columns among rad[i][j] of the RREF of [rad^2 span | rad[i][j]]
+                cols = [vectorize_hom(compose(v, u)) for z in range(n) for u in rad[i][z] for v in rad[z][j]]
+                skip = len(cols)
+                cols += [vectorize_hom(b) for b in rad[i][j]]
+                _, pivots = la.rref(np.stack(cols, axis=1), p)
+                picked = [rad[i][j][c - skip] for c in pivots if c >= skip]
             if len(picked) != q.arrows.get((i, j), 0):
                 raise CertificationError("arrow multiplicity disagrees with the knitted quiver")
             for r in picked:
@@ -319,42 +317,53 @@ def functor_realization(algebra: AlgebraPresentation, dim_bound: int = 40) -> Fu
     return real
 
 
-Realized = Tuple[Module, List[EvalData]]
+def yoneda(real: FunctorRealization, m: Module) -> Tuple[Module, List[List[ModuleHom]]]:
+    """Y(m) = Hom(-, m) over real.delta, with the canonical basis
+    hom_basis(corpus[v], m) of its fibre at each vertex v.  Arrow k acts by
+    precomposition with arrow_homs[k], read off those bases."""
+    bases = [hom_basis(t, m) for t in real.corpus]
+    q = real.delta.quiver
+    mats = [
+        hom_basis_coordinates((compose(b, r) for b in bases[q.source(k)]), bases[q.target(k)])
+        for k, r in enumerate(real.arrow_homs)
+    ]
+    return Module(real.delta, [len(b) for b in bases], mats), bases
+
+
+def _postcompose(h: ModuleHom, basis: List[ModuleHom], onto: List[ModuleHom]) -> np.ndarray:
+    """b -> h o b on the span of basis, in coordinates over the canonical basis onto."""
+    return hom_basis_coordinates((compose(h, b) for b in basis), onto)
+
+
+# Phi(x) = coker Y(x.f): the projection Y(x.m2) -> Phi(x) and the fibre bases of Y(x.m2)
+Realized = Tuple[ModuleHom, List[List[ModuleHom]]]
 
 
 def _realize(real: FunctorRealization, x: MapObject) -> Realized:
-    """Phi(x) over real.delta, with its evaluation at each corpus object;
-    coordinates are read off the canonical bases of phi_at."""
-    evs = [phi_at(x, t) for t in real.corpus]
+    """Phi(x) over real.delta, the quotient of Y(x.m2) by the image of
+    Y(x.f).  Y(x.m1) needs no arrow action, only that image at each vertex."""
+    top, bases = yoneda(real, x.m2)
     p = real.delta.p
-    mats = []
-    for k, r in enumerate(real.arrow_homs):
-        src = real.delta.quiver.source(k)
-        tgt = real.delta.quiver.target(k)
-        pre = hom_basis_coordinates((compose(b, r) for b in evs[src].into_target), evs[tgt].into_target)
-        mats.append(la.matmul(evs[tgt].proj, la.matmul(pre, evs[src].section, p), p))
-    return Module(real.delta, [e.dim for e in evs], mats, name=f"Phi({x.name})" if x.name else ""), evs
+    images = [la.column_space_basis(_postcompose(x.f, hom_basis(t, x.m1), b), p) for t, b in zip(real.corpus, bases)]
+    return quotient(top, images, name=f"Phi({x.name})" if x.name else "")[1], bases
 
 
 def realize_map_object(real: FunctorRealization, x: MapObject) -> Module:
     """The module over real.delta with fibers coker(Hom(X_v, f))."""
-    return _realize(real, x)[0]
+    return _realize(real, x)[0].target
 
 
-def _phi_hom(real: FunctorRealization, u: MapMorphism, src: Realized, tgt: Realized) -> ModuleHom:
+def _phi_hom(u: MapMorphism, src: Realized, tgt: Realized) -> ModuleHom:
     """Phi(u): src -> tgt, for the realizations src of u.source and tgt of
-    u.target, reading coordinates as _realize does."""
-    p = real.delta.p
-    mats = []
-    for ex, ey in zip(src[1], tgt[1]):
-        post = hom_basis_coordinates((compose(u.h2, b) for b in ex.into_target), ey.into_target)
-        mats.append(la.matmul(ey.proj, la.matmul(post, ex.section, p), p))
-    return ModuleHom(src[0], tgt[0], mats)
+    u.target: the hom that Y(u.h2) induces on the cokernels."""
+    (sp, sb), (tp, tb) = src, tgt
+    y = ModuleHom(sp.source, tp.source, [_postcompose(u.h2, b, c) for b, c in zip(sb, tb)], check=False)
+    return hom_through_epi(sp, compose(tp, y))
 
 
 def map_morphism_to_hom(real: FunctorRealization, u: MapMorphism) -> ModuleHom:
     """The natural transformation Phi(u) as a hom of realized modules."""
-    return _phi_hom(real, u, _realize(real, u.source), _realize(real, u.target))
+    return _phi_hom(u, _realize(real, u.source), _realize(real, u.target))
 
 
 @dataclass
@@ -378,8 +387,8 @@ def phi_image_of_ar(real: FunctorRealization, s: ShortExactSeq) -> PhiArImage:
     if not s.verified:
         raise ValueError("sequence is not certified almost split; verify it against a corpus first")
     left, middle, right = (_realize(real, x) for x in (s.left, s.middle, s.right))
-    inj = _phi_hom(real, s.inj, left, middle)
-    surj = _phi_hom(real, s.surj, middle, right)
+    inj = _phi_hom(s.inj, left, middle)
+    surj = _phi_hom(s.surj, middle, right)
     try:
         realized = seq_of_modules(inj, surj, verified="")
     except ValueError as e:
@@ -514,10 +523,10 @@ def _aggregate(parts: List[str]) -> str:
 
 def _mono_check(reps: List[MapObject]) -> CheckResult:
     wit = []
-    for k, t in enumerate(reps):
-        kdims = kernel(t.f)[0].dims
+    for t in reps:
+        kdims = [d - la.rank(m, t.algebra.p) for d, m in zip(t.m1.dims, t.f.mats)]
         if any(kdims):
-            wit.append({"object": _describe_map_object(t), "kernel_dims": list(kdims)})
+            wit.append({"object": _describe_map_object(t), "kernel_dims": kdims})
     return CheckResult("pass" if not wit else "fail", wit)
 
 
@@ -670,7 +679,7 @@ def _certify_approx(side: str, approx: MapMorphism, corpus: Sequence[MapObject])
     with no further hom space (see factor_each).
     """
     left = side == "left"
-    q = to_gamma_hom(approx)
+    q = approx.gamma
     meets, far = (approx.source, approx.target) if left else (approx.target, approx.source)
     found = []
     failures = []
@@ -812,7 +821,7 @@ def reconstruct_maps_approx_from_phi(
 
     basis = hom_basis(z.gamma, m.gamma)
     rz, rm = _realize(real, z), _realize(real, m)
-    sol = hom_coordinates([rho], [_phi_hom(real, from_gamma_hom(b, z, m), rz, rm) for b in basis])
+    sol = hom_coordinates([rho], [_phi_hom(from_gamma_hom(b, z, m), rz, rm) for b in basis])
     if sol is None:
         raise CertificationError("the functor approximation does not lift to the maps category")
     r = from_gamma_hom(combine(z.gamma, m.gamma, basis, sol[:, 0]), z, m)

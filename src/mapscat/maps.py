@@ -12,6 +12,7 @@ length at most two, and relative Ext.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,60 +87,78 @@ class MapObject:
 
 
 class MapMorphism:
-    """A morphism of map objects: (h1, h2) with target.f h1 = h2 source.f."""
+    """A morphism of map objects: its Gamma hom gamma: source.gamma -> target.gamma.
+
+    h1: source.m1 -> target.m1 and h2: source.m2 -> target.m2 are the two
+    level views of gamma, kept as given when the morphism is built from
+    them and read off gamma on first use when it is built by
+    from_gamma_hom.  The connecting arrows of Gamma carry the square
+    target.f h1 = h2 source.f, so check=True is the Gamma hom check: it
+    rejects a square that does not commute and a level that is not a hom.
+    """
 
     def __init__(self, source: MapObject, target: MapObject, h1: ModuleHom, h2: ModuleHom, check: bool = True):
         self.source = source
         self.target = target
+        # the level matrices are reduced ModuleHom matrices already, so gamma shares them
+        self.gamma = ModuleHom(source.gamma, target.gamma, h1.mats + h2.mats, check=check, reduced=True)
         self.h1 = h1
         self.h2 = h2
-        if check:
-            p = source.algebra.p
-            lhs = compose(target.f, h1)
-            rhs = compose(h2, source.f)
-            if not all((a == b).all() for a, b in zip(lhs.mats, rhs.mats)):
-                raise ValueError("the square does not commute")
+
+    @cached_property
+    def h1(self) -> ModuleHom:
+        n = self.source.algebra.quiver.n_vertices
+        return ModuleHom(self.source.m1, self.target.m1, self.gamma.mats[:n], check=False, reduced=True)
+
+    @cached_property
+    def h2(self) -> ModuleHom:
+        n = self.source.algebra.quiver.n_vertices
+        return ModuleHom(self.source.m2, self.target.m2, self.gamma.mats[n:], check=False, reduced=True)
 
     def is_zero(self) -> bool:
-        return self.h1.is_zero() and self.h2.is_zero()
+        return self.gamma.is_zero()
 
     def __repr__(self):
         return f"MapMorphism {self.source!r} => {self.target!r}"
 
 
-# -- elementary morphism algebra ----------------------------------------------
+def from_gamma_hom(h: ModuleHom, x: MapObject, y: MapObject) -> MapMorphism:
+    """The morphism x -> y whose Gamma hom is h: x.gamma -> y.gamma itself;
+    no level hom is built until h1 or h2 is read."""
+    mor = object.__new__(MapMorphism)
+    mor.source, mor.target, mor.gamma = x, y, h
+    return mor
+
+
+# -- elementary morphism algebra: the Gamma operations -------------------------
 
 
 def map_identity(x: MapObject) -> MapMorphism:
-    return MapMorphism(x, x, identity_hom(x.m1), identity_hom(x.m2), check=False)
+    return from_gamma_hom(identity_hom(x.gamma), x, x)
 
 
 def map_zero(x: MapObject, y: MapObject) -> MapMorphism:
-    return MapMorphism(x, y, zero_hom(x.m1, y.m1), zero_hom(x.m2, y.m2), check=False)
+    return from_gamma_hom(zero_hom(x.gamma, y.gamma), x, y)
 
 
 def map_compose(g: MapMorphism, f: MapMorphism) -> MapMorphism:
-    return MapMorphism(
-        f.source, g.target, compose(g.h1, f.h1), compose(g.h2, f.h2), check=False
-    )
+    return from_gamma_hom(compose(g.gamma, f.gamma), f.source, g.target)
 
 
 def map_add(f: MapMorphism, g: MapMorphism) -> MapMorphism:
-    return MapMorphism(f.source, f.target, hom_add(f.h1, g.h1), hom_add(f.h2, g.h2), check=False)
+    return from_gamma_hom(hom_add(f.gamma, g.gamma), f.source, f.target)
 
 
 def map_scale(c: int, f: MapMorphism) -> MapMorphism:
-    return MapMorphism(f.source, f.target, hom_scale(c, f.h1), hom_scale(c, f.h2), check=False)
+    return from_gamma_hom(hom_scale(c, f.gamma), f.source, f.target)
 
 
 def map_equal(f: MapMorphism, g: MapMorphism) -> bool:
-    return all(
-        (a == b).all() for a, b in zip(f.h1.mats + f.h2.mats, g.h1.mats + g.h2.mats)
-    )
+    return hom_equal(f.gamma, g.gamma)
 
 
 def vectorize_map_morphism(f: MapMorphism) -> np.ndarray:
-    return np.concatenate([vectorize_hom(f.h1), vectorize_hom(f.h2)])
+    return vectorize_hom(f.gamma)
 
 
 def identity_object(m: Module) -> MapObject:
@@ -190,13 +209,13 @@ def hom_maps(x: MapObject, y: MapObject) -> List[MapMorphism]:
 
 def maps_solve_through(q: MapMorphism, g: MapMorphism) -> Optional[MapMorphism]:
     """h with q o h = g, for g landing where q lands; None if impossible."""
-    h = factor_through(to_gamma_hom(q), to_gamma_hom(g))
+    h = factor_through(q.gamma, g.gamma)
     return None if h is None else from_gamma_hom(h, g.source, q.source)
 
 
 def maps_solve_past(u: MapMorphism, g: MapMorphism) -> Optional[MapMorphism]:
     """h with h o u = g, extending g along u; None if impossible."""
-    h = factor_past(to_gamma_hom(u), to_gamma_hom(g))
+    h = factor_past(u.gamma, g.gamma)
     return None if h is None else from_gamma_hom(h, u.target, g.target)
 
 
@@ -252,24 +271,6 @@ def _fresh_map_object(tri: TriangularAlgebra, g: Module, name: str = "") -> MapO
     """
     g.name = name
     return from_gamma_module(tri, g)
-
-
-def to_gamma_hom(mor: MapMorphism) -> ModuleHom:
-    """A morphism of map objects as a hom of their Gamma modules.
-
-    The level matrices are reduced ModuleHom matrices already, so the
-    Gamma hom shares them.
-    """
-    return ModuleHom(mor.source.gamma, mor.target.gamma, mor.h1.mats + mor.h2.mats, check=False, reduced=True)
-
-
-def from_gamma_hom(h: ModuleHom, x: MapObject, y: MapObject) -> MapMorphism:
-    """The morphism x -> y of a hom x.gamma -> y.gamma: the two levels of its
-    matrices, shared as they are reduced."""
-    n = x.algebra.quiver.n_vertices
-    h1 = ModuleHom(x.m1, y.m1, h.mats[:n], check=False, reduced=True)
-    h2 = ModuleHom(x.m2, y.m2, h.mats[n:], check=False, reduced=True)
-    return MapMorphism(x, y, h1, h2, check=False)
 
 
 def decompose_map_object(x: MapObject) -> List[Tuple[MapObject, MapMorphism, MapMorphism]]:
@@ -370,36 +371,13 @@ def homotopy_quotient_dim(x: MapObject, y: MapObject) -> int:
     return len(full) - len(null)
 
 
-@dataclass
-class EvalData:
-    """Phi(x)(t) = coker(Hom(t, x.m1) -> Hom(t, x.m2)) with coordinates.
-
-    into_target is the basis of Hom(t, x.m2); proj maps its coordinates
-    onto Phi(x)(t)-coordinates, and section is a right inverse of proj,
-    picking representatives.
-    """
-
-    dim: int
-    into_target: List[ModuleHom]
-    proj: np.ndarray
-    section: np.ndarray
-
-
-def phi_at(x: MapObject, t: Module) -> EvalData:
-    """The cokernel functor of x evaluated at t.
-
-    The action of x.f is read off the canonical basis of Hom(t, x.m2) by
-    hom_basis_coordinates.
-    """
-    p = x.algebra.p
-    b1 = hom_basis(t, x.m1)
-    b2 = hom_basis(t, x.m2)
-    action = hom_basis_coordinates((compose(x.f, b) for b in b1), b2)
-    proj = la.kernel_basis(action.T, p).T
-    dim = proj.shape[0]
-    section = la.solve(proj, la.eye(dim), p)
-    assert section is not None, "projection lost full row rank"
-    return EvalData(dim, b2, proj, section)
+def phi_at(x: MapObject, t: Module) -> int:
+    """dim Phi(x)(t) = dim coker(Hom(t, x.m1) -> Hom(t, x.m2)): the action
+    of x.f is read off the canonical basis of Hom(t, x.m2) by
+    hom_basis_coordinates, and Phi(x)(t) is its cokernel."""
+    into_target = hom_basis(t, x.m2)
+    action = hom_basis_coordinates((compose(x.f, b) for b in hom_basis(t, x.m1)), into_target)
+    return len(into_target) - la.rank(action, x.algebra.p)
 
 
 def phi_op_dim_at(x: MapObject, t: Module) -> int:
@@ -407,7 +385,7 @@ def phi_op_dim_at(x: MapObject, t: Module) -> int:
 
     Hom(m, t) = Hom(Dt, Dm) turns it into Phi of D(x.f) at Dt.
     """
-    return phi_at(MapObject(dual_hom(x.f)), dual_module(t)).dim
+    return phi_at(MapObject(dual_hom(x.f)), dual_module(t))
 
 
 # -- exact structure -----------------------------------------------------------
@@ -464,8 +442,9 @@ def is_S_exact(
 ) -> SExactness:
     """Test a short exact pair of map-object morphisms for membership in S.
 
-    Raises when the two level rows are not short exact (precondition);
-    everything else is reported in the verdict.  _sections may hold
+    Raises when the pair is not short exact on Gamma (precondition), which
+    is exactness of both level rows: Gamma's vertices are the vertices of
+    the two levels; everything else is reported in the verdict.  _sections may hold
     candidate sections of v.h1 and v.h2, such as the ones an F-projective
     cover builds: each is checked by composition before any search, and a
     candidate that fails only sends its level to the search, so the
@@ -479,7 +458,7 @@ def is_S_exact(
     nullity(y.f), at every vertex.  Only then are ker e.f, ker y.f and
     the induced map built, for the split test.
     """
-    if not (is_short_exact(u.h1, v.h1) and is_short_exact(u.h2, v.h2)):
+    if not is_short_exact(u.gamma, v.gamma):
         raise ValueError("the given pair is not a short exact sequence")
     p = u.source.algebra.p
     nullity = [[d - la.rank(m, p) for d, m in zip(x.m1.dims, x.f.mats)] for x in (u.source, v.source, v.target)]
@@ -568,7 +547,7 @@ def _epi_from_pieces(x: MapObject, pieces, name: str = "") -> Tuple[MapMorphism,
     tri = gamma_of(x.algebra)
     s = direct_sum(tri.algebra, [obj.gamma for _, obj, _ in pieces])
     total = _fresh_map_object(tri, s.module, name)
-    epi = from_gamma_hom(hom_out_of_sum(s, [to_gamma_hom(leg) for _, _, leg in pieces]), total, x)
+    epi = from_gamma_hom(hom_out_of_sum(s, [leg.gamma for _, _, leg in pieces]), total, x)
     return epi, [from_gamma_hom(i, obj, total) for i, (_, obj, _) in zip(s.inclusions, pieces)]
 
 
@@ -583,21 +562,21 @@ def _admissible_kernel(epi: MapMorphism, sections: Tuple[ModuleHom, ModuleHom]) 
 
 def morphism_kernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:
     """Kernel of a morphism of map objects, with its inclusion."""
-    k, incl = kernel(to_gamma_hom(mor))
+    k, incl = kernel(mor.gamma)
     kobj = _fresh_map_object(gamma_of(mor.source.algebra), k)
     return kobj, from_gamma_hom(incl, kobj, mor.source)
 
 
 def morphism_image(mor: MapMorphism) -> Tuple[MapObject, MapMorphism, MapMorphism]:
     """Image object with inclusion into the target and epi from the source."""
-    i, incl, epi = image(to_gamma_hom(mor))
+    i, incl, epi = image(mor.gamma)
     iobj = _fresh_map_object(gamma_of(mor.source.algebra), i)
     return iobj, from_gamma_hom(incl, iobj, mor.target), from_gamma_hom(epi, mor.source, iobj)
 
 
 def morphism_cokernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:
     """Cokernel of a morphism of map objects, with its projection."""
-    c, proj = cokernel(to_gamma_hom(mor))
+    c, proj = cokernel(mor.gamma)
     cobj = _fresh_map_object(gamma_of(mor.source.algebra), c)
     return cobj, from_gamma_hom(proj, mor.target, cobj)
 
@@ -638,7 +617,7 @@ def relative_ext_dims(res: FResolution, y: MapObject, degrees: Sequence[int]) ->
     if any(k not in (1, 2) for k in degrees):
         raise ValueError("relative Ext implemented for k = 1, 2 only")
     terms = [c.cover.gamma for c in res.covers]
-    return hom_complex_dims(terms, [to_gamma_hom(d) for d in res.diffs], y.gamma, degrees)
+    return hom_complex_dims(terms, [d.gamma for d in res.diffs], y.gamma, degrees)
 
 
 def relative_ext_dim(x: MapObject, y: MapObject, k: int) -> int:
@@ -673,7 +652,7 @@ class Ext1Data:
         return len(self.cocycles) - la.rank(self.coboundary_matrix, p)
 
     def class_is_zero(self, cocycle: MapMorphism) -> bool:
-        coords = hom_basis_coordinates([to_gamma_hom(cocycle)], [to_gamma_hom(c) for c in self.cocycles])[:, 0]
+        coords = hom_basis_coordinates([cocycle.gamma], [c.gamma for c in self.cocycles])[:, 0]
         if self.coboundary_matrix.shape[1] == 0:
             return not coords.any()
         return la.solve(self.coboundary_matrix, coords, self.x.algebra.p) is not None
@@ -686,8 +665,7 @@ def ext1_data(x: MapObject, y: MapObject) -> Ext1Data:
     cover = f_projective_cover(x)
     n0, incl = cover.kernel
     basis = hom_basis(n0.gamma, y.gamma)
-    g_incl = to_gamma_hom(incl)
-    mat = hom_basis_coordinates((compose(h, g_incl) for h in hom_basis(cover.cover.gamma, y.gamma)), basis)
+    mat = hom_basis_coordinates((compose(h, incl.gamma) for h in hom_basis(cover.cover.gamma, y.gamma)), basis)
     return Ext1Data(x, y, cover, n0, incl, [from_gamma_hom(h, n0, y) for h in basis], mat)
 
 
@@ -696,7 +674,7 @@ def pushout_extension(data: Ext1Data, cocycle: MapMorphism) -> Tuple[MapObject, 
 
     The pushout of the cover sequence along the cocycle, taken on Gamma.
     """
-    e, leg_y, onto = extension(to_gamma_hom(cocycle), to_gamma_hom(data.syzygy_incl), to_gamma_hom(data.cover.epi))
+    e, leg_y, onto = extension(cocycle.gamma, data.syzygy_incl.gamma, data.cover.epi.gamma)
     e_obj = _fresh_map_object(gamma_of(data.x.algebra), e)
     return e_obj, from_gamma_hom(leg_y, data.y, e_obj), from_gamma_hom(onto, e_obj, data.x)
 

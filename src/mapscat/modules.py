@@ -93,8 +93,9 @@ class ModuleHom:
     trusted callers are unvectorize_hom (the kernel columns of hom_basis
     and the summand homs of decompose, views of arrays a Module keeps
     read-only), identity_hom, zero_hom, the products of compose, hom_add
-    and hom_scale, and maps.to_gamma_hom and maps.from_gamma_hom, which
-    share the matrices of a hom they convert.
+    and hom_scale, and maps.MapMorphism, whose Gamma hom shares the
+    matrices of the levels it is built from and whose level views share
+    the matrices of its Gamma hom.
     """
 
     def __init__(self, source: Module, target: Module, mats, check: bool = True, reduced: bool = False):

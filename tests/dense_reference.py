@@ -4,13 +4,16 @@ The former dense rref and the kernel read off it, kept independent of
 mapscat.linalg's elimination loop so that tests of rref, kernel_basis and
 the hom-space assemblers compare against a second implementation rather
 than against the code under test.  The former isomorphism test, which
-inverts every vertex matrix, runs on the dense rref too.
+inverts every vertex matrix, runs on the dense rref too.  So do two
+former pieces of the functor realization: the arrow pick with one rank
+per candidate, and Phi of a morphism assembled from a projection onto
+each cokernel and a section of it.
 """
 
 import numpy as np
 
 from mapscat import linalg as la
-from mapscat.modules import hom_basis, zero_hom
+from mapscat.modules import compose, end_radical, hom_basis, hom_basis_coordinates, vectorize_hom, zero_hom
 
 
 def reference_rref(a, p):
@@ -65,3 +68,48 @@ def reference_iso_between(m, n):
         if all(len(reference_rref(x, p)[1]) == x.shape[0] for x in h.mats):
             return h
     return None
+
+
+def reference_arrow_picks(reps, p):
+    """The former arrow pick of functor_realization: for each ordered pair
+    (i, j), the homs of rad(reps[i], reps[j]) that raise the rank of the
+    rad^2 span and of the homs picked before them, one rank per candidate.
+    Returns (i, j, hom) in pick order."""
+    n = len(reps)
+    rad = [[end_radical(reps[i]) if i == j else hom_basis(reps[i], reps[j]) for j in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = [vectorize_hom(compose(v, u)) for z in range(n) for u in rad[i][z] for v in rad[z][j]]
+            rank = len(reference_rref(np.stack(acc, axis=1), p)[1]) if acc else 0
+            for b in rad[i][j]:
+                trial = acc + [vectorize_hom(b)]
+                r2 = len(reference_rref(np.stack(trial, axis=1), p)[1])
+                if r2 > rank:
+                    out.append((i, j, b))
+                    acc, rank = trial, r2
+    return out
+
+
+def _reference_eval(x, t, p):
+    """The former evaluation of Phi(x) at t: the basis of Hom(t, x.m2), a
+    projection of its coordinates onto the cokernel of Hom(t, x.f), and a
+    section of that projection."""
+    b2 = hom_basis(t, x.m2)
+    action = hom_basis_coordinates((compose(x.f, b) for b in hom_basis(t, x.m1)), b2)
+    proj = reference_kernel(action.T, p).T
+    section = la.solve(proj, la.eye(proj.shape[0]), p)
+    return b2, proj, section
+
+
+def reference_phi_hom_mats(corpus, u):
+    """Phi(u) at each corpus object by the former formula proj . post . section,
+    post being postcomposition by u.h2 in the bases of Hom(t, -)."""
+    p = u.source.algebra.p
+    mats = []
+    for t in corpus:
+        bx, _, section = _reference_eval(u.source, t, p)
+        by, proj, _ = _reference_eval(u.target, t, p)
+        post = hom_basis_coordinates((compose(u.h2, b) for b in bx), by)
+        mats.append(la.matmul(proj, la.matmul(post, section, p), p))
+    return mats

@@ -248,6 +248,37 @@ def test_approx_golden(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "obj, corpus, side",
+    [("g", "epimaps", "left"), ("f", "monomaps", "right"), ("g", "monomaps", "left")],
+)
+def test_approx_routes_match_their_goldens(obj, corpus, side, tmp_path, capsys):
+    """The left epimap, right monomap and left monomap routes, pinned byte for byte."""
+    out = tmp_path / "a.json"
+    code = main(["approx", A2, "--object", obj, "--corpus", corpus, "--side", side, "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == golden_bytes(f"a2_approx_{obj}_{side}_{corpus}.json")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ar-quiver", A2, "--out", "{missing}/x"],
+        ["verify-example", A2, "--out", "{missing}/f.json"],
+        ["check-tilting", A2, "--names", "f,g", "--out", "{missing}/f.json"],
+        ["approx", A2, "--object", "f", "--out", "{missing}/f.json"],
+    ],
+    ids=["ar-quiver", "verify-example", "check-tilting", "approx"],
+)
+def test_unwritable_out_is_an_input_error(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith(f"error: cannot write {missing}/") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 def test_approx_named_corpus(tmp_path, capsys):
     out = tmp_path / "a.json"
     code = main(
@@ -348,7 +379,7 @@ def test_non_admissible_ideal_is_an_input_error(text, last_line, tmp_path):
     assert "Traceback" not in run.stderr
 
 
-@pytest.mark.parametrize("primes", ["abc", ",5"], ids=["letters", "empty-entry"])
+@pytest.mark.parametrize("primes", ["abc", ",5", ""], ids=["letters", "empty-entry", "empty-list"])
 def test_primes_entry_that_is_not_an_integer_is_an_input_error(primes):
     src = str(Path(cli.__file__).resolve().parents[1])
     run = subprocess.run(

@@ -4,7 +4,8 @@ from importlib import resources
 
 import pytest
 
-from mapscat import functors, maps, modules
+from dense_reference import reference_arrow_picks, reference_phi_hom_mats
+from mapscat import functors, linalg as la, maps, modules
 from mapscat.algebra import algebra_from_spec
 from mapscat.algfile import parse_algebra_file
 from mapscat.modules import (
@@ -203,6 +204,47 @@ def test_vanishes_on_projectives_sees_the_simple_projective(a2):
     assert not vanishes_on_projectives(f)
 
 
+PICK_ALGEBRAS = [
+    ("a2", 2, [("a", 0, 1)], []),
+    ("a3_linear", 3, [("a", 0, 1), ("b", 1, 2)], []),
+    ("a3_flip", 3, [("a", 0, 1), ("b", 2, 1)], []),
+    ("a3_rel", 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]]),
+    ("dual_numbers", 1, [("x", 0, 0)], [[(1, ["x", "x"])]]),
+    # Hom(K[x]/x^2, K[x]/x^3) holds an irreducible map and one in rad^2, so the pick order shows
+    ("truncated_x3", 1, [("x", 0, 0)], [[(1, ["x", "x", "x"])]]),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("name,n,arrows,rels", PICK_ALGEBRAS, ids=[a[0] for a in PICK_ALGEBRAS])
+def test_arrow_picks_match_the_rank_per_candidate_reference(name, n, arrows, rels, p):
+    """The pivot columns of one RREF per pair pick the homs the greedy rank loop picked."""
+    real = functor_realization(algebra_from_spec(p, n, arrows, rels))
+    want = reference_arrow_picks(real.corpus, p)
+    q = real.delta.quiver
+    assert [(q.target(k), q.source(k)) for k in range(len(q.arrows))] == [(i, j) for i, j, _ in want]
+    assert all(modules.hom_equal(h, b) for h, (_, _, b) in zip(real.arrow_homs, want))
+
+
+@pytest.mark.parametrize("name", ["a3_linear", "a3_flip", "a3_rel"])
+def test_mono_check_reads_nullities_without_building_kernels(name, monkeypatch):
+    """The kernel_dims witnesses of the mono check are the kernel dimensions,
+    read as nullities: kernel is never called."""
+    alg = parse_algebra_file(resources.files("mapscat").joinpath("data", f"{name}.alg").read_text(encoding="utf-8")).algebra
+    tri = gamma_of(alg)
+    xs = [from_gamma_module(tri, m) for m in knit_ar_quiver(tri.algebra).vertices]
+    want = [list(kernel(x.f)[0].dims) for x in xs]
+
+    def no_kernel(f):
+        raise AssertionError("_mono_check built a kernel")
+
+    monkeypatch.setattr(functors, "kernel", no_kernel)
+    got = functors._mono_check(xs)
+    assert got.status == "fail"
+    assert [w["kernel_dims"] for w in got.witnesses] == [k for k in want if any(k)]
+    assert [w["object"] for w in got.witnesses] == [functors._describe_map_object(x) for x, k in zip(xs, want) if any(k)]
+
+
 def test_realization_rejects_an_arrow_the_knit_missed(monkeypatch):
     alg = algebra_from_spec(P, 3, [("a", 0, 1), ("b", 1, 2)])
     knit = functors.knit_ar_quiver
@@ -356,6 +398,55 @@ def test_homotopy_quotient_is_hom_of_realized_functors(real, gamma_objects):
     for x, fx in zip(xs, images):
         for y, fy in zip(xs, images):
             assert homotopy_quotient_dim(x, y) == len(hom_basis(fx, fy))
+
+
+GAMMA_CASES = [("a2", 2, [("a", 0, 1)], []), ("a3_rel", 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]])]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(case, p) for case in GAMMA_CASES for p in (2, 101)],
+    ids=[f"{case[0]}-p{p}" for case in GAMMA_CASES for p in (2, 101)],
+)
+def realized_gamma(request):
+    """The realization over an algebra, its Gamma indecomposables and their realizations."""
+    (_, n, arrows, rels), p = request.param
+    alg = algebra_from_spec(p, n, arrows, rels)
+    real = functor_realization(alg)
+    tri = gamma_of(alg)
+    xs = [from_gamma_module(tri, m) for m in knit_ar_quiver(tri.algebra, dim_bound=80).vertices]
+    return real, xs, [functors._realize(real, x) for x in xs]
+
+
+def test_phi_is_functorial_on_basis_morphisms(realized_gamma):
+    """Phi(v o u) = Phi(v) Phi(u) for composable basis morphisms, and Phi(1) = 1."""
+    real, xs, rs = realized_gamma
+    homs = {(a, b): maps.hom_maps(xs[a], xs[b]) for a in range(len(xs)) for b in range(len(xs))}
+    phis = {key: [functors._phi_hom(u, rs[key[0]], rs[key[1]]) for u in us] for key, us in homs.items()}
+    for a, r in enumerate(rs):
+        assert modules.hom_equal(functors._phi_hom(map_identity(xs[a]), r, r), modules.identity_hom(r[0].target))
+    checked = 0
+    for (a, b), us in homs.items():
+        for c in range(len(xs)):
+            for u, pu in zip(us, phis[a, b]):
+                for v, pv in zip(homs[b, c], phis[b, c]):
+                    vu = functors._phi_hom(maps.map_compose(v, u), rs[a], rs[c])
+                    assert modules.hom_equal(vu, modules.compose(pv, pu))
+                    checked += 1
+    assert checked
+
+
+def test_phi_hom_ranks_match_the_former_formula(realized_gamma):
+    """At each corpus object, Phi(u) has the rank of the former proj . post . section."""
+    real, xs, rs = realized_gamma
+    p = real.delta.p
+    for a, x in enumerate(xs):
+        for b, y in enumerate(xs):
+            for u in maps.hom_maps(x, y):
+                got = functors._phi_hom(u, rs[a], rs[b]).mats
+                want = reference_phi_hom_mats(real.corpus, u)
+                assert [m.shape for m in got] == [m.shape for m in want]
+                assert [la.rank(m, p) for m in got] == [la.rank(m, p) for m in want]
 
 
 # -- almost split sequences through the cokernel functor ------------------------
@@ -701,30 +792,29 @@ def test_transport_and_reconstruct_roundtrip(real, mods, homs, corpora):
 
 
 def test_phi_of_morphisms_evaluates_each_object_once(real, homs, corpora, hypothesis_seqs, monkeypatch):
-    """Each object is evaluated once per corpus object, however many morphisms leave it."""
+    """Each object is realized once, however many morphisms leave it."""
     ec, _ = corpora
     m = MapObject(homs[1])
     approx, _ = right_approx_epimaps(m, ec)
     rho, _ = transport_approx_via_phi(real, approx, ec)
     ms = next(s for s, ok in hypothesis_seqs if ok)
-    evaluated = []
-    phi_at = functors.phi_at
+    realized = []
+    realize = functors._realize
 
-    def counting(x, t):
-        evaluated.append(x)
-        return phi_at(x, t)
+    def counting(r, x):
+        realized.append(x)
+        return realize(r, x)
 
-    monkeypatch.setattr(functors, "phi_at", counting)
-    n = len(real.corpus)
+    monkeypatch.setattr(functors, "_realize", counting)
     map_morphism_to_hom(real, approx)
-    assert evaluated == [approx.source] * n + [approx.target] * n
-    evaluated.clear()
+    assert realized == [approx.source, approx.target]
+    realized.clear()
     phi_image_of_ar(real, ms)
-    assert evaluated == [ms.left] * n + [ms.middle] * n + [ms.right] * n
-    evaluated.clear()
+    assert realized == [ms.left, ms.middle, ms.right]
+    realized.clear()
     assert hom_basis(approx.source.gamma, m.gamma)
     reconstruct_maps_approx_from_phi(real, m, ec, approx.source, rho)
-    assert evaluated == [approx.source] * n + [m] * n
+    assert realized == [approx.source, m]
 
 
 def test_transport_rejects_a_non_approximation(real, mods, homs, corpora):

@@ -13,6 +13,7 @@ from mapscat.algfile import parse_algebra_file
 from mapscat.ar import knit_ar_quiver, maps_seq_from_gamma
 from mapscat.modules import (
     Module,
+    ModuleHom,
     compose,
     hom_basis,
     hom_equal,
@@ -78,6 +79,39 @@ def test_hom_maps_basis_entries_commute(a2_objects):
         M.MapMorphism(x, x3, h.h1, h.h2, check=True)
 
 
+def test_map_morphism_check_rejects_a_level_that_is_not_a_hom(a2_objects):
+    """On source_only(P1) the square commutes for any h1, as both structure
+    maps are zero; check=True still rejects an h1 that is not a hom."""
+    S1, S2, P1, x, x3 = a2_objects
+    y = M.source_only(P1)
+    not_a_hom = ModuleHom(P1, P1, [[[1]], [[0]]], check=False)
+    zero = zero_hom(y.m2, y.m2)
+    M.MapMorphism(y, y, identity_hom(P1), zero, check=True)
+    with pytest.raises(ValueError):
+        M.MapMorphism(y, y, not_a_hom, zero, check=True)
+
+
+def test_from_gamma_hom_wraps_the_hom_and_reads_levels_on_first_use(a2_objects, monkeypatch):
+    S1, S2, P1, x, x3 = a2_objects
+    (h,) = hom_basis(x.gamma, x.gamma)
+    built = []
+    init = ModuleHom.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleHom, "__init__", counting)
+    mor = M.from_gamma_hom(h, x, x)
+    assert mor.gamma is h and built == []
+    h1, h2 = mor.h1, mor.h2
+    assert built == [h1, h2]
+    assert mor.h1 is h1 and mor.h2 is h2 and len(built) == 2
+    n = len(x.m1.dims)
+    assert all(a is b for a, b in zip(h1.mats + h2.mats, h.mats[:n] + h.mats[n:]))
+    assert (h1.source, h1.target, h2.source, h2.target) == (x.m1, x.m1, x.m2, x.m2)
+
+
 def test_gamma_is_seeded_by_from_gamma_module_and_built_once(a2, a2_objects, monkeypatch):
     """x.gamma is the Gamma module a map object came from, or is built once."""
     S1, S2, P1, x, x3 = a2_objects
@@ -108,11 +142,11 @@ def test_gamma_is_seeded_by_from_gamma_module_and_built_once(a2, a2_objects, mon
 def test_phi_dims(a2_objects):
     S1, S2, P1, x, x3 = a2_objects
     # x presents rad(-, S1); evaluations at (S2, P1, S1)
-    assert [M.phi_at(x, t).dim for t in (S2, P1, S1)] == [0, 1, 0]
+    assert [M.phi_at(x, t) for t in (S2, P1, S1)] == [0, 1, 0]
     # (0, M, 0) presents Hom(-, M)
-    assert [M.phi_at(M.target_only(P1), t).dim for t in (S2, P1, S1)] == [1, 1, 0]
+    assert [M.phi_at(M.target_only(P1), t) for t in (S2, P1, S1)] == [1, 1, 0]
     # contractible objects present the zero functor
-    assert all(M.phi_at(M.identity_object(P1), t).dim == 0 for t in (S2, P1, S1))
+    assert all(M.phi_at(M.identity_object(P1), t) == 0 for t in (S2, P1, S1))
     # the dual construction on x
     assert [M.phi_op_dim_at(x, t) for t in (S2, P1, S1)] == [1, 0, 0]
 
@@ -159,7 +193,7 @@ def test_phi_at_matches_rank_counts(n_vertices, arrows, relations, p):
     xs = [M.from_gamma_module(tri, g) for g in knit_ar_quiver(tri.algebra, dim_bound=80).vertices]
     for x in xs:
         for t in lam:
-            assert M.phi_at(x, t).dim == _rank_phi_dim(x, t)
+            assert M.phi_at(x, t) == _rank_phi_dim(x, t)
             assert M.phi_op_dim_at(x, t) == _rank_phi_op_dim(x, t)
 
 
