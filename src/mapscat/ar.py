@@ -659,9 +659,9 @@ def maps_seq_from_gamma(tri, seq: ShortExactSeq) -> ShortExactSeq:
     if seq.is_maps_level():
         return seq
     left, middle, right = (from_gamma_module(tri, t) for t in (seq.left, seq.middle, seq.right))
+    for h in (seq.inj, seq.surj):
+        ModuleHom(h.source, h.target, h.mats, reduced=True)  # the Gamma hom check: each square must commute
     inj, surj = from_gamma_hom(seq.inj, left, middle), from_gamma_hom(seq.surj, middle, right)
-    # rebuilt with the check on: each square must commute
-    inj, surj = (MapMorphism(m.source, m.target, m.h1, m.h2) for m in (inj, surj))
     return ShortExactSeq(left, middle, right, inj, surj, seq.verified)
 
 

@@ -115,6 +115,8 @@ def _report(command: str, fname: str, text: str, results: dict, **params) -> dic
 
 
 def cmd_ar_quiver(args) -> int:
+    if args.dim_bound < 1:
+        raise InputError("--dim-bound must be at least 1")
     fname, text = _read(args.file)
     af = parse_algebra_file(text)
     t0 = time.perf_counter()

@@ -828,5 +828,5 @@ def reconstruct_maps_approx_from_phi(
 
     legs = [("approx", z, r)] + [piece for piece in _structural_pieces(m, k_mod, k_incl) if piece[0] != "target"]
     n, _ = _epi_from_pieces(m, legs, name=f"w({m.name})" if m.name else "")
-    n = MapMorphism(n.source, m, n.h1, n.h2)
+    ModuleHom(n.gamma.source, n.gamma.target, n.gamma.mats, reduced=True)  # the Gamma hom check
     return n, certify_right_approx(n, corpus)

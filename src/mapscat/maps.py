@@ -5,9 +5,11 @@ squares.  The category is equivalent to modules over the triangular matrix
 algebra Gamma of Lambda, and goes through Gamma: hom spaces, direct sums,
 kernels, images, cokernels, extensions, decomposition and the Ext counts are
 the module constructions on the Gamma side, split back into squares.  The
-category carries the exact structure S whose admissible sequences have
-split kernel-, source- and target-columns, and supports the relative
-homological algebra of that structure: F-projective covers, resolutions of
+category carries the exact structure S, defined by its relative
+projectives, the sums of (M,0,0), (M,M,1) and (0,M,0): a short exact
+sequence lies in S when Hom(Q, -) keeps it exact for each of them, which
+the three structural legs of its right end decide.  The module supports
+the relative homological algebra of S: F-projective covers, resolutions of
 length at most two, and relative Ext.
 """
 
@@ -23,7 +25,6 @@ from .modules import (
     Module,
     ModuleHom,
     cokernel,
-    combine,
     compose,
     decompose,
     direct_sum,
@@ -39,7 +40,6 @@ from .modules import (
     hom_equal,
     hom_out_of_sum,
     hom_scale,
-    hom_into_sub,
     identity_hom,
     image,
     is_epi,
@@ -337,38 +337,17 @@ def minimize_presentation(x: MapObject) -> MapObject:
 # -- homotopies and the cokernel functor ---------------------------------------
 
 
-def null_homotopic_basis(x: MapObject, y: MapObject) -> List[MapMorphism]:
-    """Basis of the morphisms killed by the cokernel functor.
-
-    These are the (h1, h2) with h2 = y.f o s for some s: x.m2 -> y.m1;
-    they decompose as (s x.f, y.f s) plus pairs (k, 0) with y.f k = 0.
-    """
-    p = x.algebra.p
-    cands: List[MapMorphism] = []
-    for s in hom_basis(x.m2, y.m1):
-        cands.append(
-            MapMorphism(x, y, compose(s, x.f), compose(y.f, s), check=False)
-        )
-    kbasis = hom_basis(x.m1, y.m1)
-    if kbasis:
-        cols = np.stack([vectorize_hom(compose(y.f, k)) for k in kbasis], axis=1)
-        kern = la.kernel_basis(cols, p)
-        for j in range(kern.shape[1]):
-            k = combine(x.m1, y.m1, kbasis, kern[:, j])
-            cands.append(MapMorphism(x, y, k, zero_hom(x.m2, y.m2), check=False))
-    if not cands:
-        return []
-    mat = np.stack([vectorize_map_morphism(c) for c in cands], axis=1)
-    # keep an independent subset, in construction order
-    _, pivots = la.rref(mat, p)
-    return [cands[j] for j in pivots]
-
-
 def homotopy_quotient_dim(x: MapObject, y: MapObject) -> int:
-    """dim Hom(x,y) modulo homotopy; equals Hom of the induced functors."""
-    full = hom_maps(x, y)
-    null = null_homotopic_basis(x, y)
-    return len(full) - len(null)
+    """dim Hom(x,y) modulo homotopy; equals Hom of the induced functors.
+
+    The cokernel functor kills u exactly when u.h2 = y.f s for some s, so
+    u is (s x.f, y.f s), through the identity leg (y.m1, y.m1, 1) -> y,
+    plus a (k, 0) with y.f k = 0, through the kernel leg (ker y.f, 0, 0) -> y.
+    """
+    full = hom_basis(x.gamma, y.gamma)
+    legs = [leg.gamma for tag, _, leg in _structural_pieces(y, *kernel(y.f)) if tag != "target"]
+    null = hom_basis_coordinates((compose(leg, h) for leg in legs for h in hom_basis(x.gamma, leg.source)), full)
+    return len(full) - la.rank(null, x.algebra.p)
 
 
 def phi_at(x: MapObject, t: Module) -> int:
@@ -412,65 +391,43 @@ def is_short_exact(u: ModuleHom, v: ModuleHom) -> bool:
 class SExactness:
     """Verdict of membership in the exact structure S.
 
-    The three columns of the kernel diagram are the kernel column
-    0 -> ker g -> ker h -> ker f -> 0 and the two level columns; membership
-    requires the kernel column to be exact and all three to split.
+    columns_split tells, for the kernel column 0 -> ker x.f -> ker e.f ->
+    ker y.f -> 0 and the two level columns of 0 -> x -> e -> y -> 0,
+    whether it is short exact and splits; the sequence is in S when all
+    three do.
     """
 
-    rows_exact: bool
     kernel_column_exact: bool
     columns_split: Tuple[bool, bool, bool]  # kernel, level-1, level-2
     verdict: bool
 
 
-def induced_kernel_hom(mor: MapMorphism, src_incl: ModuleHom, tgt_incl: ModuleHom) -> ModuleHom:
-    """Restriction of mor.h1 to the structure kernels, given by their inclusions."""
-    return hom_into_sub(tgt_incl, compose(mor.h1, src_incl))
-
-
-def _is_split_epi(v: ModuleHom, section: Optional[ModuleHom]) -> bool:
-    """Whether v is a split epi.  A candidate section is checked by
-    composition, v o section = 1; split_epi_section searches Hom only when
-    there is no candidate or it fails."""
-    if section is not None and hom_equal(compose(v, section), identity_hom(v.target)):
-        return True
-    return split_epi_section(v) is not None
-
-
-def is_S_exact(
-    u: MapMorphism, v: MapMorphism, _sections: Tuple[Optional[ModuleHom], Optional[ModuleHom]] = (None, None)
-) -> SExactness:
+def is_S_exact(u: MapMorphism, v: MapMorphism) -> SExactness:
     """Test a short exact pair of map-object morphisms for membership in S.
 
     Raises when the pair is not short exact on Gamma (precondition), which
     is exactness of both level rows: Gamma's vertices are the vertices of
-    the two levels; everything else is reported in the verdict.  _sections may hold
-    candidate sections of v.h1 and v.h2, such as the ones an F-projective
-    cover builds: each is checked by composition before any search, and a
-    candidate that fails only sends its level to the search, so the
-    verdict is the same with or without them.
+    the two levels; everything else is reported in the verdict.
 
-    The kernel column is decided by ranks.  With x, e, y the three
-    objects, the level rows are exact, so by the snake lemma
-    0 -> ker x.f -> ker e.f -> ker y.f is exact everywhere but possibly
-    at its right end.  It is short exact exactly when the nullities of
-    the three structure maps add up, nullity(e.f) = nullity(x.f) +
-    nullity(y.f), at every vertex.  Only then are ker e.f, ker y.f and
-    the induced map built, for the split test.
+    The pair is in S when Hom(Q, -), which is left exact, keeps it exact
+    for every relative projective Q: when each map Q -> y onto the right
+    end lifts along v.  A map from (M,0,0), (M,M,1) or (0,M,0) is a map
+    M -> ker y.f, y.m1 or y.m2, so it factors through the structural leg
+    (ker y.f,0,0), (y.m1,y.m1,1) or (0,y.m2,0) -> y of the F-cover of y,
+    and the pair is in S when these three lift.  A lift of each is a
+    section of ker e.f -> ker y.f, of v.h1 or of v.h2: the legs are the
+    three columns.  A zero leg lifts.  By the snake lemma the kernel
+    column is exact but at its right end, so it is short exact when the
+    nullities add up, nullity(e.f) = nullity(x.f) + nullity(y.f).
     """
     if not is_short_exact(u.gamma, v.gamma):
         raise ValueError("the given pair is not a short exact sequence")
     p = u.source.algebra.p
     nullity = [[d - la.rank(m, p) for d, m in zip(x.m1.dims, x.f.mats)] for x in (u.source, v.source, v.target)]
-    kernel_exact = all(a + c == b for a, b, c in zip(*nullity))
-    splits = (
-        kernel_exact
-        and split_epi_section(induced_kernel_hom(v, kernel(v.source.f)[1], kernel(v.target.f)[1])) is not None,
-        _is_split_epi(v.h1, _sections[0]),
-        _is_split_epi(v.h2, _sections[1]),
-    )
-    verdict = kernel_exact and all(splits)
-    return SExactness(True, kernel_exact, splits, verdict)
+    legs = _structural_pieces(v.target, *kernel(v.target.f))
+    lifts = {tag: factor_through(v.gamma, leg.gamma) is not None for tag, _, leg in legs}
+    splits = tuple(lifts.get(tag, True) for tag in ("kernel", "identity", "target"))
+    return SExactness(all(a + c == b for a, b, c in zip(*nullity)), splits, all(splits))
 
 
 def maps_sequence_splits(u: MapMorphism, v: MapMorphism) -> bool:
@@ -494,32 +451,20 @@ def f_projective_cover(x: MapObject) -> FCover:
     """An S-admissible epi onto x from an F-projective, with its kernel.
 
     Built from three structural summands: (ker f, 0, 0), (m1, m1, 1) and
-    (0, m2, 0); zero summands are dropped.  The epi is checked to be
-    S-admissible at run time.  Its level sections are the sum inclusions
-    of the (m1, m1, 1) and (0, m2, 0) summands, on which epi.h1 and
-    epi.h2 restrict to the identity, so is_S_exact checks them by
-    composition instead of searching for sections.  The kernel that check
-    computes is kept for f_resolution.
+    (0, m2, 0); zero summands are dropped.  Each leg lifts along the epi
+    through its sum inclusion, so the cover sequence is in S (see
+    is_S_exact) once the epi is checked to be an epi Gamma hom that
+    restricts to the legs.  The kernel is kept for f_resolution.
     """
-    tags, epi, sections = _cover_epi(x)
-    return FCover(epi.source, epi, tags, _admissible_kernel(epi, sections))
-
-
-def _cover_epi(x: MapObject) -> Tuple[List[str], MapMorphism, Tuple[ModuleHom, ModuleHom]]:
-    """The epi of f_projective_cover(x) before its check, with the tags of
-    its summands and the candidate sections of epi.h1 and epi.h2."""
     pieces = _structural_pieces(x, *kernel(x.f))
-    if pieces:
-        epi, inclusions = _epi_from_pieces(x, pieces)
-        epi = MapMorphism(epi.source, x, epi.h1, epi.h2, check=True)
-    else:
-        epi, inclusions = map_zero(zero_map_object(x.algebra), x), []
-    legs = {tag: incl for (tag, _, _), incl in zip(pieces, inclusions)}
-    sections = (
-        legs["identity"].h1 if "identity" in legs else zero_hom(x.m1, epi.source.m1),  # x.m1 = 0
-        legs["target"].h2 if "target" in legs else zero_hom(x.m2, epi.source.m2),  # x.m2 = 0
-    )
-    return [tag for tag, _, _ in pieces], epi, sections
+    if not pieces:
+        epi = map_zero(zero_map_object(x.algebra), x)
+        return FCover(epi.source, epi, [], morphism_kernel(epi))
+    epi, inclusions = _epi_from_pieces(x, pieces)
+    h = ModuleHom(epi.gamma.source, x.gamma, epi.gamma.mats, reduced=True)  # the Gamma hom check
+    if not (is_epi(h) and all(hom_equal(compose(h, i.gamma), leg.gamma) for i, (_, _, leg) in zip(inclusions, pieces))):
+        raise AssertionError("constructed cover epi is not S-admissible")
+    return FCover(epi.source, epi, [tag for tag, _, _ in pieces], morphism_kernel(epi))
 
 
 def _structural_pieces(x: MapObject, k: Module, k_incl: ModuleHom) -> List[Tuple[str, MapObject, MapMorphism]]:
@@ -549,15 +494,6 @@ def _epi_from_pieces(x: MapObject, pieces, name: str = "") -> Tuple[MapMorphism,
     total = _fresh_map_object(tri, s.module, name)
     epi = from_gamma_hom(hom_out_of_sum(s, [leg.gamma for _, _, leg in pieces]), total, x)
     return epi, [from_gamma_hom(i, obj, total) for i, (_, obj, _) in zip(s.inclusions, pieces)]
-
-
-def _admissible_kernel(epi: MapMorphism, sections: Tuple[ModuleHom, ModuleHom]) -> Tuple[MapObject, MapMorphism]:
-    """morphism_kernel(epi), once epi is checked to be an S-admissible epi
-    (is_S_exact with the candidate level sections); AssertionError if not."""
-    ker = morphism_kernel(epi) if is_epi(epi.h1) and is_epi(epi.h2) else None
-    if ker is None or not is_S_exact(ker[1], epi, sections).verdict:
-        raise AssertionError("constructed cover epi is not S-admissible")
-    return ker
 
 
 def morphism_kernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:

@@ -523,6 +523,8 @@ def quotient(m: Module, bases: List[np.ndarray], name: str = "") -> Tuple[Module
 
     Returns (Q, projection).  Coordinates on Q come from completing each
     subspace basis with standard basis vectors (pivot-free positions).
+    The projection is 1 on those and kills the basis, so it is read off
+    the RREF r of the basis rows: at the pivot of row i it is -r[i, free].
     """
     p = m.algebra.p
     q = m.algebra.quiver
@@ -536,16 +538,14 @@ def quotient(m: Module, bases: List[np.ndarray], name: str = "") -> Tuple[Module
             projs.append(la.eye(d))
             comps.append(la.eye(d))
             continue
-        _, pivots = la.rref(b.T, p)
-        free = [i for i in range(d) if i not in pivots]
-        comp = la.zeros(d, len(free))
-        for j, i in enumerate(free):
-            comp[i, j] = 1
-        full = np.hstack([b, comp])
-        inv = la.invert(full, p)
-        if inv is None:
+        r, pivots = la.rref(b.T, p)
+        if len(pivots) < b.shape[1]:
             raise ValueError("subspace basis is not independent")
-        projs.append(inv[b.shape[1] :, :])
+        free = [i for i in range(d) if i not in pivots]
+        comp = la.eye(d)[:, free]
+        proj = la.eye(d)[free]
+        proj[:, pivots] = (-r[: len(pivots), free].T) % p
+        projs.append(proj)
         comps.append(comp)
     dims = [projs[v].shape[0] for v in range(nv)]
     mats = []

@@ -5,15 +5,32 @@ mapscat.linalg's elimination loop so that tests of rref, kernel_basis and
 the hom-space assemblers compare against a second implementation rather
 than against the code under test.  The former isomorphism test, which
 inverts every vertex matrix, runs on the dense rref too.  So do two
-former pieces of the functor realization: the arrow pick with one rank
-per candidate, and Phi of a morphism assembled from a projection onto
-each cokernel and a section of it.
+former pieces of the functor realization, the arrow pick with one rank
+per candidate and Phi of a morphism assembled from a projection onto
+each cokernel and a section of it, and the former projection of a
+quotient, which inverts the basis completed by standard vectors.
+
+Two former pieces of the exact structure S are kept beside them: the
+three-column membership test, with its kernel column built by the snake
+lemma and split searches at each level, and the basis of the morphisms
+killed by the cokernel functor, built from level homotopies.
 """
 
 import numpy as np
 
 from mapscat import linalg as la
-from mapscat.modules import compose, end_radical, hom_basis, hom_basis_coordinates, vectorize_hom, zero_hom
+from mapscat.maps import MapMorphism, SExactness, is_short_exact, split_epi_section, vectorize_map_morphism
+from mapscat.modules import (
+    combine,
+    compose,
+    end_radical,
+    hom_basis,
+    hom_basis_coordinates,
+    hom_into_sub,
+    kernel,
+    vectorize_hom,
+    zero_hom,
+)
 
 
 def reference_rref(a, p):
@@ -113,3 +130,60 @@ def reference_phi_hom_mats(corpus, u):
         post = hom_basis_coordinates((compose(u.h2, b) for b in bx), by)
         mats.append(la.matmul(proj, la.matmul(post, section, p), p))
     return mats
+
+
+def reference_quotient_projection(b, p):
+    """The former projection of quotient at one vertex: the rows of the
+    inverse of [b | standard vectors at the non-pivot places] that belong
+    to the standard vectors; None if the columns of b are dependent."""
+    d = b.shape[0]
+    pivots = reference_rref(b.T, p)[1]
+    comp = la.eye(d)[:, [i for i in range(d) if i not in pivots]]
+    full = np.hstack([b, comp])
+    if full.shape[1] != d:
+        return None
+    aug, piv = reference_rref(np.hstack([full, la.eye(d)]), p)
+    if piv[:d] != list(range(d)):
+        return None
+    return aug[b.shape[1] :, d:]
+
+
+def reference_is_S_exact(u, v):
+    """The former three-column membership test of S: the kernel column
+    0 -> ker x.f -> ker e.f -> ker y.f -> 0, decided exact by nullities and
+    split by a section search on the induced kernel map, and a section
+    search on each level."""
+    if not is_short_exact(u.gamma, v.gamma):
+        raise ValueError("the given pair is not a short exact sequence")
+    p = u.source.algebra.p
+    nullity = [[d - la.rank(m, p) for d, m in zip(x.m1.dims, x.f.mats)] for x in (u.source, v.source, v.target)]
+    kernel_exact = all(a + c == b for a, b, c in zip(*nullity))
+    if kernel_exact:
+        src_incl, tgt_incl = kernel(v.source.f)[1], kernel(v.target.f)[1]
+        induced = hom_into_sub(tgt_incl, compose(v.h1, src_incl))
+    splits = (
+        kernel_exact and split_epi_section(induced) is not None,
+        split_epi_section(v.h1) is not None,
+        split_epi_section(v.h2) is not None,
+    )
+    return SExactness(kernel_exact, splits, kernel_exact and all(splits))
+
+
+def reference_null_homotopic_basis(x, y):
+    """The former basis of the morphisms x -> y killed by the cokernel
+    functor: the (h1, h2) with h2 = y.f o s for some s: x.m2 -> y.m1, built
+    as (s x.f, y.f s) plus pairs (k, 0) with y.f k = 0, and thinned to an
+    independent subset by a dense rref."""
+    p = x.algebra.p
+    cands = [MapMorphism(x, y, compose(s, x.f), compose(y.f, s), check=False) for s in hom_basis(x.m2, y.m1)]
+    kbasis = hom_basis(x.m1, y.m1)
+    if kbasis:
+        cols = np.stack([vectorize_hom(compose(y.f, k)) for k in kbasis], axis=1)
+        kern = reference_kernel(cols, p)
+        for j in range(kern.shape[1]):
+            k = combine(x.m1, y.m1, kbasis, kern[:, j])
+            cands.append(MapMorphism(x, y, k, zero_hom(x.m2, y.m2), check=False))
+    if not cands:
+        return []
+    pivots = reference_rref(np.stack([vectorize_map_morphism(c) for c in cands], axis=1), p)[1]
+    return [cands[j] for j in pivots]

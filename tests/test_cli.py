@@ -132,6 +132,14 @@ def test_ar_quiver_bound_exceeded(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_ar_quiver_dim_bound_below_one_is_an_input_error(tmp_path, capsys, bound):
+    prefix = tmp_path / "q"
+    assert main(["ar-quiver", A2, "--side", "gamma", "--dim-bound", bound, "--out", str(prefix)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_check_tilting_classical_golden(tmp_path, capsys):
     out = tmp_path / "t.json"
     code = main(

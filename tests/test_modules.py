@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import reference_quotient_projection
 from mapscat import linalg as la
 from mapscat import modules
 from mapscat.algebra import algebra_from_spec, linear_quiver_algebra
@@ -549,4 +550,34 @@ def test_hom_basis_coordinates_match_the_solve(p):
             assert (read == hom_coordinates(homs, basis)).all()
             checked += bool(homs)
     assert checked > 50
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_quotient_projection_matches_the_former_inversion(p):
+    # over one vertex every subspace is a submodule: the projection read
+    # off the RREF is the former inverse of the completed basis, and a
+    # dependent basis still raises; over Gamma(A2) so is the projection
+    # onto each top
+    rng = np.random.default_rng(p)
+    point = algebra_from_spec(p, 1, [], [])
+    dependent = 0
+    for i in range(40):
+        d = int(rng.integers(1, 7))
+        b = rng.integers(0, p, size=(d, int(rng.integers(1, d + 1))))
+        if i % 4 == 3:
+            b = np.hstack([b, 2 * b[:, :1] % p])  # dependent on purpose
+        want = reference_quotient_projection(b, p)
+        if want is None:
+            dependent += 1
+            with pytest.raises(ValueError):
+                modules.quotient(Module(point, [d], []), [b])
+            continue
+        _, proj = modules.quotient(Module(point, [d], []), [b])
+        assert (proj.mats[0] == want).all()
+    assert 0 < dependent < 40
+    for m in knit_ar_quiver(gamma_of(linear_quiver_algebra(p, 2)).algebra).vertices:
+        _, proj = modules.top_quotient(m)
+        for b, got in zip(modules.radical_bases(m), proj.mats):
+            if b.shape[1]:
+                assert (got == reference_quotient_projection(b, p)).all()
 
