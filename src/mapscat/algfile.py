@@ -196,10 +196,10 @@ def parse_algebra_file(text: str, p_override: Optional[int] = None) -> AlgebraFi
                 p = int(rest[2:])
             except ValueError:
                 raise AlgFileError(lineno, f"bad prime {rest[2:]!r}")
-            if p < 2:
-                raise AlgFileError(lineno, f"bad prime {p}")
             if p_override is not None:
                 p = p_override
+            if p < 2:
+                raise AlgFileError(lineno, f"bad prime {p}")
 
         elif keyword == "vertices":
             if n_vertices is not None:

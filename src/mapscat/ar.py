@@ -306,37 +306,37 @@ def _almost_split_from_dual(n: Module, pres: ProjPresentation, coker: ModuleHom)
 # -- the special families in the maps category ----------------------------------
 
 
-def special_seq_identity_target(m: Module, test_set: Optional[Sequence[MapObject]] = None) -> ShortExactSeq:
+def special_seq_identity_target(m: Module) -> ShortExactSeq:
     """0 -> (tau m, 0, 0) -> (E, m, pi) -> (m, m, 1) -> 0."""
-    return _seq_ending_at_identity(almost_split_ending_at(m), test_set)
+    return _seq_ending_at_identity(almost_split_ending_at(m))
 
 
-def special_seq_zero_source(m: Module, test_set: Optional[Sequence[MapObject]] = None) -> ShortExactSeq:
+def special_seq_zero_source(m: Module) -> ShortExactSeq:
     """0 -> (tau m, tau m, 1) -> (tau m, E, j) -> (0, m, 0) -> 0."""
-    return _seq_ending_at_target(almost_split_ending_at(m), test_set)
+    return _seq_ending_at_target(almost_split_ending_at(m))
 
 
-def _seq_ending_at_identity(base: ShortExactSeq, test_set) -> ShortExactSeq:
+def _seq_ending_at_identity(base: ShortExactSeq) -> ShortExactSeq:
     """0 -> (L, 0, 0) -> (E, R, pi) -> (R, R, 1) -> 0 from 0 -> L -j-> E -pi-> R -> 0."""
     left = source_only(base.left)
     middle = MapObject(base.surj)
     right = identity_object(base.right)
     inj = MapMorphism(left, middle, base.inj, zero_hom(left.m2, middle.m2))
     surj = MapMorphism(middle, right, base.surj, identity_hom(base.right))
-    return _finish_special(inj, surj, test_set)
+    return seq_of_maps(inj, surj, verified="assembled")
 
 
-def _seq_ending_at_target(base: ShortExactSeq, test_set) -> ShortExactSeq:
+def _seq_ending_at_target(base: ShortExactSeq) -> ShortExactSeq:
     """0 -> (L, L, 1) -> (L, E, j) -> (0, R, 0) -> 0 from 0 -> L -j-> E -pi-> R -> 0."""
     left = identity_object(base.left)
     middle = MapObject(base.inj)
     right = target_only(base.right)
     inj = MapMorphism(left, middle, identity_hom(base.left), base.inj)
     surj = MapMorphism(middle, right, zero_hom(middle.m1, right.m1), base.surj)
-    return _finish_special(inj, surj, test_set)
+    return seq_of_maps(inj, surj, verified="assembled")
 
 
-def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None) -> ShortExactSeq:
+def special_seq_M_zero(m: Module) -> ShortExactSeq:
     """The sequence ending at (m, 0, 0), from the minimal presentation.
 
     Left term (D(P1*), D(P0*), D(p1*)); middle (D(P1*) (+) m, D(P0*));
@@ -372,10 +372,10 @@ def special_seq_M_zero(m: Module, test_set: Optional[Sequence[MapObject]] = None
         raise AssertionError("pullback embedding is not injective")
     if any(e != d - la.rank(x, p) for e, d, x in zip(base.middle.dims, sd.module.dims, h.mats)):
         raise AssertionError("middle term is not the pullback")
-    return _finish_special(inj, surj, test_set)
+    return seq_of_maps(inj, surj, verified="assembled")
 
 
-def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None) -> List[ShortExactSeq]:
+def special_seq_duals(n: Module) -> List[ShortExactSeq]:
     """The three dual families attached to a non-injective indecomposable.
 
     From the sequence 0 -> n -> E -> tau^{-1} n -> 0: the family ending
@@ -389,9 +389,9 @@ def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None)
     alg = n.algebra
 
     # (a)(1): 0 -> (n,n,1) -> (n,E,j) -> (0, ti, 0) -> 0
-    seq1 = _seq_ending_at_target(base, test_set)
+    seq1 = _seq_ending_at_target(base)
     # (a)(2): 0 -> (n,0,0) -> (E, ti, pi) -> (ti, ti, 1) -> 0
-    seq2 = _seq_ending_at_identity(base, test_set)
+    seq2 = _seq_ending_at_identity(base)
 
     # (b): 0 -> (0,n,0) -> (D(I0)*, D(I1)* (+) n) -> (D(I0)*, D(I1)*, D(q1)*) -> 0
     # ti is the cokernel of D(q1)*, so the cokernel map lands on it as it stands
@@ -402,22 +402,12 @@ def special_seq_duals(n: Module, test_set: Optional[Sequence[MapObject]] = None)
     left3 = target_only(n)
     middle3 = MapObject(h)
     right3 = MapObject(star_dq)
-    seq3 = _finish_special(
+    seq3 = seq_of_maps(
         MapMorphism(left3, middle3, zero_hom(left3.m1, middle3.m1), sd.inclusions[1]),
         MapMorphism(middle3, right3, identity_hom(star_dq.source), sd.projections[0]),
-        test_set,
+        verified="assembled",
     )
     return [seq1, seq2, seq3]
-
-
-def _finish_special(inj: MapMorphism, surj: MapMorphism, test_set) -> ShortExactSeq:
-    seq = seq_of_maps(inj, surj, verified="assembled")
-    if test_set is not None:
-        cert = is_almost_split(seq, test_set)
-        if not cert:
-            raise AssertionError("; ".join(cert.reasons))
-        seq.verified = "corpus"
-    return seq
 
 
 # -- knitting -------------------------------------------------------------------

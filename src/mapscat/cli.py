@@ -83,6 +83,8 @@ def _read(path: Optional[str]) -> Tuple[str, str]:
         return p.name, p.read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text")
 
 
 def _write(path: str, text: str) -> None:

@@ -718,10 +718,8 @@ def monomap_corpus(algebra: AlgebraPresentation) -> List[MapObject]:
     return _gamma_corpus(algebra, _is_monomap, "monomap")
 
 
-def right_approx_epimaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = None) -> Tuple[MapMorphism, ApproxCertificate]:
+def right_approx_epimaps(x: MapObject, corpus: Sequence[MapObject]) -> Tuple[MapMorphism, ApproxCertificate]:
     """Right approximation of x by epimaps: factor through the image."""
-    if corpus is None:
-        corpus = epimap_corpus(x.algebra)
     if _is_epimap(x):
         approx = map_identity(x)
     else:
@@ -731,10 +729,8 @@ def right_approx_epimaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = N
     return approx, certify_right_approx(approx, corpus)
 
 
-def left_approx_epimaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = None) -> Tuple[MapMorphism, ApproxCertificate]:
+def left_approx_epimaps(x: MapObject, corpus: Sequence[MapObject]) -> Tuple[MapMorphism, ApproxCertificate]:
     """Left approximation of x by epimaps: absorb a projective cover of the target."""
-    if corpus is None:
-        corpus = epimap_corpus(x.algebra)
     if _is_epimap(x):
         approx = map_identity(x)
     else:
@@ -745,10 +741,8 @@ def left_approx_epimaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = No
     return approx, certify_left_approx(approx, corpus)
 
 
-def right_approx_monomaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = None) -> Tuple[MapMorphism, ApproxCertificate]:
+def right_approx_monomaps(x: MapObject, corpus: Sequence[MapObject]) -> Tuple[MapMorphism, ApproxCertificate]:
     """Right approximation of x by monomaps: absorb an injective envelope of the source."""
-    if corpus is None:
-        corpus = monomap_corpus(x.algebra)
     if _is_monomap(x):
         approx = map_identity(x)
     else:
@@ -759,10 +753,8 @@ def right_approx_monomaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = 
     return approx, certify_right_approx(approx, corpus)
 
 
-def left_approx_monomaps(x: MapObject, corpus: Optional[Sequence[MapObject]] = None) -> Tuple[MapMorphism, ApproxCertificate]:
+def left_approx_monomaps(x: MapObject, corpus: Sequence[MapObject]) -> Tuple[MapMorphism, ApproxCertificate]:
     """Left approximation of x by monomaps: pass to the image inclusion."""
-    if corpus is None:
-        corpus = monomap_corpus(x.algebra)
     if _is_monomap(x):
         approx = map_identity(x)
     else:

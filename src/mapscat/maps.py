@@ -3,8 +3,9 @@
 Objects are morphisms f: M1 -> M2 in mod Lambda, morphisms are commuting
 squares.  The category is equivalent to modules over the triangular matrix
 algebra Gamma of Lambda, and goes through Gamma: hom spaces, direct sums,
-kernels, images, cokernels, extensions, decomposition and the Ext counts are
-the module constructions on the Gamma side, split back into squares.  The
+kernels, extensions, decomposition and the Ext counts are the module
+constructions on the Gamma side, split back into squares, and any other
+operation on morphisms is the module one on their .gamma.  The
 category carries the exact structure S, defined by its relative
 projectives, the sums of (M,0,0), (M,M,1) and (0,M,0): a short exact
 sequence lies in S when Hom(Q, -) keeps it exact for each of them, which
@@ -24,7 +25,6 @@ from .algebra import AlgebraPresentation, ChainAlgebra, TriangularAlgebra, chain
 from .modules import (
     Module,
     ModuleHom,
-    cokernel,
     compose,
     decompose,
     direct_sum,
@@ -33,20 +33,16 @@ from .modules import (
     extension,
     factor_past,
     factor_through,
-    hom_add,
     hom_basis,
     hom_basis_coordinates,
     hom_complex_dims,
     hom_equal,
     hom_out_of_sum,
-    hom_scale,
     identity_hom,
-    image,
     is_epi,
     is_mono,
     iso_between,
     kernel,
-    vectorize_hom,
     zero_hom,
     zero_module,
 )
@@ -145,22 +141,6 @@ def map_compose(g: MapMorphism, f: MapMorphism) -> MapMorphism:
     return from_gamma_hom(compose(g.gamma, f.gamma), f.source, g.target)
 
 
-def map_add(f: MapMorphism, g: MapMorphism) -> MapMorphism:
-    return from_gamma_hom(hom_add(f.gamma, g.gamma), f.source, f.target)
-
-
-def map_scale(c: int, f: MapMorphism) -> MapMorphism:
-    return from_gamma_hom(hom_scale(c, f.gamma), f.source, f.target)
-
-
-def map_equal(f: MapMorphism, g: MapMorphism) -> bool:
-    return hom_equal(f.gamma, g.gamma)
-
-
-def vectorize_map_morphism(f: MapMorphism) -> np.ndarray:
-    return vectorize_hom(f.gamma)
-
-
 def identity_object(m: Module) -> MapObject:
     return MapObject(identity_hom(m), name=f"({m.name},{m.name},1)" if m.name else "")
 
@@ -205,18 +185,6 @@ def hom_maps(x: MapObject, y: MapObject) -> List[MapMorphism]:
     connecting arrows of Gamma carry the interchange y.f h1 = h2 x.f.
     """
     return [from_gamma_hom(h, x, y) for h in hom_basis(x.gamma, y.gamma)]
-
-
-def maps_solve_through(q: MapMorphism, g: MapMorphism) -> Optional[MapMorphism]:
-    """h with q o h = g, for g landing where q lands; None if impossible."""
-    h = factor_through(q.gamma, g.gamma)
-    return None if h is None else from_gamma_hom(h, g.source, q.source)
-
-
-def maps_solve_past(u: MapMorphism, g: MapMorphism) -> Optional[MapMorphism]:
-    """h with h o u = g, extending g along u; None if impossible."""
-    h = factor_past(u.gamma, g.gamma)
-    return None if h is None else from_gamma_hom(h, u.target, g.target)
 
 
 # -- the triangular matrix algebra bridge --------------------------------------
@@ -430,12 +398,6 @@ def is_S_exact(u: MapMorphism, v: MapMorphism) -> SExactness:
     return SExactness(all(a + c == b for a, b, c in zip(*nullity)), splits, all(splits))
 
 
-def maps_sequence_splits(u: MapMorphism, v: MapMorphism) -> bool:
-    """Whether 0 -> y -u-> e -v-> x -> 0 splits in the maps category."""
-    section = maps_solve_through(v, map_identity(v.target))
-    return section is not None
-
-
 # -- F-projective covers and relative Ext ---------------------------------------
 
 
@@ -501,20 +463,6 @@ def morphism_kernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:
     k, incl = kernel(mor.gamma)
     kobj = _fresh_map_object(gamma_of(mor.source.algebra), k)
     return kobj, from_gamma_hom(incl, kobj, mor.source)
-
-
-def morphism_image(mor: MapMorphism) -> Tuple[MapObject, MapMorphism, MapMorphism]:
-    """Image object with inclusion into the target and epi from the source."""
-    i, incl, epi = image(mor.gamma)
-    iobj = _fresh_map_object(gamma_of(mor.source.algebra), i)
-    return iobj, from_gamma_hom(incl, iobj, mor.target), from_gamma_hom(epi, mor.source, iobj)
-
-
-def morphism_cokernel(mor: MapMorphism) -> Tuple[MapObject, MapMorphism]:
-    """Cokernel of a morphism of map objects, with its projection."""
-    c, proj = cokernel(mor.gamma)
-    cobj = _fresh_map_object(gamma_of(mor.source.algebra), c)
-    return cobj, from_gamma_hom(proj, mor.target, cobj)
 
 
 @dataclass

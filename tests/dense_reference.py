@@ -19,7 +19,7 @@ killed by the cokernel functor, built from level homotopies.
 import numpy as np
 
 from mapscat import linalg as la
-from mapscat.maps import MapMorphism, SExactness, is_short_exact, split_epi_section, vectorize_map_morphism
+from mapscat.maps import MapMorphism, SExactness, is_short_exact, split_epi_section
 from mapscat.modules import (
     combine,
     compose,
@@ -185,5 +185,5 @@ def reference_null_homotopic_basis(x, y):
             cands.append(MapMorphism(x, y, k, zero_hom(x.m2, y.m2), check=False))
     if not cands:
         return []
-    pivots = reference_rref(np.stack([vectorize_map_morphism(c) for c in cands], axis=1), p)[1]
+    pivots = reference_rref(np.stack([vectorize_hom(c.gamma) for c in cands], axis=1), p)[1]
     return [cands[j] for j in pivots]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mapscat import cli, functors
-from mapscat.algfile import parse_algebra_file
+from mapscat.algfile import AlgFileError, parse_algebra_file
 from mapscat.cli import main
 from mapscat.modules import indecomposable_projective
 
@@ -397,3 +397,42 @@ def test_primes_entry_that_is_not_an_integer_is_an_input_error(primes):
     assert run.returncode == 2
     assert run.stderr.startswith("error:")
     assert "Traceback" not in run.stderr
+
+
+def test_primes_zero_with_a_coefficient_relation_is_an_input_error():
+    # a3_rel.alg has a coefficient relation, which is reduced mod the prime
+    path = DATA / "a3_rel.alg"
+    with pytest.raises(AlgFileError, match="bad prime 0"):
+        parse_algebra_file(path.read_text(encoding="utf-8"), p_override=0)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "mapscat.cli", "verify-example", str(path), "--primes", "0"],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:")
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ar-quiver"],
+        ["verify-example"],
+        ["check-tilting", "--names", "f,g"],
+        ["approx", "--object", "f"],
+    ],
+    ids=["ar-quiver", "verify-example", "check-tilting", "approx"],
+)
+def test_input_that_is_not_utf8_is_an_input_error(argv, tmp_path):
+    bad = tmp_path / "latin1.alg"
+    bad.write_bytes(b"# caf\xff\nfield p=101\nvertices 2\narrow a: 1 -> 2\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "mapscat.cli", argv[0], str(bad), *argv[1:], "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=tmp_path, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"error: cannot read {bad}: not UTF-8 text")
+    assert "Traceback" not in run.stderr
+    assert [p.name for p in tmp_path.iterdir()] == [bad.name]

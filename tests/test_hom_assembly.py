@@ -34,21 +34,11 @@ from mapscat.functors import (
 from mapscat.maps import (
     MapObject,
     direct_sum_maps,
-    from_gamma_hom,
     from_gamma_module,
     gamma_of,
     hom_maps,
-    map_add,
-    map_compose,
-    map_equal,
-    map_identity,
-    map_scale,
-    map_zero,
-    maps_solve_past,
-    maps_solve_through,
     split_epi_section,
     split_mono_retraction,
-    vectorize_map_morphism,
 )
 from mapscat.modules import (
     Module,
@@ -276,7 +266,7 @@ def test_hom_maps_matches_kron_reference(p, which, i, j, k, seed):
     for x in objs:
         for y in objs:
             ref = _kron_hom_maps_kernel(x, y)
-            got = _as_columns([vectorize_map_morphism(h) for h in hom_maps(x, y)], ref.shape[0])
+            got = _as_columns([vectorize_hom(h.gamma) for h in hom_maps(x, y)], ref.shape[0])
             assert got.shape == ref.shape and (got == ref).all()
 
 
@@ -543,10 +533,11 @@ def _gamma_a2(p: int):
     return tri, q, [from_gamma_module(tri, m) for m in q.vertices]
 
 
-def _random_map_morphism(x, y, rng):
-    out = map_zero(x, y)
-    for b in hom_maps(x, y):
-        out = map_add(out, map_scale(int(rng.integers(0, x.algebra.p)), b))
+def _random_gamma_hom(x, y, rng):
+    """A random hom x.gamma -> y.gamma of map objects over Gamma."""
+    out = zero_hom(x.gamma, y.gamma)
+    for b in hom_basis(x.gamma, y.gamma):
+        out = hom_add(out, hom_scale(int(rng.integers(0, x.algebra.p)), b))
     return out
 
 
@@ -557,25 +548,25 @@ def test_maps_solve_through_and_past_on_gamma_a2(p, i, j, k, seed):
     a = direct_sum_maps(xs[0].algebra, [xs[i], xs[j]]).object
     b = xs[k]
     rng = np.random.default_rng(seed)
-    q, u = _random_map_morphism(a, b, rng), _random_map_morphism(b, a, rng)
-    for g in (map_compose(q, _random_map_morphism(b, a, rng)), _random_map_morphism(b, b, rng)):
-        h = maps_solve_through(q, g)
-        basis = hom_maps(b, a)
+    q, u = _random_gamma_hom(a, b, rng), _random_gamma_hom(b, a, rng)
+    for g in (compose(q, _random_gamma_hom(b, a, rng)), _random_gamma_hom(b, b, rng)):
+        h = factor_through(q, g)
+        basis = hom_basis(b.gamma, a.gamma)
         want = _solve_and_recombine(
-            basis, [map_compose(q, x) for x in basis], g, map_zero(b, a), map_add, map_scale, vectorize_map_morphism, p
+            basis, [compose(q, x) for x in basis], g, zero_hom(b.gamma, a.gamma), hom_add, hom_scale, vectorize_hom, p
         )
-        _assert_same_factor(h, want, map_equal)
+        _assert_same_factor(h, want, hom_equal)
         if h is not None:
-            assert map_equal(map_compose(q, h), g)
-    for g in (map_compose(_random_map_morphism(a, b, rng), u), _random_map_morphism(b, b, rng)):
-        h = maps_solve_past(u, g)
-        basis = hom_maps(a, b)
+            assert hom_equal(compose(q, h), g)
+    for g in (compose(_random_gamma_hom(a, b, rng), u), _random_gamma_hom(b, b, rng)):
+        h = factor_past(u, g)
+        basis = hom_basis(a.gamma, b.gamma)
         want = _solve_and_recombine(
-            basis, [map_compose(x, u) for x in basis], g, map_zero(a, b), map_add, map_scale, vectorize_map_morphism, p
+            basis, [compose(x, u) for x in basis], g, zero_hom(a.gamma, b.gamma), hom_add, hom_scale, vectorize_hom, p
         )
-        _assert_same_factor(h, want, map_equal)
+        _assert_same_factor(h, want, hom_equal)
         if h is not None:
-            assert map_equal(map_compose(h, u), g)
+            assert hom_equal(compose(h, u), g)
 
 
 def test_approximation_certificates_compose_back_on_gamma_a2():
@@ -592,11 +583,11 @@ def test_approximation_certificates_compose_back_on_gamma_a2():
             for k, i, h in cert.test_factorizations:
                 c = corpus[k]
                 if side == "right":
-                    g = from_gamma_hom(hom_basis(c.gamma, approx.target.gamma)[i], c, approx.target)
-                    assert map_equal(map_compose(approx, h), g)
+                    g = hom_basis(c.gamma, approx.target.gamma)[i]
+                    assert hom_equal(compose(approx.gamma, h.gamma), g)
                 else:
-                    g = from_gamma_hom(hom_basis(approx.source.gamma, c.gamma)[i], approx.source, c)
-                    assert map_equal(map_compose(h, approx), g)
+                    g = hom_basis(approx.source.gamma, c.gamma)[i]
+                    assert hom_equal(compose(h.gamma, approx.gamma), g)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -606,6 +597,6 @@ def test_maps_solve_is_none_on_almost_split_sequences(p):
     assert q.sequences
     for s in q.sequences.values():
         ms = maps_seq_from_gamma(tri, s)
-        assert maps_solve_through(ms.surj, map_identity(ms.right)) is None
-        assert maps_solve_past(ms.inj, map_identity(ms.left)) is None
-        assert maps_solve_through(ms.surj, ms.surj) is not None
+        assert factor_through(ms.surj.gamma, identity_hom(ms.right.gamma)) is None
+        assert factor_past(ms.inj.gamma, identity_hom(ms.left.gamma)) is None
+        assert factor_through(ms.surj.gamma, ms.surj.gamma) is not None
