@@ -147,6 +147,14 @@ class PathBasis:
         return {}
 
 
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime small enough for exact int64 arithmetic."""
+    if p >= 2**20:
+        raise ValueError("p too large for exact int64 arithmetic")
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p = {p} is not prime")
+
+
 class AlgebraPresentation:
     """A quiver algebra KQ/I over F_p with an admissible ideal.
 
@@ -157,10 +165,7 @@ class AlgebraPresentation:
     """
 
     def __init__(self, p: int, quiver: Quiver, relations: Sequence[Relation] = ()):
-        if p >= 2**20:
-            raise ValueError("p too large for exact int64 arithmetic")
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-            raise ValueError(f"p = {p} is not prime")
+        check_prime(p)
         self.p = int(p)
         self.quiver = quiver
         self.relations = tuple(r.validated(quiver, p) for r in relations)

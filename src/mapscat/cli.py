@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, check_prime
 from .algfile import AlgebraFile, AlgFileError, parse_algebra_file
 from .ar import ar_quiver_dot, ar_quiver_json, knit_ar_quiver, maps_seq_from_gamma
 from .functors import (
@@ -279,11 +279,16 @@ def worked_example_checks(alg: AlgebraPresentation) -> List[Tuple[str, bool, str
 
 
 def cmd_verify_example(args) -> int:
-    fname, text = _read(args.file)
     try:
         primes = [int(p) for p in args.primes.split(",")] if args.primes is not None else [101, 5]
     except ValueError:
         raise InputError(f"--primes must be comma-separated integers, got {args.primes!r}") from None
+    for p in primes:
+        try:
+            check_prime(p)
+        except ValueError as e:
+            raise InputError(f"--primes: {e}") from None
+    fname, text = _read(args.file)
     t0 = time.perf_counter()
     runs = []
     for p in primes:

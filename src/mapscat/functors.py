@@ -304,7 +304,7 @@ def functor_realization(algebra: AlgebraPresentation, dim_bound: int = 40) -> Fu
     delta = algebra_from_spec(p, n, arrow_specs, relation_specs)
     real = FunctorRealization(algebra, q, reps, delta, arrow_homs)
 
-    total = sum(len(hom_basis(a, b)) for a in reps for b in reps)
+    total = sum(len(r) for row in rad for r in row) + n  # End of each vertex is its radical plus one
     if delta.dim != total:
         raise CertificationError(
             f"realized algebra has dimension {delta.dim}, expected {total}; "

@@ -262,14 +262,3 @@ def minimal_polynomial(a: np.ndarray, p: int) -> List[int]:
             return [int(x * c % p) for x in rel]
     raise AssertionError("no dependence found below degree n+1")
 
-
-def poly_eval_matrix(coeffs: List[int], a: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate a polynomial (low-degree first) at a square matrix."""
-    n = a.shape[0]
-    out = zeros(n, n)
-    power = eye(n)
-    m = normalize(a, p)
-    for c in coeffs:
-        out = (out + c * power) % p
-        power = matmul(power, m, p)
-    return out

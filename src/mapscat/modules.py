@@ -1034,34 +1034,24 @@ def summand_multiplicity(y: Module, b: Module) -> int:
 
 
 def _split_by_endo(m: Module, f: ModuleHom) -> Optional[Tuple[Tuple[Module, ModuleHom, ModuleHom], Tuple[Module, ModuleHom, ModuleHom]]]:
-    """Fitting split along f: m = ker f^a (+) ker r(f) for mu_f = x^a r(x), r(0) != 0.
+    """Fitting split along f: m = ker f^n (+) im f^n for n = max(m.dims), vertex by vertex.
 
-    None when f is invertible (a = 0) or nilpotent (r constant).
+    None when f is invertible (ker f^n = 0) or nilpotent (f^n = 0).  Both
+    bases are canonical kernel bases, so they depend only on the subspaces.
     """
     p = m.algebra.p
-    block = np.zeros((m.total_dim, m.total_dim), dtype=np.int64)
-    off = 0
-    for v in range(len(m.dims)):
-        d = m.dims[v]
-        block[off : off + d, off : off + d] = f.mats[v]
-        off += d
-    mu = la.minimal_polynomial(block, p)
-    a = next(i for i, c in enumerate(mu) if c)
-    if a == 0 or a == len(mu) - 1:
+    powers = [_matpow(x, max(m.dims), p) for x in f.mats]
+    kers = [la.kernel_basis(x, p) for x in powers]
+    if not any(b.shape[1] for b in kers) or not any(x.any() for x in powers):
         return None
-    pieces = []
-    for coeffs in ([0] * a + [1], mu[a:]):
-        bases = [la.kernel_basis(la.poly_eval_matrix(coeffs, f.mats[v], p) if m.dims[v] else la.zeros(0, 0), p) for v in range(len(m.dims))]
-        sub, incl = submodule(m, bases)
-        pieces.append((sub, incl, bases))
-    (m1, i1, b1), (m2, i2, b2) = pieces
+    ims = [la.kernel_basis(la.kernel_basis(x.T, p).T, p) for x in powers]
+    (m1, i1), (m2, i2) = submodule(m, kers), submodule(m, ims)
     projs1, projs2 = [], []
-    for v in range(len(m.dims)):
-        full = np.hstack([b1[v], b2[v]])
-        inv = la.invert(full, p)
-        assert inv is not None, "Fitting kernels do not span"
-        projs1.append(inv[: b1[v].shape[1], :])
-        projs2.append(inv[b1[v].shape[1] :, :])
+    for k, i in zip(kers, ims):
+        inv = la.invert(np.hstack([k, i]), p)
+        assert inv is not None, "ker f^n and im f^n do not span"
+        projs1.append(inv[: k.shape[1], :])
+        projs2.append(inv[k.shape[1] :, :])
     p1 = ModuleHom(m, m1, projs1, check=True)
     p2 = ModuleHom(m, m2, projs2, check=True)
     return (m1, i1, p1), (m2, i2, p2)

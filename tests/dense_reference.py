@@ -13,7 +13,9 @@ quotient, which inverts the basis completed by standard vectors.
 Two former pieces of the exact structure S are kept beside them: the
 three-column membership test, with its kernel column built by the snake
 lemma and split searches at each level, and the basis of the morphisms
-killed by the cokernel functor, built from level homotopies.
+killed by the cokernel functor, built from level homotopies.  The former
+Fitting split factors the minimal polynomial of an endomorphism, with the
+polynomial evaluation it needs.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from mapscat import linalg as la
 from mapscat.maps import MapMorphism, SExactness, is_short_exact, split_epi_section
 from mapscat.modules import (
+    ModuleHom,
     combine,
     compose,
     end_radical,
@@ -28,6 +31,7 @@ from mapscat.modules import (
     hom_basis_coordinates,
     hom_into_sub,
     kernel,
+    submodule,
     vectorize_hom,
     zero_hom,
 )
@@ -187,3 +191,44 @@ def reference_null_homotopic_basis(x, y):
         return []
     pivots = reference_rref(np.stack([vectorize_hom(c.gamma) for c in cands], axis=1), p)[1]
     return [cands[j] for j in pivots]
+
+
+def reference_poly_eval(coeffs, a, p):
+    """A polynomial (low-degree coefficients first) evaluated at a square matrix."""
+    n = a.shape[0]
+    out = la.zeros(n, n)
+    power = la.eye(n)
+    m = la.normalize(a, p)
+    for c in coeffs:
+        out = (out + c * power) % p
+        power = la.matmul(power, m, p)
+    return out
+
+
+def reference_fitting_split(m, f):
+    """The former Fitting split along f: m = ker f^a (+) ker r(f) for the
+    minimal polynomial x^a r(x), r(0) != 0, of the block-diagonal matrix
+    of f; None when f is invertible (a = 0) or nilpotent (r constant)."""
+    p = m.algebra.p
+    block = np.zeros((m.total_dim, m.total_dim), dtype=np.int64)
+    off = 0
+    for v, d in enumerate(m.dims):
+        block[off : off + d, off : off + d] = f.mats[v]
+        off += d
+    mu = la.minimal_polynomial(block, p)
+    a = next(i for i, c in enumerate(mu) if c)
+    if a == 0 or a == len(mu) - 1:
+        return None
+    pieces = []
+    for coeffs in ([0] * a + [1], mu[a:]):
+        bases = [la.kernel_basis(reference_poly_eval(coeffs, x, p), p) for x in f.mats]
+        sub, incl = submodule(m, bases)
+        pieces.append((sub, incl, bases))
+    (m1, i1, b1), (m2, i2, b2) = pieces
+    projs1, projs2 = [], []
+    for k, i in zip(b1, b2):
+        inv = la.invert(np.hstack([k, i]), p)
+        assert inv is not None, "Fitting kernels do not span"
+        projs1.append(inv[: k.shape[1], :])
+        projs2.append(inv[k.shape[1] :, :])
+    return (m1, i1, ModuleHom(m, m1, projs1, check=True)), (m2, i2, ModuleHom(m, m2, projs2, check=True))

@@ -84,6 +84,16 @@ def test_ar_quiver_a3_gamma_golden_outputs(name, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ar_quiver_truncated_x3_gamma_golden_outputs(tmp_path, capsys):
+    # Gamma of K[x]/x^3: the knit decomposes many sums, so this pins the
+    # Fitting splits of decompose (27 vertices, complete)
+    prefix = tmp_path / "q_gamma"
+    assert main(["ar-quiver", str(DATA / "truncated_x3.alg"), "--side", "gamma", "--out", str(prefix)]) == 0
+    assert Path(f"{prefix}.json").read_text() == golden_bytes("truncated_x3_ar_gamma.json")
+    assert Path(f"{prefix}.dot").read_text() == golden_bytes("truncated_x3_ar_gamma.dot")
+    capsys.readouterr()
+
+
 def test_ar_quiver_kronecker_bounded_golden_outputs(tmp_path, capsys):
     # the Kronecker quiver has infinite type: the knit stops at the bound
     # with exit 3, and the partial quiver it reports is pinned
@@ -411,6 +421,20 @@ def test_primes_zero_with_a_coefficient_relation_is_an_input_error():
     )
     assert run.returncode == 2
     assert run.stderr.startswith("error:")
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("primes", ["0", "1", "4", "-3"])
+def test_primes_entry_that_is_not_prime_is_blamed_on_the_flag(primes):
+    # the entry is checked before the file is read, so no line of it is named
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "mapscat.cli", "verify-example", str(DATA / "a3_rel.alg"), "--primes", primes],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: --primes:")
+    assert "line " not in run.stderr
     assert "Traceback" not in run.stderr
 
 

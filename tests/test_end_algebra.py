@@ -8,16 +8,20 @@ composing homs; and for p > dim M it must equal the trace-form routine
 below, the single-form radical the package used before the chain.
 """
 
+import random
 from collections import Counter
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import reference_fitting_split
 from mapscat import linalg as la
 from mapscat.algebra import algebra_from_spec
+from mapscat.algfile import parse_algebra_file
 from mapscat.ar import knit_ar_quiver
 from mapscat.functors import check_classical_tilting
 from mapscat.maps import identity_object, target_only
@@ -162,6 +166,39 @@ def test_radical_equals_the_trace_form_at_large_p(name):
         for j in range(i, len(reps)):
             m = direct_sum(reps[0].algebra, [reps[i], reps[j], reps[j]]).module
             assert _same_homs(end_radical(m), trace_form_radical(m))
+
+
+DATA = resources.files("mapscat").joinpath("data")
+BUNDLED = ["a2", "a3_flip", "a3_linear", "a3_rel", "dual_numbers", "kronecker", "truncated_x3"]
+
+
+@lru_cache(maxsize=None)
+def _bundled_indecomposables(name: str, p: int):
+    text = DATA.joinpath(f"{name}.alg").read_text(encoding="utf-8")
+    return knit_ar_quiver(parse_algebra_file(text, p_override=p).algebra, dim_bound=4).vertices
+
+
+def _same_piece(a, b) -> bool:
+    (m, i, q), (n, j, r) = a, b
+    same_mats = all((x == y).all() for x, y in zip(m.mats, n.mats))
+    return m.dims == n.dims and same_mats and _same_homs([i, q], [j, r])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_fitting_split_by_powers_matches_the_minimal_polynomial_split(p):
+    # ker f^n (+) im f^n against ker f^a (+) ker r(f) for mu_f = x^a r(x):
+    # the same subspaces, so the same canonical bases, part modules and homs;
+    # a base change keeps the powers of f from being read off unit columns
+    rng, np_rng = random.Random(p), np.random.default_rng(p)
+    for name in BUNDLED:
+        inds = _bundled_indecomposables(name, p)
+        for _ in range(2):
+            parts = [rng.choice(inds) for _ in range(rng.randint(1, 3))]
+            s = _base_change(direct_sum(parts[0].algebra, parts).module, np_rng)
+            for f in hom_basis(s, s):
+                ours, ref = _split_by_endo(s, f), reference_fitting_split(s, f)
+                assert (ours is None) == (ref is None)
+                assert ours is None or all(_same_piece(a, b) for a, b in zip(ours, ref))
 
 
 def _dual_numbers(p):

@@ -17,6 +17,7 @@ from mapscat.modules import (
     indecomposable_projective,
     kernel,
     modules_isomorphic,
+    radical_submodule,
     simple_module,
     zero_module,
 )
@@ -138,6 +139,20 @@ def test_simple_functor_evaluation(mods):
     assert evaluate(f, p1) == 0
     assert evaluate(f, s2) == 0
     assert evaluate(f, zero_module(s1.algebra)) == 0
+
+
+@pytest.mark.parametrize("name", ["a2", "a3_rel", "a3_flip", "dual_numbers"])
+def test_simple_functor_at_a_projective_is_presented_by_its_radical(name):
+    # S_P is (-, P) modulo (-, rad P): one dimension at P itself, zero at
+    # every other indecomposable; a projective presentation of length 0
+    # when P is simple, else the radical inclusion, a mono
+    text = resources.files("mapscat").joinpath("data", f"{name}.alg").read_text(encoding="utf-8")
+    q = knit_ar_quiver(parse_algebra_file(text).algebra)
+    assert q.complete
+    for v in q.projectives:
+        f = simple_functor(q.vertices[v])
+        assert [evaluate(f, x) for x in q.vertices] == [int(u == v) for u in range(len(q.vertices))]
+        assert pdim(f) == (0 if radical_submodule(q.vertices[v])[0].is_zero() else 1)
 
 
 def test_contractible_presentation_is_zero_functor(mods):
