@@ -229,7 +229,7 @@ def _almost_split_with_presentation(m: Module, pres: ProjPresentation, coker: Mo
     cocycles = hom_basis(k_mod, tm)
     if not cocycles:
         raise ArithmeticError("Ext^1(m, tau m) came out zero; construction failed")
-    from_p0 = hom_basis(pres.p0.sum.module, tm)
+    from_p0 = hom_basis(pres.p0.module, tm)
     cob = hom_basis_coordinates((compose(h, k_incl) for h in from_p0), cocycles)
     # quotient coordinates: rows annihilating the coboundary space
     qmat = la.kernel_basis(cob.T, p).T

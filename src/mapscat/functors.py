@@ -735,7 +735,7 @@ def left_approx_epimaps(x: MapObject, corpus: Sequence[MapObject]) -> Tuple[MapM
         approx = map_identity(x)
     else:
         pc = projective_cover(x.m2)
-        sm = direct_sum(x.algebra, [x.m1, pc.sum.module])
+        sm = direct_sum(x.algebra, [x.m1, pc.module])
         z = MapObject(hom_out_of_sum(sm, [x.f, pc.epi]), name=f"{x.name}-epi" if x.name else "")
         approx = MapMorphism(x, z, sm.inclusions[0], identity_hom(x.m2))
     return approx, certify_left_approx(approx, corpus)

@@ -9,7 +9,7 @@ algebra over F_p on these matrices.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -369,35 +369,62 @@ def simple_module(algebra: AlgebraPresentation, v: int) -> Module:
     return Module(algebra, dims, mats, name=f"S{v + 1}")
 
 
+def _paths_from(algebra: AlgebraPresentation, v: int) -> List[List[int]]:
+    """The basis of P_v = e_v A: for each vertex w, the indices of the monomials
+    v -> w in monomial order, so the generator of P_v (the trivial path) is
+    row 0 of its block at v.  Cached per (algebra, v), like the projectives."""
+    key = ("paths", v)
+    if key not in algebra._cache:
+        q = algebra.quiver
+        table: List[List[int]] = [[] for _ in range(q.n_vertices)]
+        for i, mono in enumerate(algebra.basis.monomials):
+            if path_source(mono) == v:
+                table[path_target(q, mono)].append(i)
+        algebra._cache[key] = table
+    return algebra._cache[key]
+
+
+def _block_offsets(algebra: AlgebraPresentation, vertices: Sequence[int]) -> List[List[int]]:
+    """offs[i][w]: the first row of summand i at vertex w in the sum of the
+    P_v over vertices, whose basis at w lists the paths out of each v in turn."""
+    run = [0] * algebra.quiver.n_vertices
+    offs = []
+    for v in vertices:
+        offs.append(list(run))
+        run = [r + len(paths) for r, paths in zip(run, _paths_from(algebra, v))]
+    return offs
+
+
+def projective_sum(algebra: AlgebraPresentation, vertices: Sequence[int], name: str = "") -> Module:
+    """The sum of the P_v over vertices (named P1+P3 and so on unless a name is
+    given), block by block from the paths out of each v and basis.left_action."""
+    q = algebra.quiver
+    left_action = algebra.basis.left_action
+    tables = [_paths_from(algebra, v) for v in vertices]
+    offs = _block_offsets(algebra, vertices)
+    dims = [sum(len(t[w]) for t in tables) for w in range(q.n_vertices)]
+    mats = []
+    for a, (_, s, t) in enumerate(q.arrows):
+        mat = la.zeros(dims[t], dims[s])
+        for table, off in zip(tables, offs):
+            row = {gi: off[t] + r for r, gi in enumerate(table[t])}
+            for col, gi in enumerate(table[s]):
+                for ti, c in left_action[a].get(gi, {}).items():
+                    mat[row[ti], off[s] + col] = c
+        mats.append(mat)
+    return Module(algebra, dims, mats, name=name or "+".join(f"P{v + 1}" for v in vertices))
+
+
 def indecomposable_projective(algebra: AlgebraPresentation, v: int) -> Module:
-    """P_v: basis given by the surviving paths out of v.
+    """P_v = e_v A, as projective_sum(algebra, [v]).
 
     Cached per (algebra, v): every call returns the same shared module,
     which callers must not mutate (not even its name).
     """
     key = ("projective", v)
-    if key in algebra._cache:
-        return algebra._cache[key]
-    b = algebra.basis
-    q = algebra.quiver
-    local: Dict[int, List[int]] = {w: [] for w in range(q.n_vertices)}
-    for i, mono in enumerate(b.monomials):
-        if path_source(mono) == v:
-            local[path_target(q, mono)].append(i)
-    pos = {gi: j for w in local for j, gi in enumerate(local[w])}
-    dims = [len(local[w]) for w in range(q.n_vertices)]
-    mats = []
-    for a, (_, s, t) in enumerate(q.arrows):
-        mat = la.zeros(dims[t], dims[s])
-        for col, gi in enumerate(local[s]):
-            for ti, c in b.left_action[a].get(gi, {}).items():
-                mat[pos[ti], col] = c
-        mats.append(mat)
-    m = Module(algebra, dims, mats, name=f"P{v + 1}")
-    m._proj_vertex = v
-    m._proj_gen_index = pos[b.index[(v, ())]]
-    algebra._cache[key] = m
-    return m
+    if key not in algebra._cache:
+        algebra._cache[key] = projective_sum(algebra, [v])
+    return algebra._cache[key]
 
 
 def dual_module(m: Module) -> Module:
@@ -675,44 +702,25 @@ def socle_submodule(m: Module) -> Tuple[Module, ModuleHom]:
 
 @dataclass
 class ProjCover:
-    """A projective cover: the sum structure plus the covering epi."""
+    """A projective cover: the projective_sum over vertices and the covering epi."""
 
-    sum: SumData
+    module: Module
     vertices: List[int]  # vertex of each indecomposable summand
     epi: ModuleHom
 
 
-def hom_from_generator_images(psum: SumData, vertices: List[int], target: Module, images: List[np.ndarray]) -> ModuleHom:
-    """Module hom out of a sum of P_v's, from images of the top generators.
-
-    images[i] is the vector in target at vertex vertices[i] receiving the
-    generator of the i-th summand.
+def hom_from_generator_images(source: Module, vertices: List[int], target: Module, images: List[np.ndarray]) -> ModuleHom:
+    """Module hom out of source = projective_sum(vertices), from images of the
+    top generators: images[i], a vector of target at v = vertices[i], receives
+    the generator of summand i, so its path v -> w goes to the path acting on it.
     """
-    p = target.algebra.p
-    parts = []
-    for i, v in enumerate(vertices):
-        pv = psum.parts[i]
-        b = target.algebra.basis
-        q = target.algebra.quiver
-        local: Dict[int, List[int]] = {}
-        for gi, mono in enumerate(b.monomials):
-            if path_source(mono) == v:
-                local.setdefault(path_target(q, mono), []).append(gi)
-        mats = []
-        for w in range(q.n_vertices):
-            monos = local.get(w, [])
-            mat = la.zeros(target.dims[w], len(monos))
-            for col, gi in enumerate(monos):
-                mono = b.monomials[gi]
-                mat[:, col] = la.matmul(
-                    act_along(target, mono), images[i].reshape(-1, 1), p
-                )[:, 0]
-            mats.append(mat)
-        parts.append(ModuleHom(pv, target, mats, check=False))
-    total_mats = []
-    for w in range(len(target.dims)):
-        total_mats.append(np.hstack([h.mats[w] for h in parts]) if parts else la.zeros(target.dims[w], 0))
-    return ModuleHom(psum.module, target, total_mats, check=True)
+    alg = target.algebra
+    mats = [la.zeros(target.dims[w], source.dims[w]) for w in range(len(target.dims))]
+    for v, off, image in zip(vertices, _block_offsets(alg, vertices), images):
+        for w, paths in enumerate(_paths_from(alg, v)):
+            for col, gi in enumerate(paths):
+                mats[w][:, off[w] + col] = act_along(target, alg.basis.monomials[gi]) @ image
+    return ModuleHom(source, target, mats, check=True)
 
 
 def projective_cover(m: Module) -> ProjCover:
@@ -732,8 +740,7 @@ def projective_cover(m: Module) -> ProjCover:
             e = np.zeros(d, dtype=np.int64)
             e[i] = 1
             gen_images.append(e)
-    parts = [indecomposable_projective(m.algebra, v) for v in vertices]
-    psum = direct_sum(m.algebra, parts, name=f"P({m.name})")
+    psum = projective_sum(m.algebra, vertices, name=f"P({m.name})")
     epi = hom_from_generator_images(psum, vertices, m, gen_images)
     if not is_epi(epi):
         raise AssertionError("projective cover failed to surject")
@@ -761,67 +768,41 @@ def minimal_projective_presentation(m: Module) -> ProjPresentation:
 
 def injective_envelope(m: Module) -> Tuple[Module, ModuleHom]:
     """The injective envelope, via the projective cover of the dual."""
-    dm = dual_module(m)
-    cover = projective_cover(dm)
-    env = dual_module(cover.sum.module)
-    mono = dual_hom(cover.epi)  # D(dm) -> env, and D(dm) is m again
-    mono = ModuleHom(m, env, mono.mats, check=True)
-    return env, mono
+    cover = projective_cover(dual_module(m))
+    env = dual_module(cover.module)
+    # D of the cover's epi, m = DD(m) -> env, is its transpose at each vertex
+    return env, ModuleHom(m, env, [x.T for x in cover.epi.mats], check=True)
 
 
 # -- transpose and the translates ---------------------------------------------
 
 
-def _op_element_of(algebra: AlgebraPresentation, vec: np.ndarray, src: int, tgt: int) -> Dict[int, int]:
-    """Rewrite an element of e_tgt A e_src (coords over A-monomials from
-    src to tgt) as {op-monomial index: coeff} over the opposite algebra."""
-    op = opposite_of(algebra)
-    b = algebra.basis
-    q = algebra.quiver
-    monos = [i for i, mo in enumerate(b.monomials) if path_source(mo) == src and path_target(q, mo) == tgt]
-    out: Dict[int, int] = {}
-    for c, gi in zip(vec, monos):
-        if not c:
-            continue
-        v, arrows = b.monomials[gi]
-        rev = (tgt, tuple(reversed(arrows)))
-        for oi, oc in op.basis.reduce_path(rev).items():
-            out[oi] = (out.get(oi, 0) + int(c) * oc) % algebra.p
-    return {k: v for k, v in out.items() if v}
-
-
 def star_of_projective_hom(cover_src: ProjCover, cover_tgt: ProjCover, h: ModuleHom) -> ModuleHom:
     """Apply Hom(-, A) to a hom between explicit projective sums.
 
-    h: cover_src.sum.module -> cover_tgt.sum.module.  Returns the starred
-    hom between the opposite projective sums, from the one on
-    cover_tgt.vertices to the one on cover_src.vertices.
+    h: cover_src.module -> cover_tgt.module.  Returns the starred hom between
+    the opposite projective sums, from the one on cover_tgt.vertices to the one
+    on cover_src.vertices.  The generator of summand j (at w) goes to the
+    components P_v -> P_w of h, the generator column of each block i (at v) on
+    the rows of block j, with each path w -> v reversed into summand i.
     """
-    algebra = cover_src.sum.module.algebra
+    algebra = cover_src.module.algebra
     op = opposite_of(algebra)
-    p = algebra.p
     src_vs, tgt_vs = cover_src.vertices, cover_tgt.vertices
-    star_src = direct_sum(op, [indecomposable_projective(op, v) for v in tgt_vs])
-    star_tgt = direct_sum(op, [indecomposable_projective(op, v) for v in src_vs])
+    src_offs, op_offs = _block_offsets(algebra, src_vs), _block_offsets(op, src_vs)
+    star_tgt = projective_sum(op, src_vs)
     images: List[np.ndarray] = []
-    for j, w in enumerate(tgt_vs):
-        img = np.zeros(star_tgt.module.dims[w], dtype=np.int64)
-        for i, v in enumerate(src_vs):
-            # component P_v -> P_w of h, read off the generator of P_v
-            gen = la.zeros(cover_src.sum.parts[i].dims[v], 1)
-            gen[cover_src.sum.parts[i]._proj_gen_index, 0] = 1
-            moved = la.matmul(h.mats[v], la.matmul(cover_src.sum.inclusions[i].mats[v], gen, p), p)
-            comp = la.matmul(cover_tgt.sum.projections[j].mats[v], moved, p)[:, 0]
-            op_elt = _op_element_of(algebra, comp, w, v)
-            # place into the P^op_v summand of star_tgt at vertex w
-            part = star_tgt.parts[i]
-            local = [gi for gi, mo in enumerate(op.basis.monomials) if path_source(mo) == v and path_target(op.quiver, mo) == w]
-            vec = np.zeros(part.dims[w], dtype=np.int64)
-            for oi, c in op_elt.items():
-                vec[local.index(oi)] = c
-            img = (img + la.matmul(star_tgt.inclusions[i].mats[w], vec.reshape(-1, 1), p)[:, 0]) % p
+    for w, tgt_off in zip(tgt_vs, _block_offsets(algebra, tgt_vs)):
+        img = np.zeros(star_tgt.dims[w], dtype=np.int64)
+        for v, src_off, op_off in zip(src_vs, src_offs, op_offs):
+            paths = _paths_from(algebra, w)[v]
+            comp = h.mats[v][tgt_off[v] : tgt_off[v] + len(paths), src_off[v]]
+            row = {oi: op_off[w] + r for r, oi in enumerate(_paths_from(op, v)[w])}
+            for c, gi in zip(comp, paths):
+                for oi, oc in op.basis.reduce_path((v, algebra.basis.monomials[gi][1][::-1])).items():
+                    img[row[oi]] = (img[row[oi]] + int(c) * oc) % algebra.p
         images.append(img)
-    return hom_from_generator_images(star_src, tgt_vs, star_tgt.module, images)
+    return hom_from_generator_images(projective_sum(op, tgt_vs), tgt_vs, star_tgt, images)
 
 
 def transpose_maps(pres: ProjPresentation) -> Tuple[ModuleHom, ModuleHom]:
@@ -1321,7 +1302,7 @@ def ext_dims(resolution: Tuple[List[ProjCover], List[ModuleHom]], n: Module, deg
         raise ValueError("Ext is defined for k >= 0 only")
     if max(degrees) >= len(diffs):
         raise ValueError("the resolution is too short for the requested degrees")
-    return hom_complex_dims([c.sum.module for c in covers], diffs, n, degrees)
+    return hom_complex_dims([c.module for c in covers], diffs, n, degrees)
 
 
 def ext_dim(m: Module, n: Module, k: int) -> int:

@@ -21,16 +21,23 @@ polynomial evaluation it needs.
 import numpy as np
 
 from mapscat import linalg as la
+from mapscat.algebra import path_source, path_target
 from mapscat.maps import MapMorphism, SExactness, is_short_exact, split_epi_section
 from mapscat.modules import (
+    Module,
     ModuleHom,
+    act_along,
     combine,
     compose,
+    direct_sum,
     end_radical,
     hom_basis,
     hom_basis_coordinates,
     hom_into_sub,
+    is_epi,
     kernel,
+    opposite_of,
+    radical_bases,
     submodule,
     vectorize_hom,
     zero_hom,
@@ -232,3 +239,103 @@ def reference_fitting_split(m, f):
         projs1.append(inv[: k.shape[1], :])
         projs2.append(inv[k.shape[1] :, :])
     return (m1, i1, ModuleHom(m, m1, projs1, check=True)), (m2, i2, ModuleHom(m, m2, projs2, check=True))
+
+
+def _reference_paths(algebra, src, tgt):
+    """Indices of the monomials src -> tgt, in monomial order."""
+    q = algebra.quiver
+    return [i for i, mo in enumerate(algebra.basis.monomials) if path_source(mo) == src and path_target(q, mo) == tgt]
+
+
+def reference_projective(algebra, v):
+    """The former P_v, built from its own path enumeration."""
+    b, q = algebra.basis, algebra.quiver
+    local = {w: _reference_paths(algebra, v, w) for w in range(q.n_vertices)}
+    pos = {gi: j for w in local for j, gi in enumerate(local[w])}
+    dims = [len(local[w]) for w in range(q.n_vertices)]
+    mats = []
+    for a, (_, s, t) in enumerate(q.arrows):
+        mat = la.zeros(dims[t], dims[s])
+        for col, gi in enumerate(local[s]):
+            for ti, c in b.left_action[a].get(gi, {}).items():
+                mat[pos[ti], col] = c
+        mats.append(mat)
+    return Module(algebra, dims, mats, name=f"P{v + 1}")
+
+
+def reference_projective_sum(algebra, vertices, name=""):
+    """The direct_sum of the former P_v, with inclusions and projections."""
+    return direct_sum(algebra, [reference_projective(algebra, v) for v in vertices], name=name)
+
+
+def reference_hom_from_generator_images(psum, vertices, target, images):
+    """The former generator hom: one hom per summand of psum, side by side."""
+    p = target.algebra.p
+    b = target.algebra.basis
+    parts = []
+    for i, v in enumerate(vertices):
+        mats = []
+        for w in range(len(target.dims)):
+            monos = _reference_paths(target.algebra, v, w)
+            mat = la.zeros(target.dims[w], len(monos))
+            for col, gi in enumerate(monos):
+                mat[:, col] = la.matmul(act_along(target, b.monomials[gi]), images[i].reshape(-1, 1), p)[:, 0]
+            mats.append(mat)
+        parts.append(ModuleHom(psum.parts[i], target, mats, check=False))
+    total = [np.hstack([h.mats[w] for h in parts]) if parts else la.zeros(target.dims[w], 0) for w in range(len(target.dims))]
+    return ModuleHom(psum.module, target, total, check=True)
+
+
+def reference_projective_cover(m):
+    """The former cover: (the direct_sum of the P_v, their vertices, the epi)."""
+    p = m.algebra.p
+    vertices, gen_images = [], []
+    for v, b in enumerate(radical_bases(m)):
+        pivots = la.rref(b.T, p)[1] if b.shape[1] else []
+        for i in (i for i in range(m.dims[v]) if i not in pivots):
+            vertices.append(v)
+            gen_images.append(np.eye(m.dims[v], dtype=np.int64)[i])
+    psum = reference_projective_sum(m.algebra, vertices, name=f"P({m.name})")
+    epi = reference_hom_from_generator_images(psum, vertices, m, gen_images)
+    assert is_epi(epi)
+    return psum, vertices, epi
+
+
+def _op_element_of(algebra, vec, src, tgt):
+    """Rewrite an element of e_tgt A e_src (coords over A-monomials from
+    src to tgt) as {op-monomial index: coeff} over the opposite algebra."""
+    op = opposite_of(algebra)
+    out = {}
+    for c, gi in zip(vec, _reference_paths(algebra, src, tgt)):
+        if not c:
+            continue
+        rev = (tgt, tuple(reversed(algebra.basis.monomials[gi][1])))
+        for oi, oc in op.basis.reduce_path(rev).items():
+            out[oi] = (out.get(oi, 0) + int(c) * oc) % algebra.p
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_star_of_projective_hom(sum_src, src_vs, sum_tgt, tgt_vs, h):
+    """The former d*: h between the direct sums sum_src and sum_tgt, read
+    through their inclusions and projections, starred between the opposite
+    sums on tgt_vs and on src_vs."""
+    algebra = h.source.algebra
+    op = opposite_of(algebra)
+    p = algebra.p
+    star_src = reference_projective_sum(op, tgt_vs)
+    star_tgt = reference_projective_sum(op, src_vs)
+    images = []
+    for j, w in enumerate(tgt_vs):
+        img = np.zeros(star_tgt.module.dims[w], dtype=np.int64)
+        for i, v in enumerate(src_vs):
+            gen = la.zeros(sum_src.parts[i].dims[v], 1)
+            gen[_reference_paths(algebra, v, v).index(algebra.basis.index[(v, ())]), 0] = 1
+            moved = la.matmul(h.mats[v], la.matmul(sum_src.inclusions[i].mats[v], gen, p), p)
+            comp = la.matmul(sum_tgt.projections[j].mats[v], moved, p)[:, 0]
+            local = _reference_paths(op, v, w)
+            vec = np.zeros(star_tgt.parts[i].dims[w], dtype=np.int64)
+            for oi, c in _op_element_of(algebra, comp, w, v).items():
+                vec[local.index(oi)] = c
+            img = (img + la.matmul(star_tgt.inclusions[i].mats[w], vec.reshape(-1, 1), p)[:, 0]) % p
+        images.append(img)
+    return reference_hom_from_generator_images(star_src, tgt_vs, star_tgt.module, images)

@@ -250,7 +250,7 @@ def test_socle_criterion_rejects_a_class_outside_the_socle(knit):
     pres = minimal_projective_presentation(c)
     incl = pres.syzygy_incl
     cocycles = hom_basis(pres.syzygy, tc)
-    from_p0 = hom_basis(pres.p0.sum.module, tc)
+    from_p0 = hom_basis(pres.p0.module, tc)
     cob = hom_coordinates([compose(h, incl) for h in from_p0], cocycles)
     classes = la.kernel_basis(cob.T, P).T  # coordinates on Ext^1(C, tau C)
     rad = end_radical(c)
@@ -282,7 +282,7 @@ def test_coboundary_classes_split_and_are_never_picked(knit, name, side):
         tm, pres = tau(m), minimal_projective_presentation(m)
         incl = pres.syzygy_incl
         cocycles = hom_basis(pres.syzygy, tm)
-        from_p0 = hom_basis(pres.p0.sum.module, tm)
+        from_p0 = hom_basis(pres.p0.module, tm)
         cob = hom_coordinates([compose(h, incl) for h in from_p0], cocycles)
         classes = la.kernel_basis(cob.T, P).T
         assert ar._nonzero_class(classes, cob, P) is None

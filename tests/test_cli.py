@@ -94,6 +94,26 @@ def test_ar_quiver_truncated_x3_gamma_golden_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ar_quiver_commutative_square_lambda_golden_outputs(tmp_path, capsys):
+    # the one bundled relation that is not monomial: the transpose rewrites
+    # reversed paths over the opposite algebra with a coefficient other than +-1
+    prefix = tmp_path / "q_lambda"
+    assert main(["ar-quiver", str(DATA / "commutative_square.alg"), "--side", "lambda", "--out", str(prefix)]) == 0
+    assert Path(f"{prefix}.json").read_text() == golden_bytes("commutative_square_ar_lambda.json")
+    assert Path(f"{prefix}.dot").read_text() == golden_bytes("commutative_square_ar_lambda.dot")
+    capsys.readouterr()
+
+
+def test_ar_quiver_commutative_square_gamma_bounded_golden_outputs(tmp_path, capsys):
+    # Gamma of the square at --dim-bound 12: exit 3 with 17 vertices
+    prefix = tmp_path / "q_gamma"
+    alg = str(DATA / "commutative_square.alg")
+    assert main(["ar-quiver", alg, "--side", "gamma", "--dim-bound", "12", "--out", str(prefix)]) == 3
+    assert Path(f"{prefix}.json").read_text() == golden_bytes("commutative_square_ar_gamma.json")
+    assert Path(f"{prefix}.dot").read_text() == golden_bytes("commutative_square_ar_gamma.dot")
+    capsys.readouterr()
+
+
 def test_ar_quiver_kronecker_bounded_golden_outputs(tmp_path, capsys):
     # the Kronecker quiver has infinite type: the knit stops at the bound
     # with exit 3, and the partial quiver it reports is pinned

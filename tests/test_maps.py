@@ -420,7 +420,7 @@ def _s0_resolution_complex(a3rel):
     k, kincl = kernel(pres.d)
     iso = iso_between(P2, k)
     d2 = compose(kincl, iso)
-    return M.ProjComplex([pres.p0.sum.module, pres.p1.sum.module, P2], [pres.d, d2])
+    return M.ProjComplex([pres.p0.module, pres.p1.module, P2], [pres.d, d2])
 
 
 def _a3_corpus(a3rel):
