@@ -140,7 +140,16 @@ def sparse_kernel_basis(row_of: List[dict], cols: int, p: int) -> np.ndarray:
     canonical choice matters: downstream code freezes kernel output into
     expected values.  The pivot coordinates are read off the sparse pivot
     rows; R is never written out.
+
+    Two systems skip the elimination, as their RREF is known: with no
+    nonzero row every column is free and the basis is the identity, and
+    one column with a nonzero row is a pivot, so the kernel is 0.  The
+    rows of a zero matrix come in as empty dicts, hence any(row_of).
     """
+    if not any(row_of):
+        return eye(cols)
+    if cols == 1:
+        return zeros(1, 0)
     pivots, pivot_rows = _eliminate(row_of, cols, p)
     free = sorted(set(range(cols)).difference(pivots))
     slot = {c: j for j, c in enumerate(free)}

@@ -9,6 +9,7 @@ algebra over F_p on these matrices.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -128,11 +129,17 @@ class ModuleHom:
 
 
 def act_along(m: Module, path: Path) -> np.ndarray:
-    """Matrix of the path acting on m (trivial path gives the identity)."""
+    """Matrix of the path acting on m (trivial path gives the identity).
+
+    A path of k arrows costs k - 1 products, from its first arrow matrix
+    on; a one-arrow path returns m's own matrix, not to be written into.
+    """
     v, arrows = path
-    out = la.eye(m.dims[v])
+    if not arrows:
+        return la.eye(m.dims[v])
+    out = m.mats[arrows[0]]
     p = m.algebra.p
-    for a in arrows:
+    for a in arrows[1:]:
         out = la.matmul(m.mats[a], out, p)
     return out
 
@@ -222,24 +229,26 @@ def hom_basis(m: Module, n: Module) -> List[ModuleHom]:
     matrices A of n and B of m, asks A X_s == X_t B: one sparse row per
     entry (i, j), from the nonzeros A[i, k] at X_s[k, j] and -B[l, j] at
     X_t[i, l]; terms meeting on one unknown (a loop, s == t) add up, and a
-    sum that cancels mod p is dropped.  The basis is the canonical kernel
-    of la.sparse_kernel_basis; that of End(m) = Hom(m, m) is computed
-    once and kept on m.
+    sum that cancels mod p is dropped.  An arrow with no equation
+    (n.dims[t] * m.dims[s] == 0) writes no row, so it is skipped before
+    its matrices are read.  The basis is the canonical kernel of
+    la.sparse_kernel_basis; that of End(m) = Hom(m, m) is computed once
+    and kept on m.
     """
     if m.algebra is not n.algebra and m.algebra.quiver != n.algebra.quiver:
         raise ValueError("modules over different algebras")
     q, p = m.algebra.quiver, m.algebra.p
-    shapes = [(n.dims[v], m.dims[v]) for v in range(q.n_vertices)]
-    if not any(r * c for r, c in shapes):
+    sizes = [r * c for r, c in zip(n.dims, m.dims)]
+    if not any(sizes):
         return []
     kern = m._end_kernel if m is n else None
     if kern is None:
-        offsets = [0]
-        for r, c in shapes:
-            offsets.append(offsets[-1] + r * c)
+        offsets = [0, *accumulate(sizes)]
         rows = []
         for (_, s, t), a, b in zip(q.arrows, n.mats, m.mats):
-            c, l = shapes[s][1], shapes[t][1]
+            c, l = m.dims[s], m.dims[t]
+            if not n.dims[t] * c:
+                continue
             a_rows = [[(k, v) for k, v in enumerate(line) if v] for line in a.tolist()]
             b_cols = [[(x, p - v) for x, v in enumerate(line) if v] for line in b.T.tolist()]
             for i, a_row in enumerate(a_rows):
@@ -291,7 +300,7 @@ def hom_basis_coordinates(homs: Iterable[ModuleHom], basis: Sequence[ModuleHom])
     """
     vecs = [vectorize_hom(b) for b in basis]
     lead = _last_nonzero(vecs)
-    if vecs and not (np.stack(vecs)[:, lead] == la.eye(len(vecs))).all():
+    if vecs and not _is_identity(np.stack(vecs)[:, lead]):
         return hom_coordinates(list(homs), basis)
     cols = [vectorize_hom(h)[lead] for h in homs]
     return np.stack(cols, axis=1) if cols else la.zeros(len(basis), 0)
@@ -316,6 +325,12 @@ def _last_nonzero(vecs: Iterable[np.ndarray]) -> List[int]:
     return [int(np.flatnonzero(v)[-1]) for v in vecs]
 
 
+def _is_identity(mat: np.ndarray) -> bool:
+    """Whether a reduced square matrix is the identity: as many nonzeros
+    as rows, and every diagonal entry 1."""
+    return np.count_nonzero(mat) == len(mat) == np.count_nonzero(mat.diagonal() == 1)
+
+
 def factor_each(q: ModuleHom, gs: Sequence[ModuleHom], past: bool = False) -> List[Optional[ModuleHom]]:
     """For each g of gs, h with q o h = g (past: h o q = g), or None.
 
@@ -330,7 +345,7 @@ def factor_each(q: ModuleHom, gs: Sequence[ModuleHom], past: bool = False) -> Li
     """
     if not gs:
         return []
-    if q.source is q.target and all(np.array_equal(mat, la.eye(len(mat))) for mat in q.mats):
+    if q.source is q.target and all(_is_identity(mat) for mat in q.mats):
         return list(gs)
     src, tgt = (q.target, gs[0].target) if past else (gs[0].source, q.source)
     basis = hom_basis(src, tgt)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import reference_iso_between, reference_kernel
@@ -42,7 +42,9 @@ from mapscat.maps import (
 )
 from mapscat.modules import (
     Module,
+    ModuleHom,
     cokernel,
+    combine,
     compose,
     direct_sum,
     end_radical,
@@ -51,6 +53,7 @@ from mapscat.modules import (
     factor_through,
     hom_add,
     hom_basis,
+    hom_basis_coordinates,
     hom_coordinates,
     hom_equal,
     hom_into_sum,
@@ -167,7 +170,12 @@ def _dual_numbers(p):
 def _corpus(p: int):
     """(algebra, modules) pairs: the knitted indecomposables of A3 with a
     zero relation, of Gamma(A2), and of K[x]/x^2 and its Gamma, whose loops
-    put both ends of a square on the same vertex."""
+    put both ends of a square on the same vertex.  The strategies draw
+    from these four.  A fifth entry, for explicit examples, holds the six
+    simples (0-5) and six indecomposable projectives (6-11) of Gamma of
+    A3 with a zero relation: a hom between a simple and a projective has
+    unknowns at one vertex only, so its arrows at that vertex have
+    unknowns at exactly one end."""
     a3rel = algebra_from_spec(p, 3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]])
     algebras = (
         a3rel,
@@ -175,7 +183,9 @@ def _corpus(p: int):
         _dual_numbers(p),
         gamma_of(_dual_numbers(p)).algebra,
     )
-    return [(alg, knit_ar_quiver(alg).vertices) for alg in algebras]
+    gamma = gamma_of(a3rel).algebra
+    ends = [simple_module(gamma, v) for v in range(6)] + [indecomposable_projective(gamma, v) for v in range(6)]
+    return [(alg, knit_ar_quiver(alg).vertices) for alg in algebras] + [(gamma, ends)]
 
 
 def _corpus_pair(p, which, i, j, k, seed):
@@ -198,6 +208,12 @@ CORPUS_DRAW = dict(
 
 @settings(max_examples=30, deadline=None)
 @given(**CORPUS_DRAW)
+# simples of Gamma(a3_rel) into and onto its projectives (the fifth corpus entry)
+@example(p=2, which=4, i=0, j=0, k=6, seed=0)
+@example(p=3, which=4, i=4, j=4, k=9, seed=1)
+@example(p=5, which=4, i=1, j=5, k=7, seed=2)
+@example(p=101, which=4, i=5, j=5, k=10, seed=3)
+@example(p=3, which=4, i=3, j=4, k=10, seed=4)
 def test_hom_basis_matches_kron_reference_on_corpus_base_changes(p, which, i, j, k, seed):
     m, n = _corpus_pair(p, which, i, j, k, seed)
     _assert_hom_basis_matches(m, n)
@@ -507,6 +523,48 @@ def test_factor_each_decides_each_endomorphism_against_an_almost_split_sequence(
             assert got[0] is None and all(h is not None for h in got[1 : 1 + len(rad)])
             radical_maps += len(rad)
     assert radical_maps
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_factor_each_solves_through_a_unipotent_automorphism(p):
+    # 1 + x on the regular module of K[x]/x^2 has a unit diagonal but is not
+    # the identity: each factor is solved (g o (1 - x), not g), as a solve
+    # per hom gives it; only through identity_hom(r) do the gs come back
+    r = indecomposable_projective(_dual_numbers(p), 0)
+    x = ModuleHom(r, r, [r.mats[0]])
+    u = hom_add(identity_hom(r), x)
+    assert (u.mats[0] == [[1, 0], [1, 1]]).all()
+    ends = hom_basis(r, r)
+    gs = [*ends, zero_hom(r, r), u, hom_scale(2, x)]
+    for past in (False, True):
+        images = [compose(b, u) if past else compose(u, b) for b in ends]
+        got = factor_each(u, gs, past=past)
+        for h, g in zip(got, gs):
+            want = _solve_and_recombine(ends, images, g, zero_hom(r, r), hom_add, hom_scale, vectorize_hom, p)
+            _assert_same_factor(h, want, hom_equal)
+            assert hom_equal(compose(h, u) if past else compose(u, h), g)
+        assert not hom_equal(got[gs.index(u)], u)  # u factors through itself as 1
+        same = factor_each(identity_hom(r), gs, past=past)
+        assert len(same) == len(gs) and all(h is g for h, g in zip(same, gs))
+
+
+def test_hom_basis_coordinates_solve_over_a_hand_picked_basis():
+    # (x, 1 + x) spans End of the regular module of K[x]/x^2, but 1 + x is
+    # nonzero where x ends: the unit pattern fails and the coordinates are
+    # solved, not read off; over the canonical basis they are read off
+    r = indecomposable_projective(_dual_numbers(101), 0)
+    x = ModuleHom(r, r, [r.mats[0]])
+    picked = [x, hom_add(identity_hom(r), x)]
+    ends = hom_basis(r, r)
+    homs = [*ends, *picked, hom_scale(7, x), zero_hom(r, r)]
+    for basis in (picked, ends):
+        got = hom_basis_coordinates(iter(homs), basis)
+        want = hom_coordinates(homs, basis)
+        assert got.shape == want.shape and (got == want).all()
+        for col, h in zip(got.T, homs):
+            assert hom_equal(combine(r, r, basis, col), h)
+    # ends is (x, 1), and 1 = -x + (1 + x); read off at (x, 1 + x)'s last nonzeros it would be (0, 1)
+    assert hom_basis_coordinates(iter(homs), picked)[:, 1].tolist() == [100, 1]
 
 
 def test_split_section_and_retraction_exist_exactly_for_split_maps():

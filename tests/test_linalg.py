@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -177,15 +177,23 @@ def _assert_matches_reference(a, p, rhs):
         assert inv.shape == ref_inv.shape and (inv == ref_inv).all()
 
 
-@given(st.one_of(dense_matrices(), sparse_matrices()), PRIMES, st.data())
+def _with_rhs(a):
+    return st.tuples(st.just(a), arrays(np.int64, a.shape[0], elements=ENTRY))
+
+
+@given(st.one_of(dense_matrices(), sparse_matrices()).flatmap(_with_rhs), PRIMES)
 @settings(max_examples=150, deadline=None)
-def test_rref_matches_the_dense_reference(a, p, data):
-    rhs = data.draw(arrays(np.int64, a.shape[0], elements=ENTRY))
+# one column with a nonzero row: the kernel is 0
+@example(system=(arr([[1]]), arr([4])), p=2)
+@example(system=(arr([[0], [5]]), arr([0, 5])), p=3)
+@example(system=(arr([[2], [3], [0]]), arr([1, 0, 7])), p=101)
+def test_rref_matches_the_dense_reference(system, p):
+    a, rhs = system
     _assert_matches_reference(a, p, rhs)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
-@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3), (4, 4)])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (3, 5), (5, 3), (4, 4), (0, 1), (1, 1), (3, 1)])
 def test_rref_matches_the_dense_reference_on_empty_and_zero_matrices(shape, p):
     a = la.zeros(*shape)
     _assert_matches_reference(a, p, la.zeros(shape[0], 1)[:, 0])
