@@ -9,6 +9,7 @@ source-only or target-only objects, built from module-level data.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -19,6 +20,10 @@ from .modules import (
     Module,
     ModuleHom,
     ProjPresentation,
+    _block_offsets,
+    _last_nonzero,
+    _paths_from,
+    act_along,
     combine,
     compose,
     decompose,
@@ -51,6 +56,7 @@ from .modules import (
     summand_multiplicity,
     tau_inverse_maps,
     transpose_maps,
+    vectorize_hom,
     zero_hom,
 )
 from .maps import (
@@ -214,7 +220,9 @@ def _almost_split_with_presentation(m: Module, pres: ProjPresentation, coker: Mo
     know it.  pres is minimal_projective_presentation(m) and coker the
     cokernel map P1* -> Tr m from transpose_maps(pres): the left end is
     tau m = D Tr m, and Ext^1(m, tau m) is read on the syzygy K of pres,
-    as Hom(K, tau m) modulo the coboundaries h o (K -> P0).
+    as Hom(K, tau m) modulo the coboundaries, by _ext_classes.  The
+    extension of the picked class is the pushout of K -> P0 -> m, which
+    modules.extension assembles from blocks.
 
     The sequence is non-split without a search for a section: the pick
     has qmat . pick != 0, so its class in Ext^1(m, tau m) is nonzero, and
@@ -229,10 +237,7 @@ def _almost_split_with_presentation(m: Module, pres: ProjPresentation, coker: Mo
     cocycles = hom_basis(k_mod, tm)
     if not cocycles:
         raise ArithmeticError("Ext^1(m, tau m) came out zero; construction failed")
-    from_p0 = hom_basis(pres.p0.module, tm)
-    cob = hom_basis_coordinates((compose(h, k_incl) for h in from_p0), cocycles)
-    # quotient coordinates: rows annihilating the coboundary space
-    qmat = la.kernel_basis(cob.T, p).T
+    qmat = _ext_classes(pres, tm, cocycles)
     if qmat.shape[0] == 0:
         raise ArithmeticError("Ext^1(m, tau m) came out zero; construction failed")
     rad = end_radical(m)
@@ -252,6 +257,41 @@ def _almost_split_with_presentation(m: Module, pres: ProjPresentation, coker: Mo
         raise ArithmeticError("no nonzero socle class found in Ext^1(m, tau m)")
     _, leg_tm, surj = extension(combine(k_mod, tm, cocycles, pick), k_incl, pres.p0.epi)
     return seq_of_modules(leg_tm, surj, verified="socle class")
+
+
+def _ext_classes(pres: ProjPresentation, n: Module, cocycles: List[ModuleHom]) -> np.ndarray:
+    """qmat: rows of coordinates on Ext^1(m, n) = Hom(K, n) / coboundaries.
+
+    cocycles is hom_basis(K, n) for the syzygy K of pres, and qmat the
+    canonical kernel basis of cob.T, for cob the coordinates of the
+    coboundaries h o (K -> P0) over it: it depends only on their span.
+    A hom h out of P0 = projective_sum(vertices) is its generator images
+    (Hom(P_v, n) = n_v), so the span is that of one coboundary per basis
+    vector e of n_v for each summand at v.  At a vertex w that coboundary
+    sends k to the sum over the paths v -> w of (path acting on e) times
+    the path's entry in k_incl(k): one outer product per path, summed by
+    one einsum per summand and vertex.  Only the entries at the cocycles'
+    lead places are kept, which are the coordinates (hom_basis_coordinates).
+    """
+    alg = n.algebra
+    k_mod, k_incl, vertices = pres.syzygy, pres.syzygy_incl, pres.p0.vertices
+    sizes = [a * b for a, b in zip(n.dims, k_mod.dims)]
+    starts = [0, *accumulate(sizes)]
+    flat = la.zeros(starts[-1], sum(n.dims[v] for v in vertices))
+    actions = {}  # (v, w): the paths v -> w acting on n, stacked
+    col = 0
+    for v, off in zip(vertices, _block_offsets(alg, vertices)):
+        for w, paths in enumerate(_paths_from(alg, v)):
+            if not paths or not sizes[w]:
+                continue
+            if (v, w) not in actions:
+                actions[v, w] = np.stack([act_along(n, alg.basis.monomials[gi]) for gi in paths])
+            rows = k_incl.mats[w][off[w] : off[w] + len(paths)]
+            block = np.einsum("pab,pk->bak", actions[v, w], rows)
+            flat[starts[w] : starts[w + 1], col : col + n.dims[v]] = block.reshape(n.dims[v], sizes[w]).T
+        col += n.dims[v]
+    lead = _last_nonzero(vectorize_hom(c) for c in cocycles)
+    return la.kernel_basis(flat[lead].T, alg.p).T
 
 
 def _nonzero_class(qmat: np.ndarray, candidates: np.ndarray, p: int) -> Optional[np.ndarray]:

@@ -43,6 +43,7 @@ from .modules import (
     indecomposable_projective,
     injective_envelope,
     is_epi,
+    is_identity,
     is_mono,
     is_projective_indec,
     iso_index,
@@ -676,10 +677,12 @@ def _certify_approx(side: str, approx: MapMorphism, corpus: Sequence[MapObject])
     a nonzero hom space costs one hom_basis for the homs to factor and one
     factor_each over all of them; only the factors found go back to map
     morphisms.  An identity approximation factors each hom as itself,
-    with no further hom space (see factor_each).
+    with no further hom space, as in factor_each; whether q is one is
+    decided once for the whole corpus.
     """
     left = side == "left"
     q = approx.gamma
+    identity = is_identity(q)
     meets, far = (approx.source, approx.target) if left else (approx.target, approx.source)
     found = []
     failures = []
@@ -687,7 +690,7 @@ def _certify_approx(side: str, approx: MapMorphism, corpus: Sequence[MapObject])
         gs = hom_basis(meets.gamma, c.gamma) if left else hom_basis(c.gamma, meets.gamma)
         if not gs:
             continue
-        for i, h in enumerate(factor_each(q, gs, past=left)):
+        for i, h in enumerate(gs if identity else factor_each(q, gs, past=left)):
             if h is None:
                 failures.append((k, i))
             else:

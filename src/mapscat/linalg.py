@@ -126,9 +126,11 @@ def rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
 
 
 def rank(a: np.ndarray, p: int) -> int:
+    """The number of pivots of _eliminate; R is not written out."""
     if a.size == 0:
         return 0
-    return len(rref(a, p)[1])
+    m = normalize(a, p)
+    return len(_eliminate(_sparse_rows(m), m.shape[1], p)[0])
 
 
 def sparse_kernel_basis(row_of: List[dict], cols: int, p: int) -> np.ndarray:

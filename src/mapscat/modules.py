@@ -331,6 +331,12 @@ def _is_identity(mat: np.ndarray) -> bool:
     return np.count_nonzero(mat) == len(mat) == np.count_nonzero(mat.diagonal() == 1)
 
 
+def is_identity(f: ModuleHom) -> bool:
+    """Whether f is the identity of its source: an endomorphism of one
+    module whose every vertex matrix is the identity."""
+    return f.source is f.target and all(_is_identity(mat) for mat in f.mats)
+
+
 def factor_each(q: ModuleHom, gs: Sequence[ModuleHom], past: bool = False) -> List[Optional[ModuleHom]]:
     """For each g of gs, h with q o h = g (past: h o q = g), or None.
 
@@ -345,7 +351,7 @@ def factor_each(q: ModuleHom, gs: Sequence[ModuleHom], past: bool = False) -> Li
     """
     if not gs:
         return []
-    if q.source is q.target and all(_is_identity(mat) for mat in q.mats):
+    if is_identity(q):
         return list(gs)
     src, tgt = (q.target, gs[0].target) if past else (gs[0].source, q.source)
     basis = hom_basis(src, tgt)
@@ -567,34 +573,37 @@ def quotient(m: Module, bases: List[np.ndarray], name: str = "") -> Tuple[Module
     subspace basis with standard basis vectors (pivot-free positions).
     The projection is 1 on those and kills the basis, so it is read off
     the RREF r of the basis rows: at the pivot of row i it is -r[i, free].
+    The section Q -> m that _quotient_of returns beside it is the
+    inclusion of those standard vectors; extension reads its maps off both.
     """
-    p = m.algebra.p
-    q = m.algebra.quiver
-    nv = q.n_vertices
+    quot, projs, _ = _quotient_of(m.algebra, m.dims, m.mats, bases, name)
+    return quot, ModuleHom(m, quot, projs, check=True)
+
+
+def _quotient_of(
+    algebra: AlgebraPresentation, dims: Sequence[int], mats: Sequence[np.ndarray], bases: List[np.ndarray], name: str = ""
+) -> Tuple[Module, List[np.ndarray], List[np.ndarray]]:
+    """quotient of the representation (dims, mats) by the span of bases,
+    with the projection and section matrices at each vertex: proj o sect
+    is the identity of Q, and sect picks the free standard vectors."""
+    p = algebra.p
     projs = []
-    comps = []
-    for v in range(nv):
-        b = bases[v]
-        d = m.dims[v]
+    sects = []
+    for b, d in zip(bases, dims):
         if b.shape[1] == 0:
             projs.append(la.eye(d))
-            comps.append(la.eye(d))
+            sects.append(la.eye(d))
             continue
         r, pivots = la.rref(b.T, p)
         if len(pivots) < b.shape[1]:
             raise ValueError("subspace basis is not independent")
         free = [i for i in range(d) if i not in pivots]
-        comp = la.eye(d)[:, free]
         proj = la.eye(d)[free]
         proj[:, pivots] = (-r[: len(pivots), free].T) % p
         projs.append(proj)
-        comps.append(comp)
-    dims = [projs[v].shape[0] for v in range(nv)]
-    mats = []
-    for a, (_, s, t) in enumerate(q.arrows):
-        mats.append(la.matmul(projs[t], la.matmul(m.mats[a], comps[s], p), p))
-    quot = Module(m.algebra, dims, mats, name=name)
-    return quot, ModuleHom(m, quot, projs, check=True)
+        sects.append(la.eye(d)[:, free])
+    quot_mats = [la.matmul(projs[t], la.matmul(x, sects[s], p), p) for x, (_, s, t) in zip(mats, algebra.quiver.arrows)]
+    return Module(algebra, [x.shape[0] for x in projs], quot_mats, name=name), projs, sects
 
 
 def kernel(f: ModuleHom) -> Tuple[Module, ModuleHom]:
@@ -639,12 +648,30 @@ def extension(cocycle: ModuleHom, incl: ModuleHom, epi: ModuleHom) -> Tuple[Modu
     incl: K -> P and epi: P -> X form a short exact sequence, and E is
     its pushout along the cocycle, (N (+) P) / {(cocycle k, -k)}.
     Returns E, the leg N -> E and the epi E -> X induced by epi.
+
+    Assembled from blocks: N (+) P acts by the block-diagonal arrow
+    matrices, and [cocycle; -incl] is a basis of the submodule at each
+    vertex, as incl is mono (_quotient_of raises if it is not).  The leg
+    N -> E is the projection's first block columns, and E -> X is
+    [0 epi] o section, the one hom whose composite with the projection
+    is [0 epi].  The leg P -> E is checked with the other two; both legs
+    together are the projection.
     """
-    alg = cocycle.source.algebra
-    sd = direct_sum(alg, [cocycle.target, incl.target])
-    w = hom_into_sum(sd, [cocycle, hom_scale(alg.p - 1, incl)])
-    e, proj = quotient(sd.module, [la.column_space_basis(x, alg.p) for x in w.mats])
-    return e, compose(proj, sd.inclusions[0]), hom_through_epi(proj, compose(epi, sd.projections[1]))
+    n, pm, p = cocycle.target, incl.target, cocycle.source.algebra.p
+    arrows = n.algebra.quiver.arrows
+    dims = [a + b for a, b in zip(n.dims, pm.dims)]
+    mats = []
+    for x, y, (_, s, t) in zip(n.mats, pm.mats, arrows):
+        mat = la.zeros(dims[t], dims[s])
+        mat[: n.dims[t], : n.dims[s]] = x
+        mat[n.dims[t] :, n.dims[s] :] = y
+        mats.append(mat)
+    bases = [np.vstack([c, (p - i) % p]) for c, i in zip(cocycle.mats, incl.mats)]
+    e, projs, sects = _quotient_of(n.algebra, dims, mats, bases)
+    leg = ModuleHom(n, e, [x[:, :d] for x, d in zip(projs, n.dims)])
+    ModuleHom(pm, e, [x[:, d:] for x, d in zip(projs, n.dims)])  # checked, not returned
+    onto = ModuleHom(e, epi.target, [la.matmul(x, y[d:], p) for x, y, d in zip(epi.mats, sects, n.dims)])
+    return e, leg, onto
 
 
 def hom_through_epi(proj: ModuleHom, raw: ModuleHom) -> ModuleHom:

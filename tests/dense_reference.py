@@ -16,6 +16,12 @@ lemma and split searches at each level, and the basis of the morphisms
 killed by the cokernel functor, built from level homotopies.  The former
 Fitting split factors the minimal polynomial of an endomorphism, with the
 polynomial evaluation it needs.
+
+The former construction of an almost split sequence from its
+presentation is kept too: the Ext^1 coordinates read from a full basis
+of Hom(P0, N), each hom composed with the syzygy inclusion, and the
+pushout built on a direct_sum, with a column-space basis of the
+submodule and the epi induced through one solve per vertex.
 """
 
 import numpy as np
@@ -34,9 +40,13 @@ from mapscat.modules import (
     hom_basis,
     hom_basis_coordinates,
     hom_into_sub,
+    hom_into_sum,
+    hom_scale,
+    hom_through_epi,
     is_epi,
     kernel,
     opposite_of,
+    quotient,
     radical_bases,
     submodule,
     vectorize_hom,
@@ -339,3 +349,22 @@ def reference_star_of_projective_hom(sum_src, src_vs, sum_tgt, tgt_vs, h):
             img = (img + la.matmul(star_tgt.inclusions[i].mats[w], vec.reshape(-1, 1), p)[:, 0]) % p
         images.append(img)
     return reference_hom_from_generator_images(star_src, tgt_vs, star_tgt.module, images)
+
+
+def reference_ext_classes(pres, n, cocycles):
+    """The former qmat: the coordinates over cocycles = hom_basis(K, n) of
+    h o (K -> P0) for every h of hom_basis(P0, n), and the canonical basis
+    of the rows that annihilate them."""
+    from_p0 = hom_basis(pres.p0.module, n)
+    cob = hom_basis_coordinates((compose(h, pres.syzygy_incl) for h in from_p0), cocycles)
+    return reference_kernel(cob.T, n.algebra.p).T
+
+
+def reference_extension(cocycle, incl, epi):
+    """The former pushout: (E, the leg N -> E, the epi E -> X) from the
+    quotient of the direct_sum N (+) P by the column space of [cocycle; -incl]."""
+    alg = cocycle.source.algebra
+    sd = direct_sum(alg, [cocycle.target, incl.target])
+    w = hom_into_sum(sd, [cocycle, hom_scale(alg.p - 1, incl)])
+    e, proj = quotient(sd.module, [la.column_space_basis(x, alg.p) for x in w.mats])
+    return e, compose(proj, sd.inclusions[0]), hom_through_epi(proj, compose(epi, sd.projections[1]))

@@ -1,9 +1,14 @@
 import json
+import random
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_reference import reference_ext_classes, reference_extension
 
 from mapscat import ar, modules
 from mapscat import linalg as la
@@ -15,6 +20,7 @@ from mapscat.modules import (
     combine,
     compose,
     direct_sum,
+    dual_module,
     end_radical,
     extension,
     hom_add,
@@ -34,6 +40,7 @@ from mapscat.modules import (
     simple_module,
     tau,
     tau_inverse,
+    transpose_maps,
     vectorize_hom,
 )
 from mapscat.ar import (
@@ -778,3 +785,104 @@ def test_knit_in_small_characteristic_matches_p101(p, n, side):
     assert q.complete and q.sequences
     assert all(seq.verified == "corpus" for seq in q.sequences.values())
     assert sorted(m.dims for m in q.vertices) == sorted(m.dims for m in knit(101).vertices)
+
+
+# -- the presentation route against the former one ------------------------------
+
+
+def _same_mats(a, b):
+    return len(a) == len(b) and all(x.shape == y.shape and (x == y).all() for x, y in zip(a, b))
+
+
+def _assert_former_route(pres, n):
+    """qmat of Ext^1(m, n), for the presentation pres of m, and the pushout
+    of every cocycle K -> n agree matrix for matrix with the former route
+    of dense_reference."""
+    cocycles = hom_basis(pres.syzygy, n)
+    if not cocycles:
+        return
+    qmat, want = ar._ext_classes(pres, n, cocycles), reference_ext_classes(pres, n, cocycles)
+    assert qmat.shape == want.shape and (qmat == want).all()
+    for c in cocycles:
+        e, leg, onto = extension(c, pres.syzygy_incl, pres.p0.epi)
+        ref_e, ref_leg, ref_onto = reference_extension(c, pres.syzygy_incl, pres.p0.epi)
+        assert e.dims == ref_e.dims and _same_mats(e.mats, ref_e.mats)
+        assert _same_mats(leg.mats, ref_leg.mats) and _same_mats(onto.mats, ref_onto.mats)
+
+
+# the bundled files; a bound keeps the knits of infinite type finite
+ORACLE_BOUNDS = {
+    "a2": 60, "a3_flip": 60, "a3_linear": 60, "a3_rel": 60, "a4_linear": 60,
+    "commutative_square": 8, "dual_numbers": 60, "kronecker": 12, "truncated_x3": 60,
+}
+
+
+@pytest.mark.parametrize("side", ["lambda", "gamma"])
+@pytest.mark.parametrize("name", sorted(ORACLE_BOUNDS))
+def test_ext_classes_and_pushouts_match_the_former_route(name, side):
+    # at every non-projective indecomposable m of the knit, Ext^1(m, tau m)
+    # read from the generator images of P0 and every pushout assembled
+    # from blocks agree with hom_basis(P0, tau m) and the direct_sum build
+    alg = parse_algebra_file((DATA / f"{name}.alg").read_text(encoding="utf-8")).algebra
+    q = knit_ar_quiver(alg if side == "lambda" else gamma_of(alg).algebra, dim_bound=ORACLE_BOUNDS[name])
+    for i, m in enumerate(q.vertices):
+        if i not in q.projectives:
+            pres = minimal_projective_presentation(m)
+            _assert_former_route(pres, dual_module(transpose_maps(pres)[1].target))
+
+
+def _random_mat(rng, rows, cols, p):
+    return np.array([rng.randrange(p) for _ in range(rows * cols)], dtype=np.int64).reshape(rows, cols)
+
+
+def _random_rep(alg, dims, rng):
+    """A representation with random entries; with the relation a.b = 0 of
+    1 -> 2 -> 3, the columns of a are drawn from ker b."""
+    p = alg.p
+    mats = [_random_mat(rng, dims[t], dims[s], p) for _, s, t in alg.quiver.arrows]
+    if alg.relations:
+        k = la.kernel_basis(mats[1], p)
+        mats[0] = la.matmul(k, _random_mat(rng, k.shape[1], dims[0], p), p)
+    return Module(alg, dims, mats)
+
+
+def _presentation(m, extra, rng):
+    """A projective presentation of m whose P0 is its cover plus P_v for v
+    in extra, sent to random vectors of m.  With extra summands it is not
+    minimal, so K meets their tops: the trivial paths of P0 then count in
+    the coboundaries, which they never do for K inside rad P0."""
+    alg = m.algebra
+    cover = modules.projective_cover(m)
+    offs = modules._block_offsets(alg, cover.vertices)
+    images = [cover.epi.mats[v][:, off[v]] for v, off in zip(cover.vertices, offs)]  # the tops: row 0 at v
+    images += [_random_mat(rng, m.dims[v], 1, alg.p)[:, 0] for v in extra]
+    vertices = cover.vertices + extra
+    p0 = modules.projective_sum(alg, vertices)
+    epi = modules.hom_from_generator_images(p0, vertices, m, images)
+    syz, incl = modules.kernel(epi)
+    p1 = modules.projective_cover(syz)
+    return modules.ProjPresentation(p1, modules.ProjCover(p0, vertices, epi), compose(incl, p1.epi), syz, incl)
+
+
+RANDOM_QUIVERS = {
+    "kronecker": (2, [("a", 0, 1), ("b", 0, 1)], []),
+    "a3_rel": (3, [("a", 0, 1), ("b", 1, 2)], [[(1, ["a", "b"])]]),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RANDOM_QUIVERS)),
+    p=st.sampled_from([2, 3, 5, 101]),
+    dims=st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=2, max_size=2),
+    extra=st.lists(st.integers(0, 2), max_size=2),
+    seed=st.integers(0, 10**6),
+)
+def test_ext_classes_and_pushouts_match_the_former_route_on_random_representations(name, p, dims, extra, seed):
+    # Ext^1(m, n) for two random representations, decomposable or not, read
+    # from a presentation with up to two summands beyond the cover
+    n_vertices, arrows, relations = RANDOM_QUIVERS[name]
+    alg = algebra_from_spec(p, n_vertices, arrows, relations)
+    rng = random.Random(seed)
+    m, n = (_random_rep(alg, d[:n_vertices], rng) for d in dims)
+    _assert_former_route(_presentation(m, [v % n_vertices for v in extra], rng), n)

@@ -84,6 +84,17 @@ def test_ar_quiver_a3_gamma_golden_outputs(name, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ar_quiver_a4_linear_gamma_golden_outputs(tmp_path, capsys):
+    # Gamma of linear A4 (76 vertices, 68 sequences), the largest complete
+    # knit of the benchmark, which checks it only as order-independent
+    # multisets: this pins its vertex order and names
+    prefix = tmp_path / "q_gamma"
+    assert main(["ar-quiver", str(DATA / "a4_linear.alg"), "--side", "gamma", "--out", str(prefix)]) == 0
+    assert Path(f"{prefix}.json").read_text() == golden_bytes("a4_linear_ar_gamma.json")
+    assert Path(f"{prefix}.dot").read_text() == golden_bytes("a4_linear_ar_gamma.dot")
+    capsys.readouterr()
+
+
 def test_ar_quiver_truncated_x3_gamma_golden_outputs(tmp_path, capsys):
     # Gamma of K[x]/x^3: the knit decomposes many sums, so this pins the
     # Fitting splits of decompose (27 vertices, complete)

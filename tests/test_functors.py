@@ -768,6 +768,27 @@ def test_approximation_identity_shortcut(mods, homs, corpora):
     assert cert
 
 
+def test_identity_approximation_is_decided_once_per_certificate(mods, homs, corpora, monkeypatch):
+    # the identity test of the approximation runs once for the whole corpus,
+    # and an identity approximation then calls factor_each for no object
+    _, g = homs
+    ec, _ = corpora
+    tests = []
+
+    def counted(q):
+        tests.append(q)
+        return modules.is_identity(q)
+
+    def no_factor_each(*args, **kwargs):
+        raise AssertionError("an identity approximation factors each hom as itself")
+
+    monkeypatch.setattr(functors, "is_identity", counted)
+    monkeypatch.setattr(functors, "factor_each", no_factor_each)
+    approx, cert = right_approx_epimaps(MapObject(g), ec)
+    assert cert and len({k for k, _, _ in cert.test_factorizations}) > 1
+    assert len(tests) == 1
+
+
 def test_corpus_sizes(corpora):
     ec, mc = corpora
     assert len(ec) == 7
