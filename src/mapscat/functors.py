@@ -192,14 +192,6 @@ def is_torsion_free(f: FpFunctor) -> bool:
     return by_radical
 
 
-def vanishes_on_projectives(f: FpFunctor) -> bool:
-    alg = f.algebra
-    for v in range(alg.quiver.n_vertices):
-        if evaluate(f, indecomposable_projective(alg, v)) != 0:
-            return False
-    return True
-
-
 # -- realization over the endomorphism algebra ------------------------------------
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import linalg as la
 from .algebra import AlgebraPresentation, ChainAlgebra, TriangularAlgebra, chain_algebra, triangular_matrix_algebra
 from .modules import (
@@ -28,9 +26,6 @@ from .modules import (
     compose,
     decompose,
     direct_sum,
-    dual_hom,
-    dual_module,
-    extension,
     factor_past,
     factor_through,
     hom_basis,
@@ -302,20 +297,7 @@ def minimize_presentation(x: MapObject) -> MapObject:
     return minimal_presentation_with_summands(x)[0]
 
 
-# -- homotopies and the cokernel functor ---------------------------------------
-
-
-def homotopy_quotient_dim(x: MapObject, y: MapObject) -> int:
-    """dim Hom(x,y) modulo homotopy; equals Hom of the induced functors.
-
-    The cokernel functor kills u exactly when u.h2 = y.f s for some s, so
-    u is (s x.f, y.f s), through the identity leg (y.m1, y.m1, 1) -> y,
-    plus a (k, 0) with y.f k = 0, through the kernel leg (ker y.f, 0, 0) -> y.
-    """
-    full = hom_basis(x.gamma, y.gamma)
-    legs = [leg.gamma for tag, _, leg in _structural_pieces(y, *kernel(y.f)) if tag != "target"]
-    null = hom_basis_coordinates((compose(leg, h) for leg in legs for h in hom_basis(x.gamma, leg.source)), full)
-    return len(full) - la.rank(null, x.algebra.p)
+# -- the cokernel functor ------------------------------------------------------
 
 
 def phi_at(x: MapObject, t: Module) -> int:
@@ -325,14 +307,6 @@ def phi_at(x: MapObject, t: Module) -> int:
     into_target = hom_basis(t, x.m2)
     action = hom_basis_coordinates((compose(x.f, b) for b in hom_basis(t, x.m1)), into_target)
     return len(into_target) - la.rank(action, x.algebra.p)
-
-
-def phi_op_dim_at(x: MapObject, t: Module) -> int:
-    """The dual construction: dim coker(Hom(m2,t) -> Hom(m1,t)).
-
-    Hom(m, t) = Hom(Dt, Dm) turns it into Phi of D(x.f) at Dt.
-    """
-    return phi_at(MapObject(dual_hom(x.f)), dual_module(t))
 
 
 # -- exact structure -----------------------------------------------------------
@@ -509,60 +483,6 @@ def relative_ext_dim(x: MapObject, y: MapObject, k: int) -> int:
     return relative_ext_dims(f_resolution(x), y, [k])[0]
 
 
-# -- extensions from cocycles (independent Ext^1 oracle) ------------------------
-
-
-@dataclass
-class Ext1Data:
-    """Cocycle description of Ext_F^1(x, y).
-
-    cocycles is a basis of Hom(N0, y) for N0 the first relative syzygy;
-    a cocycle's class is zero exactly when it lies in the column space of
-    coboundary_matrix (restrictions of Hom(Q0, y)).  dim Ext_F^1 =
-    len(cocycles) - rank(coboundary_matrix).
-    """
-
-    x: MapObject
-    y: MapObject
-    cover: FCover
-    syzygy: MapObject
-    syzygy_incl: MapMorphism
-    cocycles: List[MapMorphism]
-    coboundary_matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        p = self.x.algebra.p
-        return len(self.cocycles) - la.rank(self.coboundary_matrix, p)
-
-    def class_is_zero(self, cocycle: MapMorphism) -> bool:
-        coords = hom_basis_coordinates([cocycle.gamma], [c.gamma for c in self.cocycles])[:, 0]
-        if self.coboundary_matrix.shape[1] == 0:
-            return not coords.any()
-        return la.solve(self.coboundary_matrix, coords, self.x.algebra.p) is not None
-
-
-def ext1_data(x: MapObject, y: MapObject) -> Ext1Data:
-    """The cocycles and coboundaries of Ext_F^1(x, y), from the kernel the
-    cover keeps.  The cocycles are hom_maps(n0, y), so the coboundaries'
-    coordinates are read off the canonical Gamma basis behind them."""
-    cover = f_projective_cover(x)
-    n0, incl = cover.kernel
-    basis = hom_basis(n0.gamma, y.gamma)
-    mat = hom_basis_coordinates((compose(h, incl.gamma) for h in hom_basis(cover.cover.gamma, y.gamma)), basis)
-    return Ext1Data(x, y, cover, n0, incl, [from_gamma_hom(h, n0, y) for h in basis], mat)
-
-
-def pushout_extension(data: Ext1Data, cocycle: MapMorphism) -> Tuple[MapObject, MapMorphism, MapMorphism]:
-    """The extension 0 -> y -> E -> x -> 0 given by a cocycle N0 -> y.
-
-    The pushout of the cover sequence along the cocycle, taken on Gamma.
-    """
-    e, leg_y, onto = extension(cocycle.gamma, data.syzygy_incl.gamma, data.cover.epi.gamma)
-    e_obj = _fresh_map_object(gamma_of(data.x.algebra), e)
-    return e_obj, from_gamma_hom(leg_y, data.y, e_obj), from_gamma_hom(onto, e_obj, data.x)
-
-
 # -- complexes of projectives ---------------------------------------------------
 
 
@@ -572,9 +492,9 @@ class ProjComplex:
     modules[k] is the degree-k term; diffs[k]: modules[k+1] -> modules[k].
     Composites of consecutive differentials must vanish.  complex_module
     writes the complex as one module over chain_algebra, so chain maps are
-    hom_basis there; the stronger resolution invariant (exactness of
-    Hom(X, -) in degrees > 0) is checked against a corpus by
-    validate_hom_exactness.
+    hom_basis there.  The class does not check the stronger resolution
+    invariant, exactness of Hom(X, -) in degrees > 0; a caller that needs
+    it checks it against a corpus of modules X.
     """
 
     def __init__(self, modules: Sequence[Module], diffs: Sequence[ModuleHom]):
@@ -604,20 +524,6 @@ def complex_module(cpx: ProjComplex) -> Module:
     """
     algebra, copies, joins = chain_of(cpx.modules[0].algebra, cpx.length + 1)
     return _chain_module(algebra, copies, joins, cpx.modules[::-1], cpx.diffs[::-1])
-
-
-def validate_hom_exactness(cpx: ProjComplex, corpus: Sequence[Module]) -> bool:
-    """The resolution invariant: (X, cpx) exact in all degrees > 0.
-
-    Hom(X, A_k) = Hom(DA_k, DX), so this is the vanishing of the
-    cohomology of Hom(-, DX) on the dual complex DA_0 -> ... -> DA_n in
-    degrees 0 .. n - 1 (injectivity at A_n, exactness at A_(n-1) .. A_1),
-    counted by hom_complex_dims.
-    """
-    n = cpx.length
-    terms = [dual_module(m) for m in reversed(cpx.modules)]
-    diffs = [dual_hom(d) for d in reversed(cpx.diffs)]
-    return not any(any(hom_complex_dims(terms, diffs, dual_module(x), range(n))) for x in corpus)
 
 
 def theta_presentation(cpx: ProjComplex) -> MapObject:

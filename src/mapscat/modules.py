@@ -722,10 +722,6 @@ def radical_submodule(m: Module) -> Tuple[Module, ModuleHom]:
     return submodule(m, radical_bases(m), name="rad")
 
 
-def top_quotient(m: Module) -> Tuple[Module, ModuleHom]:
-    return quotient(m, radical_bases(m), name="top")
-
-
 def socle_submodule(m: Module) -> Tuple[Module, ModuleHom]:
     p = m.algebra.p
     q = m.algebra.quiver
@@ -1205,33 +1201,6 @@ def decompose(m: Module) -> List[Tuple[Module, ModuleHom, ModuleHom]]:
         else (part, unvectorize_hom(part, m, incl), unvectorize_hom(m, part, proj))
         for part, incl, proj in m._summands
     ]
-
-
-@dataclass
-class Decomposition:
-    """Indecomposable summands grouped by isomorphism type.
-
-    summands lists (representative, multiplicity); witnesses keeps the flat
-    inclusion/projection pair for every copy, in a fixed order.
-    """
-
-    module: Module
-    summands: List[Tuple[Module, int]]
-    witnesses: List[Tuple[Module, ModuleHom, ModuleHom]]
-
-
-def decomposition(m: Module) -> Decomposition:
-    flat = decompose(m)
-    reps: List[Module] = []
-    mults: List[int] = []
-    for part, _, _ in flat:
-        i = iso_index(part, reps)
-        if i is None:
-            reps.append(part)
-            mults.append(1)
-        else:
-            mults[i] += 1
-    return Decomposition(m, list(zip(reps, mults)), flat)
 
 
 def iso_between(m: Module, n: Module) -> Optional[ModuleHom]:

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import validate_hom_exactness
 from mapscat.algebra import algebra_from_spec
 from mapscat.ar import (
     check_ar_in_S,
@@ -37,7 +38,6 @@ from mapscat.maps import (
     relative_syzygy,
     rpdim,
     target_only,
-    validate_hom_exactness,
 )
 from mapscat.modules import (
     direct_sum,

@@ -20,10 +20,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ext1_data
 from mapscat.algebra import algebra_from_spec, path_source, path_target
 from mapscat.algfile import parse_algebra_file
 from mapscat.ar import knit_ar_quiver
-from mapscat.maps import ext1_data, f_resolution, from_gamma_module, gamma_of, relative_ext_dim, relative_ext_dims
+from mapscat.maps import f_resolution, from_gamma_module, gamma_of, relative_ext_dim, relative_ext_dims
 from mapscat.modules import Module, ext_dim, ext_dims, hom_basis, projective_resolution
 
 DATA = resources.files("mapscat").joinpath("data")

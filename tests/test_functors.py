@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from dense_reference import reference_arrow_picks, reference_phi_hom_mats
+from oracles import homotopy_quotient_dim, validate_hom_exactness, vanishes_on_projectives
 from mapscat import functors, linalg as la, maps, modules
 from mapscat.algebra import algebra_from_spec
 from mapscat.algfile import parse_algebra_file
@@ -26,7 +27,6 @@ from mapscat.maps import (
     ProjComplex,
     from_gamma_module,
     gamma_of,
-    homotopy_quotient_dim,
     identity_object,
     indec_map_kind,
     map_identity,
@@ -37,7 +37,6 @@ from mapscat.maps import (
     rpdim,
     source_only,
     target_only,
-    validate_hom_exactness,
     zero_map_object,
 )
 from mapscat.ar import knit_ar_quiver, maps_seq_from_gamma, s_theorem_hypothesis
@@ -71,7 +70,6 @@ from mapscat.functors import (
     tilting_report_json,
     torsion_radical,
     transport_approx_via_phi,
-    vanishes_on_projectives,
 )
 
 P = 101
